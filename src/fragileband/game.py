@@ -14,8 +14,8 @@ w_min <= w_max, a fragile band on which (C,C) and (D,D) coexist as pure
 equilibria.  When the band vanishes (w_min > w_max) the game turns
 Hawk-Dove-like and only the asymmetric profiles survive in the middle.
 
-Everything in this module is a pure function of immutable inputs; the Monte
-Carlo smoothing takes an explicit seed.
+Everything in this module is a pure function of immutable inputs; the noisy
+tipping band is an exact truncated-Normal mass, not a sample.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 
 class CurveError(ValueError):
@@ -213,20 +212,23 @@ class RecognitionCurve:
     """Monotone response F(w) mapping raw recognition into effective weight.
 
     Valid curves satisfy F(0) = 0, F nondecreasing and 0 <= F(w) <= 1.
-    Subclasses implement ``__call__``; ``validate`` checks the contract by
-    dense sampling and raises :class:`CurveError` on violation.
+    Subclasses implement ``__call__`` on floats and arrays alike; ``validate``
+    checks the contract by dense sampling and raises :class:`CurveError`.
     """
 
-    def __call__(self, w: float) -> float:
+    def __call__(self, w):
         raise NotImplementedError
 
-    def validate(self, upper: float, points: int = 257) -> None:
-        upper = max(float(upper), 1.0)
-        ws = np.linspace(0.0, upper, points)
-        values = np.array([self(float(w)) for w in ws])
-        if abs(values[0]) > 1e-12:
+    def validate(self, upper, points: int = 257) -> None:
+        """Check the contract at ``points`` evenly spaced w in [0, max(upper, 1)].
+
+        An array ``upper`` (a sweep) checks every entry's own grid at once.
+        """
+        uppers = np.unique(np.maximum(np.ravel(upper), 1.0))
+        values = self(np.linspace(0.0, uppers, points, axis=-1))
+        if np.any(np.abs(values[:, 0]) > 1e-12):
             raise CurveError("recognition curve must satisfy F(0) = 0")
-        if np.any(np.diff(values) < -1e-12):
+        if np.any(np.diff(values, axis=1) < -1e-12):
             raise CurveError("recognition curve must be nondecreasing")
         if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
             raise CurveError("recognition curve values must lie in [0, 1]")
@@ -236,8 +238,8 @@ class RecognitionCurve:
 class LinearClamped(RecognitionCurve):
     """F(w) = min(w, 1); the identity on [0, 1]."""
 
-    def __call__(self, w: float) -> float:
-        return min(float(w), 1.0)
+    def __call__(self, w):
+        return np.minimum(w, 1.0)
 
 
 @dataclass(frozen=True)
@@ -250,8 +252,8 @@ class SaturatingExponential(RecognitionCurve):
         if not self.rate > 0:
             raise ValueError("curve rate must satisfy rate > 0")
 
-    def __call__(self, w: float) -> float:
-        return 1.0 - math.exp(-self.rate * float(w))
+    def __call__(self, w):
+        return 1.0 - np.exp(-self.rate * w)
 
 
 @dataclass(frozen=True)
@@ -268,9 +270,9 @@ class LogisticShifted(RecognitionCurve):
         if not self.steepness > 0:
             raise ValueError("curve steepness must satisfy steepness > 0")
 
-    def __call__(self, w: float) -> float:
+    def __call__(self, w):
         base = _sigmoid(-self.steepness * self.midpoint)
-        raw = _sigmoid(self.steepness * (float(w) - self.midpoint))
+        raw = _sigmoid(self.steepness * (w - self.midpoint))
         return (raw - base) / (1.0 - base)
 
 
@@ -292,31 +294,30 @@ class TabulatedCurve(RecognitionCurve):
         if any(b <= a for a, b in zip(ws, ws[1:])):
             raise ValueError("tabulated curve samples must have strictly ascending w")
 
-    def __call__(self, w: float) -> float:
-        ws = [p[0] for p in self.points]
-        fs = [p[1] for p in self.points]
-        return float(np.interp(float(w), ws, fs))
+    def __call__(self, w):
+        ws, fs = zip(*self.points)
+        return np.interp(w, ws, fs)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def _sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def classify_phase_nonlinear(
-    pd: PayoffMatrix, w: float, curve: RecognitionCurve
-) -> PhaseLabel:
+def classify_phase_nonlinear(pd: PayoffMatrix, w, curve: RecognitionCurve):
     """Phase classification with effective weight F(w) in place of w.
 
     The curve is checked against its contract by dense sampling before use;
-    a violating curve raises :class:`CurveError`.
+    a violating curve raises :class:`CurveError`.  For an array ``w`` (a sweep)
+    the curve is validated once, on every ratio's own grid, and a list returned.
     """
-    if not w >= 0:
+    ws = np.asarray(w, dtype=float)
+    if not np.all(ws >= 0):
         raise ValueError("w must satisfy w >= 0")
-    curve.validate(upper=w)
-    return _label_from_thresholds(curve(w), band(pd))
+    curve.validate(upper=ws)
+    fb = band(pd)
+    labels = [_label_from_thresholds(f, fb) for f in np.ravel(curve(ws))]
+    return labels if ws.ndim else labels[0]
 
 
 def min_total_payoff_profile(pd: PayoffMatrix) -> tuple[Profile, float]:
@@ -332,42 +333,38 @@ def min_total_payoff_profile(pd: PayoffMatrix) -> tuple[Profile, float]:
     return CD, pd.T + pd.S
 
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def _normal_mass(lo: float, hi: float) -> float:
+    """P(lo <= Z <= hi) for a standard Normal Z and lo <= hi, as an erfc difference.
+
+    An interval centred below zero is mirrored first, so that a mass far out
+    in either tail keeps its relative precision.
+    """
+    if lo + hi < 0.0:
+        lo, hi = -hi, -lo
+    return 0.5 * (math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0)))
 
 
 def tipping_band_probability(
-    pd: PayoffMatrix,
-    w_mean: float,
-    w_sd: float,
-    samples: int,
-    seed: int = 0,
+    pd: PayoffMatrix, w_mean: float, w_sd: float
 ) -> dict[PhaseLabel, float]:
     """Phase probabilities when w is noisy rather than a sharp value.
 
-    Draws w from a Normal(w_mean, w_sd) truncated to w >= 0 (inverse-CDF
-    sampling, deterministic for a given seed) and classifies each draw.
+    w follows a Normal(w_mean, w_sd) truncated to w >= 0, and each label gets
+    the exact mass of its w interval: below both thresholds Distrust, above
+    both Cooperation, between them FragileBand (AsymmetricOnly if w_max < w_min).
     This smooths the deterministic thresholds into a probabilistic tipping
     band; the truncated Normal is one configurable choice of noise, not a
     canonical one.  Returned probabilities cover every label and sum to 1.
     """
     if not w_sd > 0:
         raise ValueError("w_sd must satisfy w_sd > 0")
-    if samples < 1:
-        raise ValueError("samples must satisfy samples >= 1")
-    rng = np.random.default_rng(seed)
-    below = _normal_cdf((0.0 - w_mean) / w_sd)
-    u = rng.uniform(below, 1.0, size=int(samples))
-    ws = w_mean + w_sd * ndtri(u)
-    np.maximum(ws, 0.0, out=ws)  # guard roundoff at the truncation edge
-
     fb = band(pd)
-    cc = ws >= fb.w_min
-    dd = ws <= fb.w_max
-    counts = {
-        PhaseLabel.FRAGILE_BAND: int(np.count_nonzero(cc & dd)),
-        PhaseLabel.COOPERATION: int(np.count_nonzero(cc & ~dd)),
-        PhaseLabel.DISTRUST: int(np.count_nonzero(~cc & dd)),
-        PhaseLabel.ASYMMETRIC_ONLY: int(np.count_nonzero(~cc & ~dd)),
-    }
-    return {label: counts[label] / float(samples) for label in PhaseLabel}
+    middle = PhaseLabel.FRAGILE_BAND if fb.exists else PhaseLabel.ASYMMETRIC_ONLY
+    z = [(edge - w_mean) / w_sd for edge in (0.0, *sorted((fb.w_min, fb.w_max)))] + [math.inf]
+    total = _normal_mass(z[0], math.inf)
+    if total == 0.0:
+        raise ValueError("w_mean lies too far below 0 for w_sd: the truncated mass underflows")
+    probs = dict.fromkeys(PhaseLabel, 0.0)
+    for label, lo, hi in zip((PhaseLabel.DISTRUST, middle, PhaseLabel.COOPERATION), z, z[1:]):
+        probs[label] = _normal_mass(lo, hi) / total
+    return probs

@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+
+from .stopping import NonConvergence
 
 
 class HypothesisViolation(ValueError):
@@ -45,24 +48,23 @@ def negative_part(z: float) -> float:
 class ShapeFn:
     """Nonlinear sensitivity shape: continuous, g(0) = 0, locally Lipschitz.
 
-    Shapes are defined on z >= 0 and extended to negative arguments oddly
-    (g(-z) = -g(z)) so that signed change terms stay well defined without
-    breaking continuity at zero.  ``lipschitz(bound)`` reports a declared
-    Lipschitz constant valid on [0, bound]; the constant is declared from
-    the shape's closed form, not estimated numerically.
+    Shapes are defined on z >= 0 by one formula ``_eval`` for floats and
+    arrays, extended oddly as sign(z)·g(|z|) so that signed change terms
+    stay well defined without breaking continuity at zero.
+    ``lipschitz(bound)`` reports a declared Lipschitz constant valid on
+    [0, bound]; the constant is declared from the shape's closed form, not
+    estimated numerically.
     """
 
-    def _eval(self, z: float) -> float:
+    def _eval(self, z):
         raise NotImplementedError
 
     def _slope(self, z: float) -> float:
         raise NotImplementedError
 
-    def __call__(self, z: float) -> float:
-        z = float(z)
-        if z < 0:
-            return -self._eval(-z)
-        return self._eval(z)
+    def __call__(self, z):
+        # sign(z)·g(|z|) for floats and arrays alike; g(0) = 0, so z = 0 may take +1.
+        return (1.0 - 2.0 * (z < 0)) * self._eval(abs(z))
 
     def derivative(self, z: float) -> float:
         """One-sided slope at |z| (the odd extension has an even slope)."""
@@ -74,7 +76,7 @@ class ShapeFn:
 
 @dataclass(frozen=True)
 class Identity(ShapeFn):
-    def _eval(self, z: float) -> float:
+    def _eval(self, z):
         return z
 
     def _slope(self, z: float) -> float:
@@ -94,7 +96,7 @@ class Power(ShapeFn):
         if not self.exponent >= 1:
             raise ValueError("power exponent must satisfy p >= 1")
 
-    def _eval(self, z: float) -> float:
+    def _eval(self, z):
         return z**self.exponent
 
     def _slope(self, z: float) -> float:
@@ -120,8 +122,12 @@ class Saturating(ShapeFn):
         if not self.scale > 0:
             raise ValueError("saturating scale must satisfy s > 0")
 
-    def _eval(self, z: float) -> float:
-        return self.scale * (1.0 - math.exp(-z / self.scale))
+    def _eval(self, z):
+        try:  # floats keep math.exp: fast in the mass dynamics, and bit-stable
+            decay = math.exp(-z / self.scale)
+        except TypeError:  # an array of magnitudes
+            decay = np.exp(-z / self.scale)
+        return self.scale * (1.0 - decay)
 
     def _slope(self, z: float) -> float:
         return math.exp(-z / self.scale)
@@ -131,9 +137,9 @@ class Saturating(ShapeFn):
 
 
 class LevelFn:
-    """Bounded level term h(x) entering the payoff as delta_weight * h(x)."""
+    """Bounded level term h(x), on floats or arrays, entering as delta_weight * h(x)."""
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         raise NotImplementedError
 
 
@@ -141,8 +147,8 @@ class LevelFn:
 class IdentityLevel(LevelFn):
     """h(x) = x; bounded only when the state space itself is bounded."""
 
-    def __call__(self, x: float) -> float:
-        return float(x)
+    def __call__(self, x):
+        return x
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,8 @@ class ClampedLevel(LevelFn):
         if not self.lo <= self.hi:
             raise ValueError("clamped level must satisfy lo <= hi")
 
-    def __call__(self, x: float) -> float:
-        return min(max(float(x), self.lo), self.hi)
+    def __call__(self, x):
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -191,8 +197,7 @@ class Observation:
     reference: float
 
     def __post_init__(self) -> None:
-        values = (self.x, self.x_prev, self.forecast, self.reference)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, (self.x, self.x_prev, self.forecast, self.reference))):
             raise ValueError("observation fields must be finite")
 
 
@@ -205,15 +210,15 @@ def differences(obs: Observation) -> tuple[float, float, float]:
     )
 
 
-def eval_reference_payoff(params: ReferenceParams, obs: Observation) -> float:
-    """Evaluate the reference-dependent stage payoff at one observation."""
+def eval_reference_payoff(params: ReferenceParams, obs: Observation):
+    """Stage payoff at one observation, or at a grid whose fields are arrays that broadcast."""
     dx, eps, xi = differences(obs)
     return (
         params.alpha * params.g1(dx)
-        + params.beta_plus * params.g2(positive_part(eps))
-        + params.beta_minus * params.g2(negative_part(eps))
-        + params.gamma_plus * params.g3(positive_part(xi))
-        + params.gamma_minus * params.g3(negative_part(xi))
+        + params.beta_plus * params.g2(np.maximum(eps, 0.0))
+        + params.beta_minus * params.g2(np.maximum(-eps, 0.0))
+        + params.gamma_plus * params.g3(np.maximum(xi, 0.0))
+        + params.gamma_minus * params.g3(np.maximum(-xi, 0.0))
         + params.delta_weight * params.h(obs.x)
         - params.cost
     )
@@ -277,6 +282,9 @@ class ShiftCheckSetup:
             raise ValueError("forecasts must provide one value per state")
         if not 0 < self.delta < 1:
             raise ValueError("delta must satisfy 0 < delta < 1")
+        finite = np.isfinite(self.x_grid).all() and np.isfinite(self.forecasts).all()
+        if not (finite and math.isfinite(self.reference)):
+            raise ValueError("shift-check grid, forecasts and reference must be finite")
 
 
 @dataclass(frozen=True)
@@ -287,19 +295,17 @@ class ShiftCheckResult:
     lipschitz: float
 
 
+# Iteration budget of the optimize-mode value iteration (not a user option).
+SHIFT_CHECK_MAX_ITERATIONS = 1_000_000
+
+
 def _stage_matrix(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
-    n = setup.x_grid.size
-    stage = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            obs = Observation(
-                x=float(setup.x_grid[j]),
-                x_prev=float(setup.x_grid[i]),
-                forecast=float(setup.forecasts[i]),
-                reference=reference,
-            )
-            stage[i, j] = eval_reference_payoff(setup.params, obs)
-    return stage
+    """Stage payoff of every step i -> j, in one broadcast payoff call."""
+    grid = setup.x_grid
+    obs = SimpleNamespace(
+        x=grid, x_prev=grid[:, None], forecast=setup.forecasts[:, None], reference=reference
+    )
+    return eval_reference_payoff(setup.params, obs)
 
 
 def _solve_values(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
@@ -309,27 +315,17 @@ def _solve_values(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
     if not setup.optimize:
         system = np.eye(n) - setup.delta * setup.transition
         return np.linalg.solve(system, expected_stage)
-    stop = np.array(
-        [
-            eval_reference_payoff(
-                setup.params,
-                Observation(
-                    x=float(setup.x_grid[i]),
-                    x_prev=float(setup.x_grid[i]),
-                    forecast=float(setup.forecasts[i]),
-                    reference=reference,
-                ),
-            )
-            for i in range(n)
-        ]
-    )
+    stop = stage.diagonal()  # stopping in state i collects the payoff of the step i -> i
     values = np.zeros(n)
-    for _ in range(1_000_000):
+    for _ in range(SHIFT_CHECK_MAX_ITERATIONS):
         updated = np.maximum(stop, expected_stage + setup.delta * (setup.transition @ values))
-        if np.max(np.abs(updated - values)) < 1e-12:
+        residual = float(np.max(np.abs(updated - values)))
+        if residual < 1e-12:
             return updated
         values = updated
-    raise RuntimeError("shift-check value iteration failed to converge")
+    raise NonConvergence(
+        "shift-check value iteration failed to converge", SHIFT_CHECK_MAX_ITERATIONS, residual
+    )
 
 
 def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftCheckResult:
@@ -343,6 +339,8 @@ def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftChe
         raise HypothesisViolation(
             "shift stability requires dynamics and forecasts independent of the reference"
         )
+    if not math.isfinite(setup.reference + kappa_ref):
+        raise ValueError("shifted reference must be finite")
     base = _solve_values(setup, setup.reference)
     shifted = _solve_values(setup, setup.reference + kappa_ref)
     gap = float(np.max(np.abs(shifted - base)))

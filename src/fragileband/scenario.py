@@ -113,13 +113,10 @@ class SweepRange:
 @dataclass(frozen=True)
 class NoiseSpec:
     sd: float
-    samples: int
 
     def __post_init__(self) -> None:
         if not self.sd > 0:
             raise ValueError("w_sd must satisfy w_sd > 0")
-        if self.samples < 1:
-            raise ValueError("samples must satisfy samples >= 1")
 
 
 @dataclass(frozen=True)
@@ -510,10 +507,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
             curve=_curve_from_dict(spec["curve"], "recognition.curve")
             if "curve" in spec
             else None,
-            noise=NoiseSpec(
-                sd=float(_require(spec["noise"], "sd", "recognition.noise")),
-                samples=int(_require(spec["noise"], "samples", "recognition.noise")),
-            )
+            noise=NoiseSpec(sd=float(_require(spec["noise"], "sd", "recognition.noise")))
             if "noise" in spec
             else None,
         )
@@ -630,7 +624,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         if rec.curve is not None:
             spec["curve"] = _curve_to_dict(rec.curve)
         if rec.noise is not None:
-            spec["noise"] = {"sd": rec.noise.sd, "samples": rec.noise.samples}
+            spec["noise"] = {"sd": rec.noise.sd}
         data["recognition"] = spec
     if scenario.dp is not None:
         dp = scenario.dp
@@ -862,16 +856,16 @@ def cmd_phase_sweep(scenario: Scenario) -> ResultTable:
         columns.append("phase_nonlinear")
     if rec.noise is not None:
         columns += [f"p_{label.value}" for label in PhaseLabel]
+    ws = rec.sweep.values()
+    if rec.curve is not None:
+        nonlinear = classify_phase_nonlinear(pd, ws, rec.curve)
     rows = []
-    for w in rec.sweep.values():
-        w = float(w)
+    for i, w in enumerate(ws.tolist()):
         row: list = [w, classify_phase(pd, w).value, _eq_names(pd, w)]
         if rec.curve is not None:
-            row.append(classify_phase_nonlinear(pd, w, rec.curve).value)
+            row.append(nonlinear[i].value)
         if rec.noise is not None:
-            probs = tipping_band_probability(
-                pd, w, rec.noise.sd, rec.noise.samples, seed=scenario.seed
-            )
+            probs = tipping_band_probability(pd, w, rec.noise.sd)
             row += [probs[label] for label in PhaseLabel]
         rows.append(row)
     return ResultTable(columns=columns, rows=rows, metadata=_metadata(scenario, "phase-sweep"))

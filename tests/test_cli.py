@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,6 +86,28 @@ def test_exit_2_on_non_convergence(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert run(["regime-map", "--scenario", str(path)]) == 2
+
+
+def test_exit_2_on_shift_check_non_convergence(monkeypatch, tmp_path, capsys):
+    import fragileband.reference as reference_module
+
+    # The metagame preset optimizes, so the shift check runs value iteration.
+    monkeypatch.setattr(reference_module, "SHIFT_CHECK_MAX_ITERATIONS", 3)
+    out = tmp_path / "t.csv"
+    assert run(["ref-shift-check", "--scenario", METAGAME, "--out", str(out)]) == 2
+    assert "failed to converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, fragileband.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_exit_2_on_fixed_point_failure(tmp_path):

@@ -240,6 +240,22 @@ class TestNonlinearClassification:
         curve = TabulatedCurve(points=((0.0, 0.0), (0.5, 0.4), (1.0, 0.9)))
         assert classify_phase_nonlinear(PD, 0.5, curve) is PhaseLabel.FRAGILE_BAND
 
+    def test_sweep_matches_rows(self):
+        ws = np.linspace(0.0, 2.5, 101)
+        for curve in (
+            LinearClamped(),
+            SaturatingExponential(rate=1.3),
+            LogisticShifted(steepness=6.0, midpoint=0.45),
+            TabulatedCurve(points=((0.0, 0.0), (0.5, 0.4), (1.0, 0.9))),
+        ):
+            rows = [classify_phase_nonlinear(PD, float(w), curve) for w in ws]
+            assert classify_phase_nonlinear(PD, ws, curve) == rows
+            np.testing.assert_allclose(curve(ws), [curve(float(w)) for w in ws], rtol=1e-15)
+
+    def test_sweep_rejects_negative_w(self):
+        with pytest.raises(ValueError, match="w >= 0"):
+            classify_phase_nonlinear(PD, np.array([0.2, -0.1]), LinearClamped())
+
 
 class TestMinTotalPayoff:
     def test_symmetric_minimum(self):
@@ -262,54 +278,110 @@ class TestMinTotalPayoff:
 
 
 def _truncnorm_mass(lo: float, hi: float, mean: float, sd: float) -> float:
-    def cdf(z: float) -> float:
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    """Mass of [lo, hi] under Normal(mean, sd) truncated to w >= 0, in closed form.
 
-    tail = 1.0 - cdf((0.0 - mean) / sd)
-    upper = cdf((hi - mean) / sd) if math.isfinite(hi) else 1.0
-    lower = cdf((max(lo, 0.0) - mean) / sd)
-    return (upper - lower) / tail
+    Each standard-Normal mass is an erfc difference, taken after mirroring an
+    interval centred below zero, so that far-tail masses keep their relative
+    precision; the library is expected to reproduce these values exactly.
+    """
+
+    def mass(a: float, b: float) -> float:
+        if a + b < 0.0:
+            a, b = -b, -a
+        return 0.5 * (math.erfc(a / math.sqrt(2.0)) - math.erfc(b / math.sqrt(2.0)))
+
+    tail = mass((0.0 - mean) / sd, math.inf)
+    return mass((max(lo, 0.0) - mean) / sd, (hi - mean) / sd) / tail
+
+
+def _expected_masses(pd: PayoffMatrix, mean: float, sd: float) -> dict[PhaseLabel, float]:
+    fb = band(pd)
+    lo, hi = sorted((fb.w_min, fb.w_max))
+    middle = PhaseLabel.FRAGILE_BAND if fb.exists else PhaseLabel.ASYMMETRIC_ONLY
+    expected = dict.fromkeys(PhaseLabel, 0.0)
+    expected[PhaseLabel.DISTRUST] = _truncnorm_mass(0.0, lo, mean, sd)
+    expected[middle] = _truncnorm_mass(lo, hi, mean, sd)
+    expected[PhaseLabel.COOPERATION] = _truncnorm_mass(hi, math.inf, mean, sd)
+    return expected
+
+
+def _monte_carlo_shares(pd: PayoffMatrix, mean: float, sd: float, n: int, seed: int):
+    """Independent oracle: label seeded draws of the truncated Normal one by one.
+
+    Draws come from numpy's Normal generator and the truncation is done by
+    rejection, so neither the inverse CDF nor the interval bookkeeping of the
+    closed form is shared with the library.
+    """
+    rng = np.random.default_rng(seed)
+    kept = np.empty(0)
+    while kept.size < n:
+        draws = rng.normal(mean, sd, size=2 * n)
+        kept = np.concatenate([kept, draws[draws >= 0.0]])
+    counts = dict.fromkeys(PhaseLabel, 0)
+    for w in kept[:n].tolist():
+        counts[classify_phase(pd, w)] += 1
+    return {label: counts[label] / n for label in PhaseLabel}
 
 
 class TestTippingBand:
     def test_degenerate_sd_is_point_mass(self):
-        probs = tipping_band_probability(PD, 0.5, 1e-9, samples=2000, seed=1)
+        probs = tipping_band_probability(PD, 0.5, 1e-9)
         assert probs[PhaseLabel.FRAGILE_BAND] == 1.0
+        assert sum(probs.values()) == 1.0
 
     def test_half_half_at_lower_threshold(self):
-        probs = tipping_band_probability(PD, 0.25, 0.05, samples=100_000, seed=2)
-        assert probs[PhaseLabel.DISTRUST] == pytest.approx(0.5, abs=0.02)
-        assert probs[PhaseLabel.FRAGILE_BAND] == pytest.approx(0.5, abs=0.02)
+        probs = tipping_band_probability(PD, 0.25, 0.05)
+        assert probs == _expected_masses(PD, 0.25, 0.05)
+        assert probs[PhaseLabel.DISTRUST] == pytest.approx(0.5, abs=1e-6)
+        assert probs[PhaseLabel.FRAGILE_BAND] == pytest.approx(0.5, abs=1e-6)
 
     def test_sums_to_one(self):
-        probs = tipping_band_probability(PD, 0.4, 0.3, samples=12_345, seed=3)
+        probs = tipping_band_probability(PD, 0.4, 0.3)
         assert abs(sum(probs.values()) - 1.0) < 1e-12
         assert set(probs) == set(PhaseLabel)
-
-    def test_deterministic_given_seed(self):
-        a = tipping_band_probability(PD, 0.3, 0.1, samples=5000, seed=42)
-        b = tipping_band_probability(PD, 0.3, 0.1, samples=5000, seed=42)
-        assert a == b
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            pd = random_matrix(rng)
+            mean, sd = rng.uniform(-1.0, 5.0), 10.0 ** rng.uniform(-1.3, 1.0)
+            probs = tipping_band_probability(pd, mean, sd)
+            assert all(p >= 0.0 for p in probs.values()), (pd, mean, sd)
+            assert abs(sum(probs.values()) - 1.0) < 1e-12, (pd, mean, sd)
 
     def test_matches_truncated_normal_masses(self):
-        mean, sd, n = 0.35, 0.2, 200_000
-        probs = tipping_band_probability(PD, mean, sd, samples=n, seed=7)
-        fb = band(PD)
-        expected = {
-            PhaseLabel.DISTRUST: _truncnorm_mass(0.0, fb.w_min, mean, sd),
-            PhaseLabel.FRAGILE_BAND: _truncnorm_mass(fb.w_min, fb.w_max, mean, sd),
-            PhaseLabel.COOPERATION: _truncnorm_mass(fb.w_max, float("inf"), mean, sd),
-            PhaseLabel.ASYMMETRIC_ONLY: 0.0,
-        }
-        for label in PhaseLabel:
-            se = math.sqrt(max(expected[label] * (1 - expected[label]), 1e-12) / n)
-            assert probs[label] == pytest.approx(expected[label], abs=3 * se + 1e-9)
+        for pd in (PD, PD_NOBAND):
+            for mean, sd in ((0.35, 0.2), (0.0, 0.05), (0.9, 0.4), (0.45, 3.0)):
+                expected = _expected_masses(pd, mean, sd)
+                assert tipping_band_probability(pd, mean, sd) == expected, (pd, mean, sd)
+
+    def test_vanished_band_has_asymmetric_mass(self):
+        probs = tipping_band_probability(PD_NOBAND, 0.45, 0.2)
+        assert probs[PhaseLabel.FRAGILE_BAND] == 0.0
+        assert probs[PhaseLabel.ASYMMETRIC_ONLY] == _truncnorm_mass(0.25, 2.0 / 3.0, 0.45, 0.2)
+        assert probs[PhaseLabel.ASYMMETRIC_ONLY] > 0.5
+
+    def test_mean_far_below_zero_piles_at_zero(self):
+        # 1 - cdf(20) rounds to 0, so a difference of CDFs would divide by zero here.
+        probs = tipping_band_probability(PD, -1.0, 0.05)
+        assert probs[PhaseLabel.DISTRUST] == 1.0
+        assert 0.0 < probs[PhaseLabel.COOPERATION] < probs[PhaseLabel.FRAGILE_BAND] < 1e-40
+
+    def test_monte_carlo_oracle(self):
+        n = 100_000
+        cases = ((PD, 0.35, 0.2, 7), (PD_NOBAND, 0.45, 0.3, 8), (PD, 0.05, 0.3, 9))
+        for pd, mean, sd, seed in cases:
+            probs = tipping_band_probability(pd, mean, sd)
+            shares = _monte_carlo_shares(pd, mean, sd, n, seed)
+            for label in PhaseLabel:
+                se = math.sqrt(probs[label] * (1.0 - probs[label]) / n)
+                assert abs(shares[label] - probs[label]) <= 4.0 * se, (pd, mean, label)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError, match="w_sd > 0"):
-            tipping_band_probability(PD, 0.3, 0.0, samples=10)
-        with pytest.raises(ValueError, match="samples >= 1"):
-            tipping_band_probability(PD, 0.3, 0.1, samples=0)
+            tipping_band_probability(PD, 0.3, 0.0)
+        with pytest.raises(ValueError, match="w_sd > 0"):
+            tipping_band_probability(PD, 0.3, -0.1)
+        with pytest.raises(ValueError, match="underflows"):
+            tipping_band_probability(PD, -3.0, 1e-3)
 
 
 @given(

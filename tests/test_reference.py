@@ -8,13 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fragileband.reference import (
+    ClampedLevel,
     HypothesisViolation,
     Identity,
+    IdentityLevel,
     Observation,
     Power,
     ReferenceParams,
     Saturating,
     ShiftCheckSetup,
+    _solve_values,
+    _stage_matrix,
     differences,
     eval_reference_payoff,
     negative_part,
@@ -22,6 +26,8 @@ from fragileband.reference import (
     ref_shift_bound,
     verify_shift_stability,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestDifferences:
@@ -83,6 +89,13 @@ class TestShapes:
     def test_identity_slope(self):
         assert Identity().derivative(-5.0) == 1.0
         assert Identity().lipschitz(1e9) == 1.0
+
+    def test_array_matches_scalar(self):
+        zs = np.linspace(-3.0, 3.0, 61)
+        for fn in (Identity(), Power(1.7), Saturating(1.5), IdentityLevel(), ClampedLevel(-1, 2)):
+            scalar = np.array([fn(float(z)) for z in zs])
+            # numpy's exp and pow may round differently from libm's: 4 ulp of the largest value.
+            np.testing.assert_allclose(fn(zs), scalar, rtol=0, atol=4 * EPS * np.abs(scalar).max())
 
 
 class TestEvalReferencePayoff:
@@ -300,3 +313,108 @@ class TestVerifyShiftStability:
             )
             result = verify_shift_stability(setup, float(rng.uniform(-1, 1)))
             assert result.holds, trial
+
+
+def _stage_matrix_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
+    """Reference for the broadcast stage matrix: one checked Observation per step i -> j."""
+    n = setup.x_grid.size
+    stage = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            obs = Observation(
+                x=float(setup.x_grid[j]),
+                x_prev=float(setup.x_grid[i]),
+                forecast=float(setup.forecasts[i]),
+                reference=reference,
+            )
+            stage[i, j] = eval_reference_payoff(setup.params, obs)
+    return stage
+
+
+def _solve_values_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
+    """Reference for _solve_values, with the stop vector built one state at a time."""
+    stage = _stage_matrix_loop(setup, reference)
+    expected_stage = (setup.transition * stage).sum(axis=1)
+    n = setup.x_grid.size
+    if not setup.optimize:
+        return np.linalg.solve(np.eye(n) - setup.delta * setup.transition, expected_stage)
+    stop = np.array(
+        [
+            eval_reference_payoff(
+                setup.params,
+                Observation(
+                    x=float(setup.x_grid[i]),
+                    x_prev=float(setup.x_grid[i]),
+                    forecast=float(setup.forecasts[i]),
+                    reference=reference,
+                ),
+            )
+            for i in range(n)
+        ]
+    )
+    values = np.zeros(n)
+    while True:
+        updated = np.maximum(stop, expected_stage + setup.delta * (setup.transition @ values))
+        if np.max(np.abs(updated - values)) < 1e-12:
+            return updated
+        values = updated
+
+
+class TestBroadcastStageMatrix:
+    """The broadcast stage matrix and solve against the per-cell loops they replaced.
+
+    Identity shapes and levels do the same float operations in the same order,
+    so they must agree exactly.  Power and Saturating shapes go through
+    numpy's pow and exp, which may round differently from libm's by an ulp:
+    the tolerance is 8 ulp of the largest payoff magnitude, and for the
+    values, that over (1 - delta).
+    """
+
+    @pytest.mark.parametrize("shape", [Identity(), Power(1.7), Saturating(1.3)], ids=repr)
+    @pytest.mark.parametrize("level", [IdentityLevel(), ClampedLevel(1.0, 4.0)], ids=repr)
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_matches_per_cell_loop(self, shape, level, optimize):
+        grid = np.linspace(-1.0, 5.0, 23)
+        rng = np.random.default_rng(41)
+        raw = rng.uniform(0.01, 1.0, size=(grid.size, grid.size))
+        params = ReferenceParams(
+            alpha=0.3, beta_plus=0.2, beta_minus=0.5, gamma_plus=0.8, gamma_minus=1.2,
+            delta_weight=0.1, cost=0.05, g1=shape, g2=shape, g3=shape, h=level,
+        )
+        setup = ShiftCheckSetup(
+            x_grid=grid,
+            transition=raw / raw.sum(axis=1, keepdims=True),
+            forecasts=grid[::-1].copy(),
+            params=params,
+            reference=2.5,
+            delta=0.85,
+            optimize=optimize,
+        )
+        exact = isinstance(shape, Identity) and not isinstance(level, ClampedLevel)
+        for reference in (2.5, 2.5 + 0.3, 2.5 - 0.7):
+            loop = _stage_matrix_loop(setup, reference)
+            scale = float(np.max(np.abs(loop)))
+            tol = 0.0 if exact else 8 * EPS * scale
+            np.testing.assert_allclose(_stage_matrix(setup, reference), loop, rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                _solve_values(setup, reference),
+                _solve_values_loop(setup, reference),
+                rtol=0,
+                atol=1e-12 * scale + tol / (1.0 - setup.delta),
+            )
+
+    def test_nonfinite_inputs_still_rejected(self):
+        grid = np.linspace(0.0, 5.0, 6)
+        good = dict(
+            x_grid=grid, transition=_walk(6, 0.3, 0.3), forecasts=grid.copy(),
+            params=ReferenceParams(gamma_plus=1.0), reference=6.0, delta=0.9,
+        )
+        for field, bad in (
+            ("x_grid", np.where(grid == 1.0, np.nan, grid)),
+            ("forecasts", np.where(grid == 2.0, np.inf, grid)),
+            ("reference", float("nan")),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                ShiftCheckSetup(**{**good, field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            verify_shift_stability(ShiftCheckSetup(**good), float("inf"))

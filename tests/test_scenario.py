@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fragileband.game import PhaseLabel
+from fragileband.game import CurveError, PhaseLabel, TabulatedCurve, classify_phase_nonlinear
 from fragileband.scenario import (
     ParseError,
     ResultTable,
@@ -92,6 +92,26 @@ class TestLoading:
     def test_with_seed(self, sns):
         assert with_seed(sns, 99).seed == 99
         assert with_seed(sns, 99) != sns
+
+    def test_presets_validate_against_schema(self):
+        import jsonschema
+
+        docs = Path(__file__).resolve().parents[1] / "docs"
+        schema = json.loads((docs / "scenario.schema.json").read_text())
+        for name in ("sns", "metagame"):
+            doc = json.loads(preset_path(name).read_text())
+            jsonschema.validate(doc, schema)
+            missing_growth = json.loads(json.dumps(doc))
+            missing_growth["dp"]["process"] = {"kind": "deterministic", "defection_payoff": 2.0,
+                                               "initial_r": 4.0}
+            with pytest.raises(jsonschema.ValidationError, match="growth"):
+                jsonschema.validate(missing_growth, schema)
+
+    def test_legacy_noise_samples_ignored(self, sns):
+        doc = scenario_to_dict(sns)
+        assert doc["recognition"]["noise"] == {"sd": 0.05}
+        doc["recognition"]["noise"]["samples"] = 20000
+        assert scenario_from_dict(doc) == sns
 
 
 class TestResultTable:
@@ -220,6 +240,19 @@ class TestCmdPhaseSweep:
         idx = [table.columns.index(f"p_{label.value}") for label in PhaseLabel]
         for row in table.rows:
             assert sum(row[i] for i in idx) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sweep_rejects_curve_a_row_rejects(self, sns):
+        # The dip at w = 0.5 lies on the grid of the w = 1 row only (k / 256).
+        dip = TabulatedCurve(
+            points=((0.0, 0.0), (0.499, 0.499), (0.5, 0.3), (0.501, 0.501), (1.0, 1.0))
+        )
+        sweep = dataclasses.replace(sns.recognition.sweep, start=1.0, stop=1.7, steps=8)
+        rec = dataclasses.replace(sns.recognition, curve=dip, sweep=sweep)
+        dip.validate(upper=1.7)
+        with pytest.raises(CurveError, match="nondecreasing"):
+            classify_phase_nonlinear(sns.payoff_matrix, 1.0, dip)
+        with pytest.raises(CurveError, match="nondecreasing"):
+            cmd_phase_sweep(dataclasses.replace(sns, recognition=rec))
 
     def test_optional_columns_absent_without_specs(self, sns):
         bare = dataclasses.replace(
