@@ -65,6 +65,7 @@ from .reference import (
 )
 from .stopping import (
     CostSchedule,
+    Decision,
     Deterministic,
     DiscreteShocks,
     DPConfig,
@@ -72,7 +73,11 @@ from .stopping import (
     NonConvergence,
     SurplusProcess,
     classify_regime,
+    non_convergence_message,
     simulate_path,
+    solve_cells,
+    state_grid,
+    transition_kernel,
     value_iteration,
 )
 
@@ -84,6 +89,13 @@ DEFAULT_REGIME_AXES = (
     ("delta", (0.5, 0.99, 20)),
     ("growth", (0.0, 0.5, 20)),
 )
+
+# Values (cells x states) in each array of a regime-map block: large enough
+# to amortize the numpy calls of one iteration over many cells, small enough
+# that a block's dozen working arrays add little to peak memory.
+REGIME_BLOCK_VALUES = 16384
+
+STOP, CONTINUE = Decision.STOP.value, Decision.CONTINUE.value
 
 
 class ParseError(ValueError):
@@ -125,6 +137,12 @@ class RecognitionSection:
     sweep: SweepRange | None = None
     curve: RecognitionCurve | None = None
     noise: NoiseSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.w is not None and not self.w >= 0:
+            raise ValueError("w must satisfy w >= 0")
+        if self.sweep is not None and not min(self.sweep.start, self.sweep.stop) >= 0:
+            raise ValueError("recognition.sweep: w must satisfy w >= 0 at start and stop")
 
 
 @dataclass(frozen=True)
@@ -215,8 +233,13 @@ class ReferenceSection:
     def __post_init__(self) -> None:
         if not 0 < self.delta < 1:
             raise ValueError("delta must satisfy 0 < delta < 1")
+        if not math.isfinite(self.reference):
+            raise ValueError(f"reference.reference must be finite, got {self.reference}")
         if not self.kappas:
             raise ValueError("ref-shift-check requires at least one kappa")
+        for i, kappa in enumerate(self.kappas):
+            if not math.isfinite(kappa):
+                raise ValueError(f"reference.kappas[{i}] must be finite, got {kappa}")
 
 
 @dataclass(frozen=True)
@@ -511,8 +534,6 @@ def _scenario_from_dict(data: dict) -> Scenario:
             if "noise" in spec
             else None,
         )
-        if recognition.w is not None and not recognition.w >= 0:
-            raise ValueError("w must satisfy w >= 0")
 
     dp = None
     if "dp" in data:
@@ -872,29 +893,50 @@ def cmd_phase_sweep(scenario: Scenario) -> ResultTable:
 
 
 def _mean_growth(process: SurplusProcess) -> float:
-    if isinstance(process, Deterministic):
-        return process.growth
-    if isinstance(process, DiscreteShocks):
-        return process.mean_growth()
-    return float("nan")
+    if isinstance(process, MarkovGrid):
+        return float("nan")
+    return sum(g * p for g, p in process.support)
 
 
-def _cell_variant(dp: DpSection, assignments: list[tuple[str, float]]):
-    config = dp.config
-    process = dp.process
-    costs = dp.costs
-    for axis, value in assignments:
-        if axis == "delta":
-            config = dataclasses.replace(config, delta=float(value))
-        elif axis == "growth":
-            if not isinstance(process, Deterministic):
-                raise ValidationError("growth axis requires a deterministic surplus process")
-            process = dataclasses.replace(process, growth=float(value))
-        elif axis == "collapse_cost":
-            costs = CostSchedule(collapse=float(value), maintain=costs.maintain)
-        elif axis == "maintain_cost":
-            costs = CostSchedule(collapse=costs.collapse, maintain=float(value))
-    return process, costs, config
+def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.ndarray:
+    """The values of one regime-map axis, each checked before any solve."""
+    values = sweep.values()
+    if name == "delta":
+        valid, rule = (values > 0) & (values < 1), "0 < delta < 1"
+    elif name == "growth":
+        if not isinstance(process, Deterministic):
+            raise ValidationError("growth axis requires a deterministic surplus process")
+        valid, rule = values > -1, "growth > -1"
+    else:
+        valid, rule = values >= 0, f"{name} >= 0"
+    if not valid.all():
+        bad = float(values[~valid][0])
+        raise ValidationError(f"dp.sweep.{name}: value {bad:g} violates {rule}")
+    return values
+
+
+def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
+    """(rows, process, grid, initial index) of each block, ordered by first row.
+
+    The cells of a block share one state grid.  Only a swept growth rate
+    moves the grid, and only through its sign.
+    """
+    rows = np.arange(count)
+    groups = [rows] if growth is None else [
+        rows[mask] for mask in (growth < 0, growth == 0, growth > 0) if mask.any()
+    ]
+    blocks = []
+    for group in groups:
+        process = dp.process
+        if growth is not None:
+            process = dataclasses.replace(process, growth=float(growth[group[0]]))
+        grid, index = state_grid(process, dp.config.r_cap, dp.config.grid_points)
+        size = max(1, REGIME_BLOCK_VALUES // grid.size)
+        blocks += [
+            (group[start : start + size], process, grid, index)
+            for start in range(0, group.size, size)
+        ]
+    return sorted(blocks, key=lambda block: int(block[0][0]))
 
 
 def cmd_regime_map(scenario: Scenario) -> ResultTable:
@@ -902,7 +944,9 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
 
     Without an explicit dp.sweep the default grid is delta in [0.5, 0.99]
     by growth in [0, 0.5], 20 x 20.  Rows are ordered by grid index (first
-    axis outer, second inner).
+    axis outer, second inner).  Cells that share a state grid are solved
+    together in blocks of REGIME_BLOCK_VALUES values; each cell gets the bits a
+    one-cell :func:`value_iteration` gives.
     """
     if scenario.dp is None:
         raise ValidationError("dp section is required for regime-map")
@@ -915,33 +959,66 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
             for name, (start, stop, steps) in DEFAULT_REGIME_AXES
         )
     (name1, sweep1), (name2, sweep2) = axes
-    rows = []
-    for v1 in sweep1.values():
-        for v2 in sweep2.values():
-            process, costs, config = _cell_variant(dp, [(name1, float(v1)), (name2, float(v2))])
-            try:
-                sol = value_iteration(process, costs, config)
-            except NonConvergence as exc:
-                raise NonConvergence(
-                    f"regime-map cell {name1}={v1:g}, {name2}={v2:g}: {exc}",
-                    iterations=exc.iterations,
-                    residual=exc.residual,
-                ) from exc
-            i = sol.initial_index
-            gain = float(sol.delta_gain[i])
-            cost_diff = float(sol.cost_differential[i])
-            rows.append(
-                [
-                    float(v1),
-                    float(v2),
-                    gain,
-                    cost_diff,
-                    classify_regime(gain, cost_diff).value,
-                    float(sol.values[i]),
-                    sol.policy[i].value,
-                    config.delta * (1.0 + _mean_growth(process)),
-                ]
-            )
+    outer = _axis_values(name1, sweep1, dp.process)
+    inner = _axis_values(name2, sweep2, dp.process)
+    cells = {name1: np.repeat(outer, inner.size), name2: np.tile(inner, outer.size)}
+    count = outer.size * inner.size
+    config = dp.config
+    delta = cells.get("delta", np.full(count, config.delta))
+    growth = cells.get("growth")
+
+    gain, cost_diff, value = np.empty(count), np.empty(count), np.empty(count)
+    stop = np.empty(count, dtype=bool)
+    failed = None
+    for rows, process, grid, i in _regime_blocks(dp, growth, count):
+        if failed is not None and rows[0] > failed[0]:
+            break
+        n = grid.size
+        collapse = (
+            [cells["collapse_cost"][rows, None]]
+            if "collapse_cost" in cells
+            else dp.costs.collapse_rows(n)
+        )
+        maintain = (
+            [cells["maintain_cost"][rows, None]]
+            if "maintain_cost" in cells
+            else dp.costs.maintain_rows(n)
+        )
+        kernel = transition_kernel(process, grid, None if growth is None else growth[rows])
+        block = solve_cells(
+            grid, kernel, delta[rows], collapse, maintain, config.tolerance, config.max_iterations
+        )
+        if not block.converged.all():
+            k = np.flatnonzero(~block.converged)[0]
+            if failed is None or rows[k] < failed[0]:
+                failed = (int(rows[k]), int(block.iterations[k]), float(block.residual[k]))
+        gain[rows] = block.delta_gain[:, i]
+        cost_diff[rows] = block.cost_differential[:, i]
+        value[rows] = block.values[:, i]
+        stop[rows] = block.stop[:, i]
+    if failed is not None:
+        row, iterations, residual = failed
+        message = non_convergence_message(config.tolerance, config.max_iterations, residual)
+        raise NonConvergence(
+            f"regime-map cell {name1}={cells[name1][row]:g}, "
+            f"{name2}={cells[name2][row]:g}: {message}",
+            iterations=iterations,
+            residual=residual,
+        )
+
+    frontier = delta * (1.0 + (_mean_growth(dp.process) if growth is None else growth))
+    rows = [
+        [v1, v2, g, c, classify_regime(g, c).value, v, STOP if s else CONTINUE, f]
+        for v1, v2, g, c, v, s, f in zip(
+            cells[name1].tolist(),
+            cells[name2].tolist(),
+            gain.tolist(),
+            cost_diff.tolist(),
+            value.tolist(),
+            stop.tolist(),
+            frontier.tolist(),
+        )
+    ]
     return ResultTable(
         columns=[
             name1,

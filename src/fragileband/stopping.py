@@ -16,6 +16,18 @@ linear interpolation), and an explicit Markov chain on an R grid.  Costs may
 be constants, per-period tables (last entry held forever), or per-period
 per-state tables.
 
+Each process gives one transition kernel on its grid (:class:`Transition`):
+one linear-interpolation piece (p, lo, hi, w_lo, w_hi) per growth shock, a
+deterministic process being a single shock of probability 1, or the Markov
+matrix.  :func:`solve_cells` value-iterates a block of cells that share a
+grid on (cells, states) arrays; discount and costs may differ per cell, and
+so may the growth rate of a deterministic process.  Every cell keeps its own
+tolerance test and leaves the block once it meets it, so each cell gets the
+values, iteration count and residual of a one-cell solve, bit for bit.
+:func:`value_iteration` is the one-cell call, the regime map solves its
+cells in blocks, and :func:`finite_horizon_oracle` runs its own backward
+induction on the same kernel.
+
 The per-state diagnostics
 
     delta_gain = delta * E[V'] - phi        (continuation pull)
@@ -87,8 +99,10 @@ class Deterministic:
         if not self.growth > -1:
             raise InvalidProcess("growth rates must satisfy g > -1")
 
-    def growth_rates(self) -> tuple[float, ...]:
-        return (self.growth,)
+    @property
+    def support(self) -> tuple[tuple[float, float], ...]:
+        """The growth law as (g, p) shocks: a single atom."""
+        return ((self.growth, 1.0),)
 
     def cooperative_learning(self) -> bool:
         return self.growth >= 0
@@ -114,9 +128,6 @@ class DiscreteShocks:
             raise InvalidProcess("shock probabilities must be nonnegative")
         if abs(sum(p for _, p in support) - 1.0) > 1e-12:
             raise InvalidProcess("shock probabilities must sum to 1")
-
-    def growth_rates(self) -> tuple[float, ...]:
-        return tuple(g for g, _ in self.support)
 
     def mean_growth(self) -> float:
         return sum(g * p for g, p in self.support)
@@ -245,11 +256,13 @@ class CostSchedule:
     def maintain_scalar(self, t: int, state_index: int = 0) -> float:
         return self._at_scalar(self._maintain_table, t, state_index)
 
-    def horizon_len(self) -> int:
-        return max(self._collapse_table.shape[0], self._maintain_table.shape[0])
+    def collapse_rows(self, n_states: int) -> list[np.ndarray]:
+        """Collapse cost over the states, one row per tabulated period."""
+        return [self.collapse_at(t, n_states) for t in range(self._collapse_table.shape[0])]
 
-    def stationary(self) -> bool:
-        return self.horizon_len() == 1
+    def maintain_rows(self, n_states: int) -> list[np.ndarray]:
+        """Maintenance cost over the states, one row per tabulated period."""
+        return [self.maintain_at(t, n_states) for t in range(self._maintain_table.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -310,7 +323,7 @@ def classify_regime(delta_gain: float, cost_differential: float) -> RegimeLabel:
     return RegimeLabel.IMMEDIATE_DESTRUCTION
 
 
-def _state_grid(
+def state_grid(
     process: SurplusProcess, r_cap: float | None, grid_points: int
 ) -> tuple[np.ndarray, int]:
     """Phi grid and the index of the initial state (an exact grid point)."""
@@ -319,7 +332,7 @@ def _state_grid(
     if isinstance(process, MarkovGrid):
         grid = 2.0 * (np.array(process.r_grid) - p)
         return grid, process.initial_index
-    rates = process.growth_rates()
+    rates = [g for g, _ in process.support]
     if max(rates) > 0:
         if r_cap is None:
             raise ValueError("r_cap must be set for growing processes")
@@ -352,28 +365,195 @@ def _interp_weights(grid: np.ndarray, targets: np.ndarray):
     return lo, hi, 1.0 - w_hi, w_hi
 
 
-def _expectation_fn(
-    process: SurplusProcess, grid: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """E[V(successor)] as a function of the value vector on the grid."""
-    if isinstance(process, MarkovGrid):
-        matrix = process.matrix()
-        return lambda values: matrix @ values
-    if isinstance(process, Deterministic):
-        lo, hi, w_lo, w_hi = _interp_weights(grid, grid * (1.0 + process.growth))
-        return lambda values: w_lo * values[lo] + w_hi * values[hi]
-    pieces = []
-    for g, p in process.support:
-        lo, hi, w_lo, w_hi = _interp_weights(grid, grid * (1.0 + g))
-        pieces.append((p, lo, hi, w_lo, w_hi))
+@dataclass(frozen=True, eq=False)
+class Transition:
+    """Successor law on a phi grid: E[V(phi')] at every grid state.
 
-    def expect(values: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(values)
-        for p, lo, hi, w_lo, w_hi in pieces:
-            total += p * (w_lo * values[lo] + w_hi * values[hi])
+    A diffuse process has one interpolation piece (p, lo, hi, w_lo, w_hi)
+    per growth shock.  Its arrays are (states,) when every cell shares the
+    kernel; when each cell has its own growth rate they are (cells, states),
+    with ``lo`` and ``hi`` flat indices into a C-ordered (cells, states)
+    value block.  A MarkovGrid has its transition matrix instead.
+    """
+
+    pieces: tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = ()
+    matrix: np.ndarray | None = None
+
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """E[V(successor)] for values over the grid, (states,) or (cells, states)."""
+        if self.matrix is not None:
+            # One matrix-vector product per cell: a matrix-matrix product
+            # sums in another order, and the bits would depend on the block.
+            return np.matmul(self.matrix, values[..., None])[..., 0]
+        # p * (w_lo * V[lo] + w_hi * V[hi]) summed over the pieces, computed
+        # in place on the gathered copies to keep a block's working set small.
+        total = None
+        for p, lo, hi, w_lo, w_hi in self.pieces:
+            if lo.ndim == 1:
+                term, upper = values[..., lo], values[..., hi]
+            else:
+                term, upper = np.take(values, lo), np.take(values, hi)
+            term *= w_lo
+            upper *= w_hi
+            term += upper
+            term *= p
+            if total is None:
+                total = term
+            else:
+                total += term
         return total
 
-    return expect
+    def select(self, keep: np.ndarray) -> "Transition":
+        """The kernel of the cells where ``keep`` is true."""
+        if self.matrix is not None or self.pieces[0][1].ndim == 1:
+            return self
+        rows = np.flatnonzero(keep)
+        shift = ((np.arange(rows.size) - rows) * self.pieces[0][1].shape[1])[:, None]
+        return Transition(
+            tuple(
+                (p, lo[rows] + shift, hi[rows] + shift, w_lo[rows], w_hi[rows])
+                for p, lo, hi, w_lo, w_hi in self.pieces
+            )
+        )
+
+
+def transition_kernel(
+    process: SurplusProcess, grid: np.ndarray, growth: np.ndarray | None = None
+) -> Transition:
+    """The transition kernel of ``process`` on ``grid``.
+
+    ``growth`` gives a Deterministic process one growth rate per cell, for
+    a block of cells that differ in growth but share the grid.
+    """
+    if isinstance(process, MarkovGrid):
+        return Transition(matrix=process.matrix())
+    support = process.support if growth is None else ((growth[:, None], 1.0),)
+    pieces = []
+    for g, p in support:
+        lo, hi, w_lo, w_hi = _interp_weights(grid, grid * (1.0 + g))
+        if lo.ndim == 2:
+            offsets = (np.arange(lo.shape[0]) * grid.size)[:, None]
+            lo, hi = lo + offsets, hi + offsets
+        pieces.append((p, lo, hi, w_lo, w_hi))
+    return Transition(tuple(pieces))
+
+
+def _period(rows: Sequence[np.ndarray], t: int) -> np.ndarray:
+    return rows[min(t, len(rows) - 1)]
+
+
+def _block_rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per-cell arrays are 2-D with one row per cell; 1-D arrays are shared."""
+    return array[keep] if array.ndim == 2 else array
+
+
+@dataclass(frozen=True, eq=False)
+class CellSolutions:
+    """Period-0 results of a block solve, one row per cell.
+
+    ``values``, ``stop``, ``delta_gain``, ``cost_differential`` and
+    ``tail_values`` are (cells, states); ``iterations``, ``residual`` and
+    ``converged`` are (cells,).  A cell that misses the tolerance reports
+    the iteration budget and its last residual.
+    """
+
+    values: np.ndarray
+    stop: np.ndarray
+    delta_gain: np.ndarray
+    cost_differential: np.ndarray
+    tail_values: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
+
+
+def solve_cells(
+    grid: np.ndarray,
+    kernel: Transition,
+    delta: np.ndarray,
+    collapse: Sequence[np.ndarray],
+    maintain: Sequence[np.ndarray],
+    tolerance: float,
+    max_iterations: int,
+    residuals: list[float] | None = None,
+) -> CellSolutions:
+    """Value-iterate a block of cells that share ``grid`` and ``kernel``.
+
+    ``delta`` holds one discount per cell.  ``collapse`` and ``maintain``
+    hold one entry per tabulated period (the last is held): a (states,) row
+    shared by every cell, or a (cells, 1) column of per-cell constants.
+    The stationary tail is iterated to the sup-norm tolerance, cell by
+    cell, and the finite cost prefix is then backward-inducted to period 0.
+    ``residuals``, when given, receives the residual history of a one-cell
+    block.
+    """
+    cells, n = delta.size, grid.size
+    delta = delta[:, None]
+    tail_t = max(len(collapse), len(maintain)) - 1
+    tail_values = np.empty((cells, n))
+    iterations = np.full(cells, max_iterations)
+    residual = np.empty(cells)
+
+    active = np.arange(cells)
+    values = np.zeros((cells, n))
+    step_kernel, step_delta = kernel, delta
+    stop_tail = grid - _period(collapse, tail_t)
+    maintain_tail = _period(maintain, tail_t)
+    for iteration in range(1, max_iterations + 1):
+        updated = step_kernel.expect(values)
+        updated *= step_delta
+        updated -= maintain_tail
+        np.maximum(stop_tail, updated, out=updated)
+        change = updated - values
+        step = np.abs(change, out=change).max(axis=1)
+        values = updated
+        if residuals is not None:
+            residuals.append(float(step[0]))
+        done = step < tolerance
+        if done.any():
+            finished = active[done]
+            tail_values[finished] = values[done]
+            iterations[finished] = iteration
+            residual[finished] = step[done]
+            keep = ~done
+            if not keep.any():
+                break
+            active, values, step = active[keep], values[keep], step[keep]
+            step_kernel, step_delta = step_kernel.select(keep), step_delta[keep]
+            stop_tail = _block_rows(stop_tail, keep)
+            maintain_tail = _block_rows(maintain_tail, keep)
+    else:
+        tail_values[active] = values
+        residual[active] = step
+
+    # Backward-induct the nonstationary cost prefix down to period 1.
+    values_next = tail_values
+    for t in range(tail_t - 1, 0, -1):
+        values_next = np.maximum(
+            grid - _period(collapse, t),
+            delta * kernel.expect(values_next) - _period(maintain, t),
+        )
+    expected_next = kernel.expect(values_next)
+    stop_now = grid - collapse[0]
+    continue_now = delta * expected_next - maintain[0]
+    return CellSolutions(
+        values=np.maximum(stop_now, continue_now),
+        stop=stop_now >= continue_now,
+        delta_gain=delta * expected_next - grid,
+        cost_differential=np.broadcast_to(maintain[0] - collapse[0], (cells, n)),
+        tail_values=tail_values,
+        iterations=iterations,
+        residual=residual,
+        converged=residual < tolerance,
+    )
+
+
+def non_convergence_message(tolerance: float, max_iterations: int, residual: float) -> str:
+    return (
+        "value iteration did not reach tolerance "
+        f"{tolerance:g} within {max_iterations} iterations "
+        f"(residual {residual:.3e}); delta may be too close to 1"
+    )
 
 
 @dataclass(eq=False)
@@ -401,14 +581,10 @@ class ValueSolution:
     process: SurplusProcess
     costs: CostSchedule
     _tail_values: np.ndarray
-    _expect: Callable[[np.ndarray], np.ndarray]
 
     @property
     def initial_value(self) -> float:
         return float(self.values[self.initial_index])
-
-    def value_at(self, phi: float) -> float:
-        return float(np.interp(phi, self.phi_grid, self.values))
 
     def regime_at(self, index: int) -> RegimeLabel:
         return classify_regime(
@@ -437,10 +613,6 @@ class ValueSolution:
         if isinstance(self.process, MarkovGrid):
             row = self.process.matrix()[self._nearest_index(phi)]
             expected = float(row @ tail)
-        elif isinstance(self.process, Deterministic):
-            expected = float(
-                np.interp(phi * (1.0 + self.process.growth), self.phi_grid, tail)
-            )
         else:
             expected = sum(
                 p * float(np.interp(phi * (1.0 + g), self.phi_grid, tail))
@@ -465,57 +637,35 @@ def value_iteration(
 
     The backup operator is a delta-contraction, so successive residuals
     shrink at least geometrically; the iteration budget is a guard against
-    discounts too close to 1 for the tolerance.
+    discounts too close to 1 for the tolerance.  This is the one-cell call
+    of :func:`solve_cells`.
     """
-    grid, initial_index = _state_grid(process, config.r_cap, config.grid_points)
+    grid, initial_index = state_grid(process, config.r_cap, config.grid_points)
     n = grid.size
-    expect = _expectation_fn(process, grid)
-
-    tail_t = costs.horizon_len() - 1
-    stop_tail = grid - costs.collapse_at(tail_t, n)
-    maintain_tail = costs.maintain_at(tail_t, n)
-
-    values = np.zeros(n)
     residuals: list[float] = []
-    converged = False
-    for _ in range(config.max_iterations):
-        updated = np.maximum(stop_tail, config.delta * expect(values) - maintain_tail)
-        residual = float(np.max(np.abs(updated - values)))
-        residuals.append(residual)
-        values = updated
-        if residual < config.tolerance:
-            converged = True
-            break
-    if not converged:
+    block = solve_cells(
+        grid,
+        transition_kernel(process, grid),
+        np.array([config.delta]),
+        costs.collapse_rows(n),
+        costs.maintain_rows(n),
+        config.tolerance,
+        config.max_iterations,
+        residuals,
+    )
+    if not block.converged[0]:
         raise NonConvergence(
-            "value iteration did not reach tolerance "
-            f"{config.tolerance:g} within {config.max_iterations} iterations "
-            f"(residual {residuals[-1]:.3e}); delta may be too close to 1",
+            non_convergence_message(config.tolerance, config.max_iterations, residuals[-1]),
             iterations=len(residuals),
             residual=residuals[-1],
         )
-
-    # Backward-induct the nonstationary cost prefix down to period 1.
-    values_next = values
-    for t in range(tail_t - 1, 0, -1):
-        values_next = np.maximum(
-            grid - costs.collapse_at(t, n),
-            config.delta * expect(values_next) - costs.maintain_at(t, n),
-        )
-
-    expected_next = expect(values_next)
-    stop_now = grid - costs.collapse_at(0, n)
-    continue_now = config.delta * expected_next - costs.maintain_at(0, n)
-    values_now = np.maximum(stop_now, continue_now)
-    stop_mask = stop_now >= continue_now
-
     return ValueSolution(
         phi_grid=grid,
         r_grid=process.defection_payoff + grid / 2.0,
-        values=values_now,
-        policy=tuple(Decision.STOP if m else Decision.CONTINUE for m in stop_mask),
-        delta_gain=config.delta * expected_next - grid,
-        cost_differential=costs.maintain_at(0, n) - costs.collapse_at(0, n),
+        values=block.values[0],
+        policy=tuple(Decision.STOP if m else Decision.CONTINUE for m in block.stop[0]),
+        delta_gain=block.delta_gain[0],
+        cost_differential=block.cost_differential[0].copy(),
         iterations=len(residuals),
         residual=residuals[-1],
         residuals=tuple(residuals),
@@ -523,8 +673,7 @@ def value_iteration(
         initial_index=initial_index,
         process=process,
         costs=costs,
-        _tail_values=values,
-        _expect=expect,
+        _tail_values=block.tail_values[0],
     )
 
 
@@ -545,14 +694,14 @@ def finite_horizon_oracle(
         raise ValueError("horizon must satisfy horizon >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")
-    grid, _ = _state_grid(process, r_cap, grid_points)
+    grid, _ = state_grid(process, r_cap, grid_points)
     n = grid.size
-    expect = _expectation_fn(process, grid)
+    kernel = transition_kernel(process, grid)
     values = np.zeros(n)
     for t in range(horizon - 1, -1, -1):
         values = np.maximum(
             grid - costs.collapse_at(t, n),
-            delta * expect(values) - costs.maintain_at(t, n),
+            delta * kernel.expect(values) - costs.maintain_at(t, n),
         )
     return values
 
@@ -586,11 +735,7 @@ def bellman_backup(
     else:
         if not callable(values):
             raise TypeError("values must be callable for diffuse surplus processes")
-        if isinstance(process, Deterministic):
-            support = ((process.growth, 1.0),)
-        else:
-            support = process.support
-        expected = sum(p * float(values(phi * (1.0 + g))) for g, p in support)
+        expected = sum(p * float(values(phi * (1.0 + g))) for g, p in process.support)
         state_count = 1
         state_index = 0
     collapse = float(costs.collapse_at(t, state_count)[state_index])

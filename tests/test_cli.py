@@ -99,15 +99,66 @@ def test_exit_2_on_shift_check_non_convergence(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_import_leaves_scipy_out():
+def _python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the interpreter on this checkout's sources, as a user would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, fragileband.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_import_leaves_scipy_out():
+    probe = "import sys, fragileband.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    done = _python(["-c", probe])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _delta_axis_to_one(doc):
+    doc["dp"]["sweep"]["delta"]["stop"] = 1.0
+
+
+def _negative_maintain_axis(doc):
+    doc["dp"]["sweep"] = {
+        "delta": {"start": 0.5, "stop": 0.9, "steps": 3},
+        "maintain_cost": {"start": -0.5, "stop": 1.0, "steps": 4},
+    }
+
+
+def _negative_recognition_sweep(doc):
+    doc["recognition"]["sweep"]["start"] = -0.5
+
+
+def _infinite_kappa(doc):
+    doc["reference"]["kappas"].append(float("inf"))
+
+
+def _nan_reference(doc):
+    doc["reference"]["reference"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("regime-map", _delta_axis_to_one, "dp.sweep.delta: value 1 "),
+        ("regime-map", _negative_maintain_axis, "dp.sweep.maintain_cost: value -0.5 "),
+        ("phase-sweep", _negative_recognition_sweep, "recognition.sweep"),
+        ("ref-shift-check", _infinite_kappa, "reference.kappas[3] must be finite"),
+        ("ref-shift-check", _nan_reference, "reference.reference must be finite"),
+    ],
+    ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
+         "nan-reference"],
+)
+def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
+    doc = json.loads(Path(SNS).read_text())
+    edit(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))  # non-finite floats become Infinity / NaN
+    done = _python(["-m", "fragileband.cli", command, "--scenario", str(path)])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert message in done.stderr
 
 
 def test_exit_2_on_fixed_point_failure(tmp_path):

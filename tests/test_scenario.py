@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fragileband.scenario as scenario_module
 from fragileband.game import CurveError, PhaseLabel, TabulatedCurve, classify_phase_nonlinear
 from fragileband.scenario import (
     ParseError,
+    RegimeSweep,
     ResultTable,
+    SweepRange,
     ValidationError,
     cmd_band,
     cmd_mass_sim,
@@ -29,6 +32,7 @@ from fragileband.scenario import (
     with_seed,
 )
 from fragileband.stopping import NonConvergence
+from test_stopping import regime_rows_per_cell
 
 PHASE_ORDER = {
     PhaseLabel.DISTRUST.value: 0,
@@ -291,12 +295,34 @@ class TestCmdRegimeMap:
         with pytest.raises(ValidationError, match="deterministic"):
             cmd_regime_map(scenario)
 
-    def test_non_convergence_names_cell(self, sns):
-        dp = sns.dp
-        config = dataclasses.replace(dp.config, max_iterations=2, tolerance=1e-15)
-        scenario = dataclasses.replace(sns, dp=dataclasses.replace(dp, config=config))
-        with pytest.raises(NonConvergence, match="cell delta="):
-            cmd_regime_map(scenario)
+    def test_non_convergence_names_cell(self, sns, monkeypatch):
+        # Every case first fails on a cell other than the map's first.  In
+        # the last, growth runs 0.2, 0, -0.2 within each delta and the
+        # negative-growth cells fail first in row order, though their block
+        # comes after the positive-growth block.
+        descending_growth = RegimeSweep(
+            axes=(("delta", SweepRange(0.5, 0.99, 8)), ("growth", SweepRange(0.2, -0.2, 3)))
+        )
+        cases = (
+            ({"max_iterations": 2, "tolerance": 1e-15}, sns.dp.sweep),
+            ({"max_iterations": 40}, sns.dp.sweep),
+            ({"max_iterations": 15, "grid_points": 40}, descending_growth),
+        )
+        for changes, sweep in cases:
+            config = dataclasses.replace(sns.dp.config, **changes)
+            dp = dataclasses.replace(sns.dp, config=config, sweep=sweep)
+            scenario = dataclasses.replace(sns, dp=dp)
+            with pytest.raises(NonConvergence) as expected:
+                regime_rows_per_cell(dp, sweep.axes)
+            assert "cell delta=0.5, growth=0:" not in str(expected.value)
+            for block_values in (scenario_module.REGIME_BLOCK_VALUES, 200):
+                monkeypatch.setattr(scenario_module, "REGIME_BLOCK_VALUES", block_values)
+                with pytest.raises(NonConvergence, match="cell delta=") as got:
+                    cmd_regime_map(scenario)
+                assert str(got.value) == str(expected.value)
+                assert got.value.iterations == expected.value.iterations == config.max_iterations
+                assert got.value.residual == expected.value.residual
+            monkeypatch.undo()
 
 
 class TestCmdSimulate:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fragileband.scenario as scenario_module
+from fragileband.scenario import (
+    ResultTable,
+    cmd_regime_map,
+    preset_path,
+    scenario_from_dict,
+)
 from fragileband.stopping import (
     CostSchedule,
     Decision,
@@ -366,3 +375,141 @@ class TestSimulatePath:
             simulate_path(
                 FLAT, CostSchedule(maintain=[[0.1, 0.2]]), "never_stop", 0.9, 5, seed=0
             )
+
+
+def regime_rows_per_cell(dp, axes) -> list[list]:
+    """A regime map solved one cell at a time by value_iteration.
+
+    The oracle for the blocked regime map: every cell builds its own
+    process, cost schedule and config, and the first cell in row order that
+    does not converge raises, named as the regime map names it.
+    """
+    (name1, sweep1), (name2, sweep2) = axes
+    rows = []
+    for v1 in sweep1.values():
+        for v2 in sweep2.values():
+            process, costs, config = dp.process, dp.costs, dp.config
+            for axis, value in ((name1, float(v1)), (name2, float(v2))):
+                if axis == "delta":
+                    config = dataclasses.replace(config, delta=value)
+                elif axis == "growth":
+                    process = dataclasses.replace(process, growth=value)
+                elif axis == "collapse_cost":
+                    costs = CostSchedule(collapse=value, maintain=costs.maintain)
+                else:
+                    costs = CostSchedule(collapse=costs.collapse, maintain=value)
+            try:
+                sol = value_iteration(process, costs, config)
+            except NonConvergence as exc:
+                raise NonConvergence(
+                    f"regime-map cell {name1}={v1:g}, {name2}={v2:g}: {exc}",
+                    iterations=exc.iterations,
+                    residual=exc.residual,
+                ) from exc
+            if isinstance(process, Deterministic):
+                mean_growth = process.growth
+            elif isinstance(process, DiscreteShocks):
+                mean_growth = process.mean_growth()
+            else:
+                mean_growth = float("nan")
+            i = sol.initial_index
+            gain, diff = float(sol.delta_gain[i]), float(sol.cost_differential[i])
+            rows.append(
+                [
+                    float(v1),
+                    float(v2),
+                    gain,
+                    diff,
+                    classify_regime(gain, diff).value,
+                    float(sol.values[i]),
+                    sol.policy[i].value,
+                    config.delta * (1.0 + mean_growth),
+                ]
+            )
+    return rows
+
+
+def _preset_dp(name: str, **changes) -> dict:
+    doc = json.loads(preset_path(name).read_text())
+    doc["dp"]["config"]["grid_points"] = 40
+    doc["dp"].update(changes)
+    return doc
+
+
+def _markov_process(states: int = 6) -> dict:
+    r_grid = [2.75 + 0.6 * k for k in range(states)]
+    transition = []
+    for i in range(states):
+        row = [0.0] * states
+        for offset, weight in ((-1, 0.3), (0, 0.4), (1, 0.3)):
+            row[min(max(i + offset, 0), states - 1)] += weight
+        transition.append(row)
+    return {
+        "kind": "markov_grid",
+        "r_grid": r_grid,
+        "transition": transition,
+        "defection_payoff": 2.0,
+        "initial_r": r_grid[2],
+    }
+
+
+REGIME_MAP_CASES = {
+    # Growth spans negative, zero and positive rates, so the grid changes
+    # within the map (the zero column has a one-point grid).
+    "growth-signs": _preset_dp(
+        "sns",
+        costs={"collapse": [1.0, 0.6], "maintain": 0.2},
+        sweep={
+            "delta": {"start": 0.5, "stop": 0.97, "steps": 6},
+            "growth": {"start": -0.2, "stop": 0.2, "steps": 5},
+        },
+    ),
+    "shocks-maintain-axis": _preset_dp(
+        "metagame",
+        costs={"collapse": [1.0, 0.9, 0.8], "maintain": [0.6, 0.45, 0.3]},
+        sweep={
+            "delta": {"start": 0.6, "stop": 0.98, "steps": 5},
+            "maintain_cost": {"start": 0.0, "stop": 1.2, "steps": 5},
+        },
+    ),
+    "markov-collapse-axis": _preset_dp(
+        "sns",
+        process=_markov_process(),
+        costs={"collapse": 0.0, "maintain": 0.2},
+        sweep={
+            "delta": {"start": 0.5, "stop": 0.99, "steps": 5},
+            "collapse_cost": {"start": 0.0, "stop": 2.0, "steps": 5},
+        },
+    ),
+    "markov-state-table": _preset_dp(
+        "sns",
+        process=_markov_process(),
+        costs={
+            "collapse": [[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.4, 0.3, 0.2, 0.1, 0.0]],
+            "maintain": 0.1,
+        },
+        sweep={
+            "maintain_cost": {"start": 0.0, "stop": 0.6, "steps": 4},
+            "delta": {"start": 0.5, "stop": 0.99, "steps": 5},
+        },
+    ),
+}
+
+
+class TestRegimeMapBlocks:
+    """The blocked regime map against the per-cell value-iteration oracle."""
+
+    @pytest.mark.parametrize("block_values", [None, 97])
+    @pytest.mark.parametrize("case", sorted(REGIME_MAP_CASES))
+    def test_rows_equal_per_cell_solves(self, monkeypatch, case, block_values):
+        if block_values is not None:
+            # A few cells per block, so every map spans many blocks.
+            monkeypatch.setattr(scenario_module, "REGIME_BLOCK_VALUES", block_values)
+        scenario = scenario_from_dict(REGIME_MAP_CASES[case])
+        table = cmd_regime_map(scenario)
+        expected = ResultTable(
+            columns=table.columns,
+            rows=regime_rows_per_cell(scenario.dp, scenario.dp.sweep.axes),
+            metadata=table.metadata,
+        )
+        assert table.to_csv() == expected.to_csv()
