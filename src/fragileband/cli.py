@@ -86,15 +86,10 @@ def run(argv=None) -> int:
     quiet = args.quiet
     try:
         scenario = load_scenario(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        if not quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        scenario = with_seed(scenario, args.seed)
-    try:
+        if args.seed is not None:
+            scenario = with_seed(scenario, args.seed)
         table = COMMANDS[args.command](scenario)
-    except (ValidationError, HypothesisViolation, InvalidProcess, CurveError) as exc:
+    except (ParseError, ValidationError, HypothesisViolation, InvalidProcess, CurveError) as exc:
         if not quiet:
             print(f"error: {exc}", file=sys.stderr)
         return 1

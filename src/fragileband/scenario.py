@@ -1,10 +1,13 @@
 """Scenario files, result tables, and the computations behind each CLI command.
 
-Scenarios are JSON documents validated eagerly on load: every module
-invariant is checked up front and a violation is reported as a
-:class:`ValidationError` naming the invariant.  Commands are pure functions
-Scenario -> :class:`ResultTable`; given the same scenario and seed they
-produce byte-identical serialized output.
+A scenario document has the shape of the :class:`Scenario` dataclass tree,
+one key per field.  One table-driven codec reads and writes it and generates
+``docs/scenario.schema.json``; :data:`KINDS`, :data:`NULLABLE`, :data:`IGNORED`
+and :data:`CONVERTED` hold what the field types do not say.  An unknown key,
+a wrong JSON type or a missing key is a :class:`ValidationError` naming its
+key path; value rules are checked by the dataclasses.  Commands are pure
+functions Scenario -> :class:`ResultTable`; given the same scenario and seed
+they produce byte-identical serialized output.
 
 CSV convention: UTF-8, comma separated, '.' decimal, reals at 17
 significant digits (round-trip safe), metadata as '#'-prefixed key=value
@@ -15,12 +18,16 @@ both schemas are shipped under docs/.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import types
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -83,12 +90,11 @@ from .stopping import (
 
 TOOL_VERSION = "0.1.0"
 
-REGIME_AXES = ("delta", "growth", "collapse_cost", "maintain_cost")
+RegimeAxis = Literal["delta", "growth", "collapse_cost", "maintain_cost"]
+Policy = Literal["greedy", "always_stop", "never_stop"]
+OutputFormat = Literal["csv", "json"]
 
-DEFAULT_REGIME_AXES = (
-    ("delta", (0.5, 0.99, 20)),
-    ("growth", (0.0, 0.5, 20)),
-)
+REGIME_AXES = get_args(RegimeAxis)
 
 # Values (cells x states) in each array of a regime-map block: large enough
 # to amortize the numpy calls of one iteration over many cells, small enough
@@ -147,7 +153,7 @@ class RecognitionSection:
 
 @dataclass(frozen=True)
 class RegimeSweep:
-    axes: tuple[tuple[str, SweepRange], tuple[str, SweepRange]]
+    axes: tuple[tuple[RegimeAxis, SweepRange], tuple[RegimeAxis, SweepRange]]
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.axes]
@@ -160,65 +166,90 @@ class RegimeSweep:
                 )
 
 
-@dataclass(frozen=True)
+# The regime-map axes of a scenario without dp.sweep.
+DEFAULT_REGIME_SWEEP = RegimeSweep(
+    axes=(("delta", SweepRange(0.5, 0.99, 20)), ("growth", SweepRange(0.0, 0.5, 20)))
+)
+
+
+def _dp_grid(process: SurplusProcess, config: DPConfig, costs: CostSchedule, swept=()):
+    """The state grid and initial index, checked against r_cap and the cost tables.
+
+    A period x state cost table must be as wide as the grid, unless a regime
+    axis in ``swept`` replaces it.
+    """
+    try:
+        grid, index = state_grid(process, config.r_cap, config.grid_points)
+    except ValueError as exc:  # state_grid's only errors are its r_cap rules
+        raise ValidationError(f"dp.config.{exc}") from None
+    for name in ("collapse", "maintain"):
+        shape = np.shape(getattr(costs, name))
+        if len(shape) == 2 and shape[1] not in (1, grid.size) and f"{name}_cost" not in swept:
+            raise ValidationError(
+                f"dp.costs.{name}: a period x state table must be {grid.size} wide, not {shape[1]}"
+            )
+    return grid, index
+
+
+@dataclass(frozen=True, kw_only=True)
 class DpSection:
     process: SurplusProcess
-    costs: CostSchedule
+    costs: CostSchedule = CostSchedule()
     config: DPConfig
+    policy: Policy = "greedy"
     horizon: int | None = None
-    policy: str = "greedy"
     sweep: RegimeSweep | None = None
 
     def __post_init__(self) -> None:
-        if self.policy not in ("greedy", "always_stop", "never_stop"):
+        if self.policy not in get_args(Policy):
             raise ValueError("dp.policy must be greedy, always_stop, or never_stop")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must satisfy horizon >= 1")
+        _dp_grid(self.process, self.config, self.costs)
+
+
+@dataclass(frozen=True)
+class UniformGrid:
+    lo: float
+    hi: float
+    points: int
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise ValueError("shift-check grid must satisfy lo < hi")
+        if self.points < 2:
+            raise ValueError("shift-check grid needs at least two points")
+
+
+@dataclass(frozen=True)
+class RandomWalk:
+    p_up: float
+    p_down: float
+
+    def __post_init__(self) -> None:
+        if self.p_up < 0 or self.p_down < 0 or self.p_up + self.p_down > 1:
+            raise ValueError("walk probabilities must satisfy p_up + p_down <= 1")
 
 
 @dataclass(frozen=True)
 class ShiftSetupSpec:
-    grid_lo: float
-    grid_hi: float
-    grid_points: int
-    p_up: float
-    p_down: float
+    grid: UniformGrid
+    walk: RandomWalk
     optimize: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.grid_lo < self.grid_hi:
-            raise ValueError("shift-check grid must satisfy lo < hi")
-        if self.grid_points < 2:
-            raise ValueError("shift-check grid needs at least two points")
-        if self.p_up < 0 or self.p_down < 0 or self.p_up + self.p_down > 1:
-            raise ValueError("walk probabilities must satisfy p_up + p_down <= 1")
 
     def build(
         self, params: ReferenceParams, reference_level: float, delta: float
     ) -> ShiftCheckSetup:
         """Reflecting random walk on a uniform grid with martingale forecasts."""
-        grid = np.linspace(self.grid_lo, self.grid_hi, self.grid_points)
-        n = grid.size
-        transition = np.zeros((n, n))
-        for i in range(n):
-            stay = 1.0 - self.p_up - self.p_down
-            if i + 1 < n:
-                transition[i, i + 1] = self.p_up
-            else:
-                stay += self.p_up
-            if i > 0:
-                transition[i, i - 1] = self.p_down
-            else:
-                stay += self.p_down
-            transition[i, i] = stay
+        grid = np.linspace(self.grid.lo, self.grid.hi, self.grid.points)
+        p_up, p_down, ones = self.walk.p_up, self.walk.p_down, np.ones(grid.size - 1)
+        transition = np.diag(p_up * ones, 1) + np.diag(p_down * ones, -1)
+        transition += np.diag(np.full(grid.size, 1.0 - p_up - p_down))
+        transition[0, 0] += p_down  # the walk reflects at both ends
+        transition[-1, -1] += p_up
         return ShiftCheckSetup(
-            x_grid=grid,
-            transition=transition,
-            forecasts=grid.copy(),
-            params=params,
-            reference=reference_level,
-            delta=delta,
-            optimize=self.optimize,
+            x_grid=grid, transition=transition, forecasts=grid.copy(), params=params,
+            reference=reference_level, delta=delta, optimize=self.optimize,
         )
 
 
@@ -256,24 +287,28 @@ class MassSection:
 
 @dataclass(frozen=True)
 class OutputSection:
-    format: str = "csv"
+    format: OutputFormat = "csv"
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
+        if self.format not in get_args(OutputFormat):
             raise ValueError("output format must be csv or json")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     name: str
+    seed: int = 0
     payoff_matrix: PayoffMatrix
     recognition: RecognitionSection | None = None
     dp: DpSection | None = None
     reference: ReferenceSection | None = None
     mass: MassSection | None = None
-    seed: int = 0
     output: OutputSection = OutputSection()
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must satisfy seed >= 0, got {self.seed}")
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
@@ -281,427 +316,257 @@ def with_seed(scenario: Scenario, seed: int) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization
+# The JSON codec.  A document has the shape of the dataclass tree above; the
+# tables below hold what the field types do not say.
+
+# The polymorphic fields: declared type -> (schema name, kind -> class).
+KINDS = {
+    SurplusProcess: ("process", {
+        "deterministic": Deterministic, "discrete_shocks": DiscreteShocks, "markov_grid": MarkovGrid
+    }),
+    RecognitionCurve: ("curve", {
+        "linear_clamped": LinearClamped, "saturating_exponential": SaturatingExponential,
+        "logistic_shifted": LogisticShifted, "tabulated": TabulatedCurve,
+    }),
+    ShapeFn: ("shape", {"identity": Identity, "power": Power, "saturating": Saturating}),
+    LevelFn: ("level", {"identity": IdentityLevel, "clamped": ClampedLevel}),
+}
+_KIND_OF = {cls: kind for _, kinds in KINDS.values() for kind, cls in kinds.items()}
+
+# The only fields that take null; they are written as null when unset, while
+# any other field that is None is left out of the document.
+NULLABLE = {(DPConfig, "r_cap"), (OutputSection, "path")}
+
+# Keys accepted and ignored: older scenarios gave the noise a sample count.
+IGNORED = {(NoiseSpec, "samples")}
 
 
-def _shape_to_dict(shape: ShapeFn) -> dict:
-    if isinstance(shape, Identity):
-        return {"kind": "identity"}
-    if isinstance(shape, Power):
-        return {"kind": "power", "exponent": shape.exponent}
-    if isinstance(shape, Saturating):
-        return {"kind": "saturating", "scale": shape.scale}
-    raise ValueError(f"cannot serialize shape {shape!r}")
+@dataclass(frozen=True)
+class Shock:
+    """One entry of a discrete-shocks ``support``: a growth rate and its probability."""
+
+    growth: float
+    prob: float
 
 
-def _shape_from_dict(spec, context: str) -> ShapeFn:
-    kind = _require(spec, "kind", context)
-    if kind == "identity":
-        return Identity()
-    if kind == "power":
-        return Power(exponent=float(_require(spec, "exponent", context)))
-    if kind == "saturating":
-        return Saturating(scale=float(_require(spec, "scale", context)))
-    raise ValueError(f"{context}: unknown shape kind '{kind}'")
+# Fields whose document form differs from the model's type:
+# (owner, field) -> (document type, document -> model, model -> document).
+# Besides these, dp.delta is written one level above the DPConfig it feeds.
+CONVERTED = {
+    (DiscreteShocks, "support"): (
+        tuple[Shock, ...],
+        lambda shocks: tuple((shock.growth, shock.prob) for shock in shocks),
+        lambda support: tuple(Shock(*pair) for pair in support),
+    ),
+    (DpSection, "sweep"): (
+        dict[RegimeAxis, SweepRange],
+        lambda axes: RegimeSweep(axes=tuple(axes.items())),
+        lambda sweep: dict(sweep.axes),
+    ),
+}
+
+_JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 
 
-def _level_to_dict(level: LevelFn) -> dict:
-    if isinstance(level, IdentityLevel):
-        return {"kind": "identity"}
-    if isinstance(level, ClampedLevel):
-        return {"kind": "clamped", "lo": level.lo, "hi": level.hi}
-    raise ValueError(f"cannot serialize level function {level!r}")
-
-
-def _level_from_dict(spec, context: str) -> LevelFn:
-    kind = _require(spec, "kind", context)
-    if kind == "identity":
-        return IdentityLevel()
-    if kind == "clamped":
-        return ClampedLevel(
-            lo=float(_require(spec, "lo", context)),
-            hi=float(_require(spec, "hi", context)),
-        )
-    raise ValueError(f"{context}: unknown level kind '{kind}'")
-
-
-def _curve_to_dict(curve: RecognitionCurve) -> dict:
-    if isinstance(curve, LinearClamped):
-        return {"kind": "linear_clamped"}
-    if isinstance(curve, SaturatingExponential):
-        return {"kind": "saturating_exponential", "rate": curve.rate}
-    if isinstance(curve, LogisticShifted):
-        return {
-            "kind": "logistic_shifted",
-            "steepness": curve.steepness,
-            "midpoint": curve.midpoint,
-        }
-    if isinstance(curve, TabulatedCurve):
-        return {"kind": "tabulated", "points": [list(p) for p in curve.points]}
-    raise ValueError(f"cannot serialize curve {curve!r}")
-
-
-def _curve_from_dict(spec, context: str) -> RecognitionCurve:
-    kind = _require(spec, "kind", context)
-    if kind == "linear_clamped":
-        return LinearClamped()
-    if kind == "saturating_exponential":
-        return SaturatingExponential(rate=float(_require(spec, "rate", context)))
-    if kind == "logistic_shifted":
-        return LogisticShifted(
-            steepness=float(_require(spec, "steepness", context)),
-            midpoint=float(_require(spec, "midpoint", context)),
-        )
-    if kind == "tabulated":
-        points = _require(spec, "points", context)
-        return TabulatedCurve(points=tuple((float(w), float(f)) for w, f in points))
-    raise ValueError(f"{context}: unknown curve kind '{kind}'")
-
-
-def _process_to_dict(process: SurplusProcess) -> dict:
-    if isinstance(process, Deterministic):
-        return {
-            "kind": "deterministic",
-            "growth": process.growth,
-            "defection_payoff": process.defection_payoff,
-            "initial_r": process.initial_r,
-        }
-    if isinstance(process, DiscreteShocks):
-        return {
-            "kind": "discrete_shocks",
-            "support": [{"growth": g, "prob": p} for g, p in process.support],
-            "defection_payoff": process.defection_payoff,
-            "initial_r": process.initial_r,
-        }
-    if isinstance(process, MarkovGrid):
-        return {
-            "kind": "markov_grid",
-            "r_grid": list(process.r_grid),
-            "transition": [list(row) for row in process.transition],
-            "defection_payoff": process.defection_payoff,
-            "initial_r": process.initial_r,
-        }
-    raise ValueError(f"cannot serialize process {process!r}")
-
-
-def _process_from_dict(spec, context: str) -> SurplusProcess:
-    kind = _require(spec, "kind", context)
-    p = float(_require(spec, "defection_payoff", context))
-    r0 = float(_require(spec, "initial_r", context))
-    if kind == "deterministic":
-        return Deterministic(
-            growth=float(_require(spec, "growth", context)),
-            defection_payoff=p,
-            initial_r=r0,
-        )
-    if kind == "discrete_shocks":
-        support = tuple(
-            (float(_require(entry, "growth", context)), float(_require(entry, "prob", context)))
-            for entry in _require(spec, "support", context)
-        )
-        return DiscreteShocks(support=support, defection_payoff=p, initial_r=r0)
-    if kind == "markov_grid":
-        return MarkovGrid(
-            r_grid=tuple(float(r) for r in _require(spec, "r_grid", context)),
-            transition=tuple(
-                tuple(float(v) for v in row) for row in _require(spec, "transition", context)
-            ),
-            defection_payoff=p,
-            initial_r=r0,
-        )
-    raise ValueError(f"{context}: unknown process kind '{kind}'")
-
-
-def _require(mapping, key, context: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValueError(f"{context} requires '{key}'")
-    return mapping[key]
-
-
-def _sweep_from_dict(spec, context: str) -> SweepRange:
-    return SweepRange(
-        start=float(_require(spec, "start", context)),
-        stop=float(_require(spec, "stop", context)),
-        steps=int(_require(spec, "steps", context)),
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, object], ...]:
+    """(key, document type, default or MISSING) of each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, CONVERTED.get((cls, f.name), (hints[f.name],))[0], f.default)
+        for f in dataclasses.fields(cls)
     )
 
 
-def _sweep_to_dict(sweep: SweepRange) -> dict:
-    return {"start": sweep.start, "stop": sweep.stop, "steps": sweep.steps}
+def _mismatch(path: str, expected: str, value) -> ValidationError:
+    got = {list: "array", dict: "object"}.get(type(value)) or json.dumps(value, default=repr)
+    return ValidationError(f"{path}: expected {expected}, got {got}")
 
 
-def _reference_params_from_dict(spec, context: str) -> ReferenceParams:
-    def shape(key: str) -> ShapeFn:
-        return _shape_from_dict(spec[key], f"{context}.{key}") if key in spec else Identity()
-
-    return ReferenceParams(
-        alpha=float(spec.get("alpha", 0.0)),
-        beta_plus=float(spec.get("beta_plus", 0.0)),
-        beta_minus=float(spec.get("beta_minus", 0.0)),
-        gamma_plus=float(spec.get("gamma_plus", 0.0)),
-        gamma_minus=float(spec.get("gamma_minus", 0.0)),
-        delta_weight=float(spec.get("delta_weight", 0.0)),
-        cost=float(spec.get("cost", 0.0)),
-        g1=shape("g1"),
-        g2=shape("g2"),
-        g3=shape("g3"),
-        h=_level_from_dict(spec["h"], f"{context}.h") if "h" in spec else IdentityLevel(),
-    )
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise _mismatch(path, "object", value)
+    return value
 
 
-def _reference_params_to_dict(params: ReferenceParams) -> dict:
-    return {
-        "alpha": params.alpha,
-        "beta_plus": params.beta_plus,
-        "beta_minus": params.beta_minus,
-        "gamma_plus": params.gamma_plus,
-        "gamma_minus": params.gamma_minus,
-        "delta_weight": params.delta_weight,
-        "cost": params.cost,
-        "g1": _shape_to_dict(params.g1),
-        "g2": _shape_to_dict(params.g2),
-        "g3": _shape_to_dict(params.g3),
-        "h": _level_to_dict(params.h),
+def _decode(hint, value, path: str):
+    """The model value of the document value ``value``, declared as ``hint``."""
+    if hint in _JSON_TYPES:  # a boolean is not a number, and 3.0 is an integer
+        if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        if hint is int and (type(value) is int or isinstance(value, float) and value.is_integer()):
+            return int(value)
+        if hint in (str, bool) and isinstance(value, hint):
+            return value
+        raise _mismatch(path, _JSON_TYPES[hint], value)
+    if hint is DpSection:
+        return _decode_dp(value, path)
+    if hint in KINDS or dataclasses.is_dataclass(hint):
+        return _decode_object(hint, value, path)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        options = [arg for arg in args if arg is not type(None)]
+        # Only a cost has several: a number, a row per period or a period x state table.
+        row = value[0] if isinstance(value, list) and value else None
+        depth = isinstance(value, list) + isinstance(row, list)
+        return _decode(options[depth] if len(options) > 1 else options[0], value, path)
+    if origin is Literal:  # the dataclass checks the value
+        return _decode(type(args[0]), value, path)
+    if origin is dict:
+        items = _object(value, path).items()
+        return {key: _decode(args[1], item, f"{path}.{key}") for key, item in items}
+    # What is left is an array: tuple[...] or Sequence[...].
+    if not isinstance(value, list):
+        raise _mismatch(path, "array", value)
+    if origin is tuple and args[-1] is not Ellipsis and len(value) != len(args):
+        raise ValidationError(f"{path}: expected {len(args)} items, got {len(value)}")
+    return tuple(_decode(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+def _decode_object(cls, doc, path: str, **given):
+    """A dataclass, or the class a kind names, from its document object.
+
+    The ``given`` fields are not read from the document.
+    """
+    doc, prefix = _object(doc, path), f"{path}." if path else ""
+    if cls in KINDS:
+        kinds, kind = KINDS[cls][1], doc.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            got = json.dumps(kind, default=repr)
+            raise ValidationError(f"{prefix}kind: expected one of {', '.join(kinds)}, got {got}")
+        cls = kinds[kind]
+    fields = [entry for entry in _fields(cls) if entry[0] not in given]
+    known = {key for key, _, _ in fields} | ({"kind"} if cls in _KIND_OF else set())
+    for key in doc:
+        if key not in known and (cls, key) not in IGNORED:
+            raise ValidationError(f"{prefix}{key}: unknown key")
+    kwargs = dict(given)
+    for key, hint, default in fields:
+        if key not in doc:
+            if default is dataclasses.MISSING:
+                raise ValidationError(f"{path or 'scenario'} requires '{key}'")
+        elif doc[key] is None and (cls, key) in NULLABLE:
+            kwargs[key] = None
+        else:
+            value = _decode(hint, doc[key], prefix + key)
+            kwargs[key] = CONVERTED[cls, key][1](value) if (cls, key) in CONVERTED else value
+    return cls(**kwargs)
+
+
+def _decode_dp(doc, path: str) -> DpSection:
+    """The dp section, whose ``delta`` is read into its DPConfig."""
+    doc = dict(_object(doc, path))
+    if "delta" not in doc:
+        raise ValidationError(f"{path} requires 'delta'")
+    delta = _decode(float, doc.pop("delta"), f"{path}.delta")
+    config = _decode_object(DPConfig, doc.pop("config", {}), f"{path}.config", delta=delta)
+    return _decode_object(DpSection, doc, path, config=config)
+
+
+def _encode(value):
+    """The document form of a model value."""
+    if dataclasses.is_dataclass(value):
+        cls = type(value)
+        doc = {"kind": _KIND_OF[cls]} if cls in _KIND_OF else {}
+        for key, _, _ in _fields(cls):
+            item = getattr(value, key)
+            if item is not None and (cls, key) in CONVERTED:
+                item = CONVERTED[cls, key][2](item)
+            if item is not None or (cls, key) in NULLABLE:
+                doc[key] = _encode(item)
+        if cls is DpSection:  # dp.delta is written above the DPConfig it feeds
+            doc = {"delta": doc["config"].pop("delta"), **doc}
+        return doc
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
+
+
+def _schema(hint, definitions: dict) -> dict:
+    """The JSON schema of a value declared as ``hint``; classes become definitions."""
+    if hint in KINDS or dataclasses.is_dataclass(hint):
+        name = KINDS[hint][0] if hint in KINDS else hint.__name__
+        if name not in definitions:
+            definitions[name] = _schema_object(hint, definitions)
+        return {"$ref": f"#/definitions/{name}"}
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        options = [_schema(arg, definitions) for arg in args if arg is not type(None)]
+        return options[0] if len(options) == 1 else {"oneOf": options}
+    if origin is Literal:
+        return {"enum": list(args)}
+    if origin is dict:
+        keys, values = (_schema(arg, definitions) for arg in args)
+        return {"type": "object", "propertyNames": keys, "additionalProperties": values}
+    if origin in (tuple, Sequence):
+        schema = {"type": "array", "items": _schema(args[0], definitions)}
+        if origin is tuple and args[-1] is not Ellipsis:
+            schema.update(minItems=len(args), maxItems=len(args))
+        return schema
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _schema_object(cls, definitions: dict) -> dict:
+    """An object with one property per field; a kind's fields sit in an if/then on it."""
+    if cls in KINDS:
+        kinds = KINDS[cls][1]
+        cases = [
+            {"if": {"properties": {"kind": {"const": kind}}}, "then": _schema(sub, definitions)}
+            for kind, sub in kinds.items()
+        ]
+        properties = {"kind": {"enum": list(kinds)}}
+        return {"type": "object", "required": ["kind"], "properties": properties, "allOf": cases}
+    properties = {"kind": {"const": _KIND_OF[cls]}} if cls in _KIND_OF else {}
+    required = []
+    if cls is DpSection:  # dp.delta feeds DPConfig.delta; dp.config may be left out
+        properties["delta"] = {"type": "number"}
+        required.append("delta")
+    for key, hint, default in _fields(cls):
+        if (cls, key) == (DPConfig, "delta"):
+            continue
+        schema = _schema(hint, definitions)
+        if (cls, key) in NULLABLE:
+            schema = {"type": [schema["type"], "null"]}
+        if default is dataclasses.MISSING:
+            if (cls, key) != (DpSection, "config"):
+                required.append(key)
+        elif default is not None or (cls, key) in NULLABLE:
+            schema = {**schema, "default": _encode(default)}
+        properties[key] = schema
+    properties.update({key: {"description": "Ignored."} for owner, key in IGNORED if owner is cls})
+    schema = {"type": "object", "required": required} if required else {"type": "object"}
+    return {**schema, "properties": properties, "additionalProperties": False}
+
+
+def scenario_schema() -> str:
+    """The text of ``docs/scenario.schema.json``, generated from the codec's declarations."""
+    definitions: dict = {}
+    root = _schema_object(Scenario, definitions)
+    header = {
+        "$schema": "http://json-schema.org/draft-07/schema#",
+        "$id": "fragileband/scenario",
+        "title": "fragileband scenario",
+        "description": "Generated by fragileband.scenario.scenario_schema(). It fixes keys and "
+        "JSON types; the loader also checks value ranges and orderings.",
     }
-
-
-def _mass_params_from_dict(spec, context: str) -> MassParams:
-    return MassParams(
-        eta=float(_require(spec, "eta", context)),
-        c_bar=float(_require(spec, "c_bar", context)),
-        kappa=float(_require(spec, "kappa", context)),
-        rho=float(_require(spec, "rho", context)),
-        x_bar=float(_require(spec, "x_bar", context)),
-        beta_plus=float(spec.get("beta_plus", 0.0)),
-        beta_minus=float(spec.get("beta_minus", 0.0)),
-        gamma_plus=float(spec.get("gamma_plus", 0.0)),
-        gamma_minus=float(spec.get("gamma_minus", 0.0)),
-        g2=_shape_from_dict(spec["g2"], f"{context}.g2") if "g2" in spec else Identity(),
-        g3=_shape_from_dict(spec["g3"], f"{context}.g3") if "g3" in spec else Identity(),
-    )
-
-
-def _mass_params_to_dict(params: MassParams) -> dict:
-    return {
-        "eta": params.eta,
-        "c_bar": params.c_bar,
-        "kappa": params.kappa,
-        "rho": params.rho,
-        "x_bar": params.x_bar,
-        "beta_plus": params.beta_plus,
-        "beta_minus": params.beta_minus,
-        "gamma_plus": params.gamma_plus,
-        "gamma_minus": params.gamma_minus,
-        "g2": _shape_to_dict(params.g2),
-        "g3": _shape_to_dict(params.g3),
-    }
+    schema = {**header, **root, "definitions": dict(sorted(definitions.items()))}
+    return json.dumps(schema, indent=2) + "\n"
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario; raises ValidationError on any violation."""
     try:
-        return _scenario_from_dict(data)
+        return _decode(Scenario, data, "")
     except ValidationError:
         raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
 
-def _scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ValueError("scenario document must be a JSON object")
-    name = str(_require(data, "name", "scenario"))
-    matrix_spec = _require(data, "payoff_matrix", "scenario")
-    payoff = PayoffMatrix(
-        T=float(_require(matrix_spec, "T", "payoff_matrix")),
-        R=float(_require(matrix_spec, "R", "payoff_matrix")),
-        P=float(_require(matrix_spec, "P", "payoff_matrix")),
-        S=float(_require(matrix_spec, "S", "payoff_matrix")),
-    )
-
-    recognition = None
-    if "recognition" in data:
-        spec = data["recognition"]
-        recognition = RecognitionSection(
-            w=float(spec["w"]) if "w" in spec else None,
-            sweep=_sweep_from_dict(spec["sweep"], "recognition.sweep")
-            if "sweep" in spec
-            else None,
-            curve=_curve_from_dict(spec["curve"], "recognition.curve")
-            if "curve" in spec
-            else None,
-            noise=NoiseSpec(sd=float(_require(spec["noise"], "sd", "recognition.noise")))
-            if "noise" in spec
-            else None,
-        )
-
-    dp = None
-    if "dp" in data:
-        spec = data["dp"]
-        delta = float(_require(spec, "delta", "dp"))
-        cfg_spec = spec.get("config", {})
-        config = DPConfig(
-            delta=delta,
-            tolerance=float(cfg_spec.get("tolerance", 1e-9)),
-            max_iterations=int(cfg_spec.get("max_iterations", 10**6)),
-            r_cap=float(cfg_spec["r_cap"]) if cfg_spec.get("r_cap") is not None else None,
-            grid_points=int(cfg_spec.get("grid_points", 200)),
-        )
-        costs_spec = spec.get("costs", {})
-        costs = CostSchedule(
-            collapse=costs_spec.get("collapse", 0.0),
-            maintain=costs_spec.get("maintain", 0.0),
-        )
-        sweep = None
-        if "sweep" in spec:
-            axes = tuple(
-                (str(axis), _sweep_from_dict(rng, f"dp.sweep.{axis}"))
-                for axis, rng in spec["sweep"].items()
-            )
-            sweep = RegimeSweep(axes=axes)  # type: ignore[arg-type]
-        dp = DpSection(
-            process=_process_from_dict(_require(spec, "process", "dp"), "dp.process"),
-            costs=costs,
-            config=config,
-            horizon=int(spec["horizon"]) if "horizon" in spec else None,
-            policy=str(spec.get("policy", "greedy")),
-            sweep=sweep,
-        )
-
-    ref = None
-    if "reference" in data:
-        spec = data["reference"]
-        setup_spec = _require(spec, "setup", "reference")
-        grid_spec = _require(setup_spec, "grid", "reference.setup")
-        walk_spec = _require(setup_spec, "walk", "reference.setup")
-        ref = ReferenceSection(
-            params=_reference_params_from_dict(
-                _require(spec, "params", "reference"), "reference.params"
-            ),
-            delta=float(_require(spec, "delta", "reference")),
-            reference=float(_require(spec, "reference", "reference")),
-            kappas=tuple(float(k) for k in _require(spec, "kappas", "reference")),
-            setup=ShiftSetupSpec(
-                grid_lo=float(_require(grid_spec, "lo", "reference.setup.grid")),
-                grid_hi=float(_require(grid_spec, "hi", "reference.setup.grid")),
-                grid_points=int(_require(grid_spec, "points", "reference.setup.grid")),
-                p_up=float(_require(walk_spec, "p_up", "reference.setup.walk")),
-                p_down=float(_require(walk_spec, "p_down", "reference.setup.walk")),
-                optimize=bool(setup_spec.get("optimize", False)),
-            ),
-        )
-
-    mass_section = None
-    if "mass" in data:
-        spec = data["mass"]
-        state_spec = _require(spec, "state", "mass")
-        mass_section = MassSection(
-            params=_mass_params_from_dict(_require(spec, "params", "mass"), "mass.params"),
-            state=MassState(
-                x=float(_require(state_spec, "x", "mass.state")),
-                forecast=float(_require(state_spec, "forecast", "mass.state")),
-                reference=float(_require(state_spec, "reference", "mass.state")),
-            ),
-            steps=int(spec.get("steps", 50)),
-            perturbation=float(spec.get("perturbation", 1e-4)),
-        )
-
-    output_spec = data.get("output", {})
-    output = OutputSection(
-        format=str(output_spec.get("format", "csv")),
-        path=str(output_spec["path"]) if output_spec.get("path") is not None else None,
-    )
-
-    return Scenario(
-        name=name,
-        payoff_matrix=payoff,
-        recognition=recognition,
-        dp=dp,
-        reference=ref,
-        mass=mass_section,
-        seed=int(data.get("seed", 0)),
-        output=output,
-    )
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
-    data: dict = {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "payoff_matrix": {
-            "T": scenario.payoff_matrix.T,
-            "R": scenario.payoff_matrix.R,
-            "P": scenario.payoff_matrix.P,
-            "S": scenario.payoff_matrix.S,
-        },
-    }
-    if scenario.recognition is not None:
-        rec = scenario.recognition
-        spec: dict = {}
-        if rec.w is not None:
-            spec["w"] = rec.w
-        if rec.sweep is not None:
-            spec["sweep"] = _sweep_to_dict(rec.sweep)
-        if rec.curve is not None:
-            spec["curve"] = _curve_to_dict(rec.curve)
-        if rec.noise is not None:
-            spec["noise"] = {"sd": rec.noise.sd}
-        data["recognition"] = spec
-    if scenario.dp is not None:
-        dp = scenario.dp
-        spec = {
-            "delta": dp.config.delta,
-            "process": _process_to_dict(dp.process),
-            "costs": {"collapse": _cost_to_json(dp.costs.collapse), "maintain": _cost_to_json(dp.costs.maintain)},
-            "config": {
-                "tolerance": dp.config.tolerance,
-                "max_iterations": dp.config.max_iterations,
-                "r_cap": dp.config.r_cap,
-                "grid_points": dp.config.grid_points,
-            },
-            "policy": dp.policy,
-        }
-        if dp.horizon is not None:
-            spec["horizon"] = dp.horizon
-        if dp.sweep is not None:
-            spec["sweep"] = {name: _sweep_to_dict(rng) for name, rng in dp.sweep.axes}
-        data["dp"] = spec
-    if scenario.reference is not None:
-        ref = scenario.reference
-        data["reference"] = {
-            "params": _reference_params_to_dict(ref.params),
-            "delta": ref.delta,
-            "reference": ref.reference,
-            "kappas": list(ref.kappas),
-            "setup": {
-                "grid": {
-                    "lo": ref.setup.grid_lo,
-                    "hi": ref.setup.grid_hi,
-                    "points": ref.setup.grid_points,
-                },
-                "walk": {"p_up": ref.setup.p_up, "p_down": ref.setup.p_down},
-                "optimize": ref.setup.optimize,
-            },
-        }
-    if scenario.mass is not None:
-        data["mass"] = {
-            "params": _mass_params_to_dict(scenario.mass.params),
-            "state": {
-                "x": scenario.mass.state.x,
-                "forecast": scenario.mass.state.forecast,
-                "reference": scenario.mass.state.reference,
-            },
-            "steps": scenario.mass.steps,
-            "perturbation": scenario.mass.perturbation,
-        }
-    data["output"] = {"format": scenario.output.format, "path": scenario.output.path}
-    return data
-
-
-def _cost_to_json(value):
-    if isinstance(value, tuple):
-        return [list(v) if isinstance(v, tuple) else v for v in value]
-    return value
+    return _encode(scenario)
 
 
 def load_scenario(path) -> Scenario:
@@ -915,11 +780,12 @@ def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.nd
     return values
 
 
-def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
+def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int, swept):
     """(rows, process, grid, initial index) of each block, ordered by first row.
 
     The cells of a block share one state grid.  Only a swept growth rate
-    moves the grid, and only through its sign.
+    moves the grid, and only through its sign.  Each grid is checked against
+    r_cap and the cost tables that no axis in ``swept`` replaces.
     """
     rows = np.arange(count)
     groups = [rows] if growth is None else [
@@ -930,7 +796,7 @@ def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
         process = dp.process
         if growth is not None:
             process = dataclasses.replace(process, growth=float(growth[group[0]]))
-        grid, index = state_grid(process, dp.config.r_cap, dp.config.grid_points)
+        grid, index = _dp_grid(process, dp.config, dp.costs, swept)
         size = max(1, REGIME_BLOCK_VALUES // grid.size)
         blocks += [
             (group[start : start + size], process, grid, index)
@@ -951,14 +817,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     if scenario.dp is None:
         raise ValidationError("dp section is required for regime-map")
     dp = scenario.dp
-    if dp.sweep is not None:
-        axes = dp.sweep.axes
-    else:
-        axes = tuple(
-            (name, SweepRange(start, stop, steps))
-            for name, (start, stop, steps) in DEFAULT_REGIME_AXES
-        )
-    (name1, sweep1), (name2, sweep2) = axes
+    (name1, sweep1), (name2, sweep2) = (dp.sweep or DEFAULT_REGIME_SWEEP).axes
     outer = _axis_values(name1, sweep1, dp.process)
     inner = _axis_values(name2, sweep2, dp.process)
     cells = {name1: np.repeat(outer, inner.size), name2: np.tile(inner, outer.size)}
@@ -970,7 +829,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     gain, cost_diff, value = np.empty(count), np.empty(count), np.empty(count)
     stop = np.empty(count, dtype=bool)
     failed = None
-    for rows, process, grid, i in _regime_blocks(dp, growth, count):
+    for rows, process, grid, i in _regime_blocks(dp, growth, count, cells):
         if failed is not None and rows[0] > failed[0]:
             break
         n = grid.size

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from fragileband.cli import run
-from fragileband.scenario import ResultTable, preset_path
+from fragileband.scenario import ResultTable, preset_path, scenario_from_dict
+from fragileband.stopping import state_grid
 
 SNS = str(preset_path("sns"))
 METAGAME = str(preset_path("metagame"))
@@ -138,6 +139,36 @@ def _nan_reference(doc):
     doc["reference"]["reference"] = float("nan")
 
 
+def _growing_without_cap(doc):
+    doc["dp"]["config"]["r_cap"] = None
+
+
+def _growth_axis_without_cap(doc):
+    # The process itself does not grow, so the scenario loads; the growth axis does.
+    doc["dp"]["process"]["growth"] = 0.0
+    doc["dp"]["config"]["r_cap"] = None
+
+
+def _narrow_state_cost_table(doc):
+    doc["dp"]["costs"]["collapse"] = [[0.1, 0.2, 0.3]]
+
+
+def _state_cost_table_on_growth_axis(doc):
+    # As wide as the preset's grid, so the scenario loads; the growth = 0 cells
+    # of the map have a one-state grid.
+    dp = scenario_from_dict(doc).dp
+    width = state_grid(dp.process, dp.config.r_cap, dp.config.grid_points)[0].size
+    doc["dp"]["costs"]["collapse"] = [[0.1] * width]
+
+
+def _negative_seed(doc):
+    doc["seed"] = -3
+
+
+def _unchanged(doc):
+    pass
+
+
 @pytest.mark.parametrize(
     "command, edit, message",
     [
@@ -146,16 +177,24 @@ def _nan_reference(doc):
         ("phase-sweep", _negative_recognition_sweep, "recognition.sweep"),
         ("ref-shift-check", _infinite_kappa, "reference.kappas[3] must be finite"),
         ("ref-shift-check", _nan_reference, "reference.reference must be finite"),
+        ("simulate", _growing_without_cap, "dp.config.r_cap must be set"),
+        ("regime-map", _growth_axis_without_cap, "dp.config.r_cap must be set"),
+        ("simulate", _narrow_state_cost_table, "dp.costs.collapse: "),
+        ("regime-map", _state_cost_table_on_growth_axis, "dp.costs.collapse: "),
+        ("simulate", _negative_seed, "seed must satisfy seed >= 0, got -3"),
+        ("simulate --seed -1", _unchanged, "seed must satisfy seed >= 0, got -1"),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
-         "nan-reference"],
+         "nan-reference", "growing-without-cap", "growth-axis-without-cap",
+         "narrow-state-cost-table", "state-cost-table-on-growth-axis", "negative-seed",
+         "negative-seed-flag"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())
     edit(doc)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))  # non-finite floats become Infinity / NaN
-    done = _python(["-m", "fragileband.cli", command, "--scenario", str(path)])
+    done = _python(["-m", "fragileband.cli", *command.split(), "--scenario", str(path)])
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert message in done.stderr

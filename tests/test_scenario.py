@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fragileband.scenario as scenario_module
+from fragileband.cli import run
 from fragileband.game import CurveError, PhaseLabel, TabulatedCurve, classify_phase_nonlinear
 from fragileband.scenario import (
     ParseError,
@@ -28,6 +30,7 @@ from fragileband.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_hash,
+    scenario_schema,
     scenario_to_dict,
     with_seed,
 )
@@ -116,6 +119,70 @@ class TestLoading:
         assert doc["recognition"]["noise"] == {"sd": 0.05}
         doc["recognition"]["noise"]["samples"] = 20000
         assert scenario_from_dict(doc) == sns
+
+    def test_generated_schema_is_shipped(self):
+        shipped = Path(__file__).resolve().parents[1] / "docs" / "scenario.schema.json"
+        assert scenario_schema().encode("utf-8") == shipped.read_bytes()
+
+    def test_preset_hashes_pinned(self, sns, metagame):
+        assert scenario_hash(sns) == (
+            "14784c8e5c7d39fe4f1df826ae1e83792650ba01b6b58d3b67b81faaeca8b7a5"
+        )
+        assert scenario_hash(metagame) == (
+            "9defd92dc312987114bf390d8b525679a56567a1eed6cdbfb752d6155364a0ac"
+        )
+
+    def test_whole_number_float_is_an_integer(self, sns):
+        doc = scenario_to_dict(sns)
+        doc["recognition"]["sweep"]["steps"] = 21.0
+        assert scenario_from_dict(doc) == sns
+
+
+# (dotted key to set, value, key path the error must name); every one also
+# breaks the generated schema.
+BAD_DOCUMENTS = {
+    "unknown-top-level-key": ("nmae", "sns", "nmae"),
+    "unknown-payoff-key": ("payoff_matrix.U", 1.0, "payoff_matrix.U"),
+    "unknown-recognition-key": ("recognition.wx", 0.5, "recognition.wx"),
+    "unknown-dp-key": ("dp.cofnig", {"r_cap": 1}, "dp.cofnig"),
+    "unknown-dp-config-key": ("dp.config.rcap", 1.0, "dp.config.rcap"),
+    "unknown-reference-key": ("reference.kapas", [0.1], "reference.kapas"),
+    "unknown-setup-grid-key": ("reference.setup.grid.n", 3, "reference.setup.grid.n"),
+    "unknown-mass-key": ("mass.stpes", 3, "mass.stpes"),
+    "unknown-output-key": ("output.fromat", "json", "output.fromat"),
+    "field-of-another-process-kind": (
+        "dp.process.support", [{"growth": 0.1, "prob": 1.0}], "dp.process.support"
+    ),
+    "misspelled-kind": ("dp.process.kind", "determinstic", "dp.process.kind"),
+    "string-number": ("payoff_matrix.T", "5", "payoff_matrix.T"),
+    "boolean-number": ("dp.delta", True, "dp.delta"),
+    "boolean-integer": ("dp.config.grid_points", True, "dp.config.grid_points"),
+    "fractional-integer": ("recognition.sweep.steps", 2.7, "recognition.sweep.steps"),
+    "sweep-as-list": ("dp.sweep", [{"start": 0.5, "stop": 0.9, "steps": 3}], "dp.sweep"),
+    "null-w": ("recognition", {"w": None}, "recognition.w"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS)
+def test_bad_document_names_key_path(case, tmp_path, capsys):
+    import jsonschema
+
+    dotted, value, key_path = BAD_DOCUMENTS[case]
+    doc = json.loads(preset_path("sns").read_text())
+    *parents, last = dotted.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValidationError, match=re.escape(key_path)):
+        scenario_from_dict(doc)
+    schema = json.loads(scenario_schema())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["band", "--scenario", str(path)]) == 1
+    assert key_path in capsys.readouterr().err
 
 
 class TestResultTable:
