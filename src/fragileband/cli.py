@@ -5,8 +5,9 @@ ref-shift-check.  The table goes to --out when given (relative paths are
 resolved against $FRAGILEBAND_OUT_DIR when set), otherwise to stdout;
 diagnostics go to stderr unless --quiet.
 
-Exit codes: 0 success, 1 validation or parse error, 2 numerical
-non-convergence, 3 property-check failure (a ref-shift row with holds=false).
+Exit codes: 0 success (also --help and --version), 1 usage, validation,
+parse or file error, 2 numerical non-convergence, 3 property-check failure
+(a ref-shift row with holds=false).
 """
 
 from __future__ import annotations
@@ -34,8 +35,16 @@ from .stopping import InvalidProcess, NonConvergence
 OUT_DIR_ENV = "FRAGILEBAND_OUT_DIR"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 is reserved for non-convergence."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fragileband",
         description="Fragile-band phase analysis, stop/continue regimes, and intervention dynamics.",
     )
@@ -81,6 +90,12 @@ def _emit(table: ResultTable, path: Path | None, fmt: str, quiet: bool) -> None:
         print(f"wrote {len(table.rows)} rows to {path}", file=sys.stderr)
 
 
+def _fail(code: int, message: str, quiet: bool) -> int:
+    if not quiet:
+        print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     quiet = args.quiet
@@ -89,22 +104,20 @@ def run(argv=None) -> int:
         if args.seed is not None:
             scenario = with_seed(scenario, args.seed)
         table = COMMANDS[args.command](scenario)
+        fmt = args.format or scenario.output.format
+        _emit(table, _resolve_out(args.out, scenario), fmt, quiet)
     except (ParseError, ValidationError, HypothesisViolation, InvalidProcess, CurveError) as exc:
-        if not quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, str(exc), quiet)
+    except UnicodeDecodeError as exc:  # only the scenario file is decoded
+        return _fail(1, f"{args.scenario}: {exc}", quiet)
+    except OSError as exc:  # reading the scenario or writing --out
+        return _fail(1, f"{exc.filename}: {exc.strerror}", quiet)
     except (NonConvergence, NoFixedPointFound) as exc:
-        if not quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fmt = args.format or scenario.output.format
-    _emit(table, _resolve_out(args.out, scenario), fmt, quiet)
+        return _fail(2, str(exc), quiet)
     if args.command == "ref-shift-check":
         holds_index = table.columns.index("holds")
         if any(not row[holds_index] for row in table.rows):
-            if not quiet:
-                print("error: reference-shift bound violated", file=sys.stderr)
-            return 3
+            return _fail(3, "reference-shift bound violated", quiet)
     return 0
 
 

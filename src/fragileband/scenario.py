@@ -185,6 +185,12 @@ def _dp_grid(process: SurplusProcess, config: DPConfig, costs: CostSchedule, swe
     for name in ("collapse", "maintain"):
         shape = np.shape(getattr(costs, name))
         if len(shape) == 2 and shape[1] not in (1, grid.size) and f"{name}_cost" not in swept:
+            if "growth" in swept:
+                raise ValidationError(
+                    f"dp.sweep.growth: the axis changes the state grid (size {grid.size} at "
+                    f"growth {process.growth:g}), so dp.costs.{name} cannot be a period x state "
+                    f"table {shape[1]} wide"
+                )
             raise ValidationError(
                 f"dp.costs.{name}: a period x state table must be {grid.size} wide, not {shape[1]}"
             )
@@ -757,12 +763,6 @@ def cmd_phase_sweep(scenario: Scenario) -> ResultTable:
     return ResultTable(columns=columns, rows=rows, metadata=_metadata(scenario, "phase-sweep"))
 
 
-def _mean_growth(process: SurplusProcess) -> float:
-    if isinstance(process, MarkovGrid):
-        return float("nan")
-    return sum(g * p for g, p in process.support)
-
-
 def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.ndarray:
     """The values of one regime-map axis, each checked before any solve."""
     values = sweep.values()
@@ -865,7 +865,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
             residual=residual,
         )
 
-    frontier = delta * (1.0 + (_mean_growth(dp.process) if growth is None else growth))
+    frontier = delta * (1.0 + (dp.process.mean_growth() if growth is None else growth))
     rows = [
         [v1, v2, g, c, classify_regime(g, c).value, v, STOP if s else CONTINUE, f]
         for v1, v2, g, c, v, s, f in zip(

@@ -9,24 +9,22 @@ discounted expected future value alive):
 
     V(phi) = max( phi - C_c,  delta * E[V(phi')] - C_m )
 
-Three surplus processes are supported: deterministic growth, i.i.d. discrete
-growth shocks (both act multiplicatively on phi and are discretized onto a
-log-spaced grid truncated at a cap, with off-grid successors mapped by
-linear interpolation), and an explicit Markov chain on an R grid.  Costs may
-be constants, per-period tables (last entry held forever), or per-period
-per-state tables.
+Each surplus process states its law once.  Deterministic growth (one atom)
+and i.i.d. discrete growth shocks give a ``support`` of (g, p) shocks that
+multiply phi by 1 + g on a log-spaced grid truncated at a cap; their mean
+growth follows from it.  A Markov chain on an R grid gives its read-only
+transition ``matrix`` (mean growth NaN).  Costs are constants, per-period
+tables (last entry held forever) or period x state tables, and every reader
+looks up ``rows[min(t, last)][state]`` in ``collapse_rows`` / ``maintain_rows``.
 
-Each process gives one transition kernel on its grid (:class:`Transition`):
-one linear-interpolation piece (p, lo, hi, w_lo, w_hi) per growth shock, a
-deterministic process being a single shock of probability 1, or the Markov
-matrix.  :func:`solve_cells` value-iterates a block of cells that share a
-grid on (cells, states) arrays; discount and costs may differ per cell, and
-so may the growth rate of a deterministic process.  Every cell keeps its own
-tolerance test and leaves the block once it meets it, so each cell gets the
-values, iteration count and residual of a one-cell solve, bit for bit.
-:func:`value_iteration` is the one-cell call, the regime map solves its
-cells in blocks, and :func:`finite_horizon_oracle` runs its own backward
-induction on the same kernel.
+:class:`Transition` is the kernel on a grid: one linear-interpolation piece
+per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
+cells that share a grid (discount, costs and deterministic growth may differ
+per cell), each cell with its own tolerance test, so every cell gets the
+bits of a one-cell :func:`value_iteration`.  :func:`simulate_path` draws
+each step's outcome k from a cumulative row, a chain's current row or a
+shock law's one row (a one-outcome row takes no draw), then moves the chain
+to state k or multiplies phi by 1 + g_k.
 
 The per-state diagnostics
 
@@ -43,6 +41,7 @@ stagnation condition collapses to delta > 1/(1+g).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -86,8 +85,18 @@ def _check_common(defection_payoff: float, initial_r: float) -> None:
         raise InvalidProcess("initial cooperative payoff must satisfy R_0 > P")
 
 
+class _ShockLaw:
+    """I.i.d. multiplicative growth shocks, read from ``support`` as (g, p) pairs."""
+
+    def mean_growth(self) -> float:
+        return sum(g * p for g, p in self.support)
+
+    def cooperative_learning(self) -> bool:
+        return self.mean_growth() >= 0
+
+
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(_ShockLaw):
     """Surplus grows by a fixed factor (1 + growth) each period."""
 
     growth: float
@@ -104,12 +113,9 @@ class Deterministic:
         """The growth law as (g, p) shocks: a single atom."""
         return ((self.growth, 1.0),)
 
-    def cooperative_learning(self) -> bool:
-        return self.growth >= 0
-
 
 @dataclass(frozen=True)
-class DiscreteShocks:
+class DiscreteShocks(_ShockLaw):
     """Surplus multiplied by (1 + g_k) with probability p_k each period."""
 
     support: tuple[tuple[float, float], ...]
@@ -128,12 +134,6 @@ class DiscreteShocks:
             raise InvalidProcess("shock probabilities must be nonnegative")
         if abs(sum(p for _, p in support) - 1.0) > 1e-12:
             raise InvalidProcess("shock probabilities must sum to 1")
-
-    def mean_growth(self) -> float:
-        return sum(g * p for g, p in self.support)
-
-    def cooperative_learning(self) -> bool:
-        return self.mean_growth() >= 0
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,21 @@ class MarkovGrid:
         if distances[idx] > tol:
             raise InvalidProcess("initial_r must be one of the grid values")
         object.__setattr__(self, "initial_r", grid[idx])
+        matrix = np.array(rows, dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def initial_index(self) -> int:
         return self.r_grid.index(self.initial_r)
 
-    def matrix(self) -> np.ndarray:
-        return np.array(self.transition, dtype=float)
+    def mean_growth(self) -> float:
+        """NaN: a chain has no single growth rate."""
+        return float("nan")
 
     def cooperative_learning(self) -> bool:
         grid = np.array(self.r_grid)
-        expected = self.matrix() @ grid
-        return bool(np.all(expected >= grid - 1e-12))
+        return bool(np.all(self.matrix @ grid >= grid - 1e-12))
 
 
 SurplusProcess = Union[Deterministic, DiscreteShocks, MarkovGrid]
@@ -203,13 +206,14 @@ def _canonical_cost(value: CostValue):
     return tuple(tuple(float(v) for v in row) for row in arr)
 
 
-def _cost_table(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        return arr.reshape(-1, 1)
-    return arr
+def _cost_rows(value: CostValue, n_states: int) -> np.ndarray:
+    """The cost over ``n_states`` states, one row per tabulated period."""
+    table = np.asarray(value, dtype=float)
+    if table.ndim < 2:
+        table = table.reshape(-1, 1)
+    if table.shape[1] not in (1, n_states):
+        raise ValueError("state-dependent cost table width must match grid size")
+    return np.broadcast_to(table, (table.shape[0], n_states)).copy()
 
 
 @dataclass(frozen=True)
@@ -227,42 +231,14 @@ class CostSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "collapse", _canonical_cost(self.collapse))
         object.__setattr__(self, "maintain", _canonical_cost(self.maintain))
-        object.__setattr__(self, "_collapse_table", _cost_table(self.collapse))
-        object.__setattr__(self, "_maintain_table", _cost_table(self.maintain))
 
-    @staticmethod
-    def _at(table: np.ndarray, t: int, n_states: int) -> np.ndarray:
-        row = table[min(int(t), table.shape[0] - 1)]
-        if row.size == 1:
-            return np.full(n_states, row[0])
-        if row.size != n_states:
-            raise ValueError("state-dependent cost table width must match grid size")
-        return row.copy()
-
-    def collapse_at(self, t: int, n_states: int) -> np.ndarray:
-        return self._at(self._collapse_table, t, n_states)
-
-    def maintain_at(self, t: int, n_states: int) -> np.ndarray:
-        return self._at(self._maintain_table, t, n_states)
-
-    @staticmethod
-    def _at_scalar(table: np.ndarray, t: int, state_index: int) -> float:
-        row = table[min(int(t), table.shape[0] - 1)]
-        return float(row[0] if row.size == 1 else row[state_index])
-
-    def collapse_scalar(self, t: int, state_index: int = 0) -> float:
-        return self._at_scalar(self._collapse_table, t, state_index)
-
-    def maintain_scalar(self, t: int, state_index: int = 0) -> float:
-        return self._at_scalar(self._maintain_table, t, state_index)
-
-    def collapse_rows(self, n_states: int) -> list[np.ndarray]:
+    def collapse_rows(self, n_states: int) -> np.ndarray:
         """Collapse cost over the states, one row per tabulated period."""
-        return [self.collapse_at(t, n_states) for t in range(self._collapse_table.shape[0])]
+        return _cost_rows(self.collapse, n_states)
 
-    def maintain_rows(self, n_states: int) -> list[np.ndarray]:
+    def maintain_rows(self, n_states: int) -> np.ndarray:
         """Maintenance cost over the states, one row per tabulated period."""
-        return [self.maintain_at(t, n_states) for t in range(self._maintain_table.shape[0])]
+        return _cost_rows(self.maintain, n_states)
 
 
 @dataclass(frozen=True)
@@ -351,6 +327,16 @@ def state_grid(
     return grid, index
 
 
+def _nearest_index(grid: np.ndarray, phi: float) -> int:
+    """Index of the grid point nearest phi (ties go to the lower point)."""
+    pos = int(np.searchsorted(grid, phi))
+    if pos <= 0:
+        return 0
+    if pos >= grid.size:
+        return grid.size - 1
+    return pos if grid[pos] - phi < phi - grid[pos - 1] else pos - 1
+
+
 def _interp_weights(grid: np.ndarray, targets: np.ndarray):
     """Linear-interpolation indices/weights with clamping at both grid ends."""
     n = grid.size
@@ -426,7 +412,7 @@ def transition_kernel(
     a block of cells that differ in growth but share the grid.
     """
     if isinstance(process, MarkovGrid):
-        return Transition(matrix=process.matrix())
+        return Transition(matrix=process.matrix)
     support = process.support if growth is None else ((growth[:, None], 1.0),)
     pieces = []
     for g, p in support:
@@ -581,6 +567,8 @@ class ValueSolution:
     process: SurplusProcess
     costs: CostSchedule
     _tail_values: np.ndarray
+    _collapse: np.ndarray
+    _maintain: np.ndarray
 
     @property
     def initial_value(self) -> float:
@@ -594,15 +582,6 @@ class ValueSolution:
     def regimes(self) -> tuple[RegimeLabel, ...]:
         return tuple(self.regime_at(i) for i in range(self.phi_grid.size))
 
-    def _nearest_index(self, phi: float) -> int:
-        grid = self.phi_grid
-        pos = int(np.searchsorted(grid, phi))
-        if pos <= 0:
-            return 0
-        if pos >= grid.size:
-            return grid.size - 1
-        return pos if grid[pos] - phi < phi - grid[pos - 1] else pos - 1
-
     def continuation_value_at(self, phi: float, t: int = 0) -> float:
         """Greedy continuation estimate at an arbitrary surplus level.
 
@@ -610,19 +589,18 @@ class ValueSolution:
         tabulated costs the prefix layers are approximated by the tail).
         """
         tail = self._tail_values
+        index = _nearest_index(self.phi_grid, phi)
         if isinstance(self.process, MarkovGrid):
-            row = self.process.matrix()[self._nearest_index(phi)]
-            expected = float(row @ tail)
+            expected = float(self.process.matrix[index] @ tail)
         else:
             expected = sum(
                 p * float(np.interp(phi * (1.0 + g), self.phi_grid, tail))
                 for g, p in self.process.support
             )
-        maintain = self.costs.maintain_scalar(t, self._nearest_index(phi))
-        return self.delta * expected - maintain
+        return self.delta * expected - float(_period(self._maintain, t)[index])
 
     def stop_value_at(self, phi: float, t: int = 0) -> float:
-        return phi - self.costs.collapse_scalar(t, self._nearest_index(phi))
+        return phi - float(_period(self._collapse, t)[_nearest_index(self.phi_grid, phi)])
 
     def decision_at(self, phi: float, t: int = 0) -> Decision:
         if self.stop_value_at(phi, t) >= self.continuation_value_at(phi, t):
@@ -641,14 +619,14 @@ def value_iteration(
     of :func:`solve_cells`.
     """
     grid, initial_index = state_grid(process, config.r_cap, config.grid_points)
-    n = grid.size
+    collapse, maintain = costs.collapse_rows(grid.size), costs.maintain_rows(grid.size)
     residuals: list[float] = []
     block = solve_cells(
         grid,
         transition_kernel(process, grid),
         np.array([config.delta]),
-        costs.collapse_rows(n),
-        costs.maintain_rows(n),
+        collapse,
+        maintain,
         config.tolerance,
         config.max_iterations,
         residuals,
@@ -674,6 +652,8 @@ def value_iteration(
         process=process,
         costs=costs,
         _tail_values=block.tail_values[0],
+        _collapse=collapse,
+        _maintain=maintain,
     )
 
 
@@ -695,13 +675,12 @@ def finite_horizon_oracle(
     if not 0 < delta < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")
     grid, _ = state_grid(process, r_cap, grid_points)
-    n = grid.size
     kernel = transition_kernel(process, grid)
-    values = np.zeros(n)
+    collapse, maintain = costs.collapse_rows(grid.size), costs.maintain_rows(grid.size)
+    values = np.zeros(grid.size)
     for t in range(horizon - 1, -1, -1):
         values = np.maximum(
-            grid - costs.collapse_at(t, n),
-            delta * kernel.expect(values) - costs.maintain_at(t, n),
+            grid - _period(collapse, t), delta * kernel.expect(values) - _period(maintain, t)
         )
     return values
 
@@ -720,26 +699,23 @@ def bellman_backup(
     process's natural grid (MarkovGrid only; the diffuse processes have no
     intrinsic grid, so pass a callable for them).
     """
+    n_states, index = 1, 0
     if isinstance(process, MarkovGrid):
-        grid = 2.0 * (np.array(process.r_grid) - process.defection_payoff)
-        index = int(np.argmin(np.abs(grid - phi)))
+        grid, _ = state_grid(process, None, 2)
+        n_states, index = grid.size, _nearest_index(grid, phi)
         if abs(grid[index] - phi) > 1e-9 * max(1.0, abs(phi)):
             raise ValueError("phi must be one of the grid values")
         if callable(values):
             successor_values = np.array([values(float(s)) for s in grid])
         else:
             successor_values = np.asarray(values, dtype=float)
-        expected = float(process.matrix()[index] @ successor_values)
-        state_count = grid.size
-        state_index = index
+        expected = float(process.matrix[index] @ successor_values)
     else:
         if not callable(values):
             raise TypeError("values must be callable for diffuse surplus processes")
         expected = sum(p * float(values(phi * (1.0 + g))) for g, p in process.support)
-        state_count = 1
-        state_index = 0
-    collapse = float(costs.collapse_at(t, state_count)[state_index])
-    maintain = float(costs.maintain_at(t, state_count)[state_index])
+    collapse = float(_period(costs.collapse_rows(n_states), t)[index])
+    maintain = float(_period(costs.maintain_rows(n_states), t)[index])
     return max(phi - collapse, delta * expected - maintain)
 
 
@@ -798,57 +774,47 @@ def simulate_path(
         raise ValueError("horizon must satisfy horizon >= 1")
     rng = np.random.default_rng(seed)
     p = process.defection_payoff
-    markov = isinstance(process, MarkovGrid)
-    state_index = 0
-    if markov:
-        matrix = process.matrix()
-        cumulative_rows = np.cumsum(matrix, axis=1)
-        state_index = process.initial_index
-        r = process.r_grid[state_index]
+    # Each outcome row is cumulative: a chain has one per state, a shock
+    # law one row over its shocks.
+    chain = isinstance(process, MarkovGrid)
+    if chain:
+        outcomes = np.cumsum(process.matrix, axis=1).tolist()
+        state = process.initial_index
     else:
-        if costs._collapse_table.shape[1] > 1 or costs._maintain_table.shape[1] > 1:
+        if any(np.ndim(c) == 2 and np.shape(c)[1] > 1 for c in (costs.collapse, costs.maintain)):
             raise ValueError("state-dependent costs require a MarkovGrid process")
-        r = process.initial_r
-        if isinstance(process, DiscreteShocks):
-            shock_growths = np.array([g for g, _ in process.support])
-            shock_cumulative = np.cumsum([q for _, q in process.support])
+        outcomes = [np.cumsum([q for _, q in process.support]).tolist()]
+        growths = [g for g, _ in process.support]
+        state = 0
+    collapse = costs.collapse_rows(len(outcomes)).tolist()
+    maintain = costs.maintain_rows(len(outcomes)).tolist()
+    r = process.initial_r
     phi = 2.0 * (r - p)
 
     steps: list[PathStep] = []
     stop_time: int | None = None
     discounted = 0.0
-    absorbed = False
     for t in range(horizon):
-        if absorbed:
+        if stop_time is not None:
             steps.append(PathStep(t, r, 0.0, "absorbed", 0.0, 2.0 * p))
             continue
-        decision = _resolve_decision(policy, t, phi)
-        if decision is Decision.STOP:
-            stage = phi - costs.collapse_scalar(t, state_index)
+        if _resolve_decision(policy, t, phi) is Decision.STOP:
+            stage = phi - _period(collapse, t)[state]
             steps.append(PathStep(t, r, phi, "stop", stage, 2.0 * p))
             discounted += delta**t * stage
             stop_time = t
-            absorbed = True
             continue
-        stage = -costs.maintain_scalar(t, state_index)
+        stage = -_period(maintain, t)[state]
         steps.append(PathStep(t, r, phi, "continue", stage, 2.0 * r))
         discounted += delta**t * stage
-        if markov:
-            state_index = int(
-                np.searchsorted(cumulative_rows[state_index], rng.random(), side="right")
-            )
-            state_index = min(state_index, matrix.shape[0] - 1)
-            r = process.r_grid[state_index]
+        row = outcomes[state]
+        # A row with one outcome takes no draw; the draws feed nothing else.
+        k = min(bisect.bisect_right(row, rng.random()), len(row) - 1) if len(row) > 1 else 0
+        if chain:
+            state, r = k, process.r_grid[k]
             phi = 2.0 * (r - p)
-        elif isinstance(process, Deterministic):
-            phi *= 1.0 + process.growth
-            r = p + phi / 2.0
         else:
-            k = min(
-                int(np.searchsorted(shock_cumulative, rng.random(), side="right")),
-                shock_growths.size - 1,
-            )
-            phi *= 1.0 + shock_growths[k]
+            phi *= 1.0 + growths[k]
             r = p + phi / 2.0
     return Trajectory(
         steps=steps, stop_time=stop_time, discounted_payoff=discounted, seed=seed

@@ -180,7 +180,12 @@ def _unchanged(doc):
         ("simulate", _growing_without_cap, "dp.config.r_cap must be set"),
         ("regime-map", _growth_axis_without_cap, "dp.config.r_cap must be set"),
         ("simulate", _narrow_state_cost_table, "dp.costs.collapse: "),
-        ("regime-map", _state_cost_table_on_growth_axis, "dp.costs.collapse: "),
+        (
+            "regime-map",
+            _state_cost_table_on_growth_axis,
+            "dp.sweep.growth: the axis changes the state grid (size 1 at growth 0), "
+            "so dp.costs.collapse cannot be a period x state table 160 wide",
+        ),
         ("simulate", _negative_seed, "seed must satisfy seed >= 0, got -3"),
         ("simulate --seed -1", _unchanged, "seed must satisfy seed >= 0, got -1"),
     ],
@@ -198,6 +203,58 @@ def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert message in done.stderr
+
+
+def _missing_file(tmp_path):
+    path = tmp_path / "missing.json"
+    return ["--scenario", str(path)], f"{path}: No such file or directory"
+
+
+def _directory_scenario(tmp_path):
+    return ["--scenario", str(tmp_path)], f"{tmp_path}: Is a directory"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    return ["--scenario", str(path)], f"{path}: 'utf-8' codec can't decode byte 0xe9"
+
+
+def _out_is_directory(tmp_path):
+    return ["--scenario", SNS, "--out", str(tmp_path)], f"{tmp_path}: Is a directory"
+
+
+@pytest.mark.parametrize(
+    "case", [_missing_file, _directory_scenario, _not_utf8, _out_is_directory],
+    ids=["missing-scenario", "scenario-is-directory", "scenario-not-utf8", "out-is-directory"],
+)
+def test_exit_1_without_traceback_on_unreadable_files(tmp_path, case):
+    args, message = case(tmp_path)
+    done = _python(["-m", "fragileband.cli", "band", *args])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"error: {message}" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["band", "--scenario", SNS, "--seed", "abc"], 1),
+        (["band"], 1),
+        (["no-such-command"], 1),
+        (["--help"], 0),
+        (["band", "--help"], 0),
+        (["--version"], 0),
+    ],
+    ids=["bad-seed", "missing-scenario-flag", "unknown-command", "help", "command-help",
+         "version"],
+)
+def test_usage_exit_codes(args, code):
+    # Exit code 2 is reserved for numerical non-convergence.
+    done = _python(["-m", "fragileband.cli", *args])
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert ("usage:" in done.stderr) == (code == 1)
 
 
 def test_exit_2_on_fixed_point_failure(tmp_path):

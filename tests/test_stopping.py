@@ -27,7 +27,9 @@ from fragileband.stopping import (
     InvalidProcess,
     MarkovGrid,
     NonConvergence,
+    PathStep,
     RegimeLabel,
+    ValueSolution,
     bellman_backup,
     classify_regime,
     finite_horizon_oracle,
@@ -375,6 +377,138 @@ class TestSimulatePath:
             simulate_path(
                 FLAT, CostSchedule(maintain=[[0.1, 0.2]]), "never_stop", 0.9, 5, seed=0
             )
+
+
+def _reference_cost(value, t: int, state: int) -> float:
+    """A canonical cost value (float, per-period tuple or period x state table) at (t, state)."""
+    if isinstance(value, float):
+        return value
+    row = value[min(t, len(value) - 1)]
+    if isinstance(row, float):
+        return row
+    return row[0] if len(row) == 1 else row[state]
+
+
+def reference_simulate_path(process, costs, policy, delta, horizon, seed):
+    """The simulator written out once per process type, as the oracle for simulate_path.
+
+    Shock laws and chains draw once per continue step, even from a single
+    outcome; a deterministic process never draws.  Costs are read from the
+    canonical ``CostSchedule.collapse`` / ``maintain`` values.
+    """
+    rng = np.random.default_rng(seed)
+    p = process.defection_payoff
+    markov = isinstance(process, MarkovGrid)
+    state_index = 0
+    if markov:
+        cumulative_rows = np.cumsum(np.array(process.transition, dtype=float), axis=1)
+        state_index = process.initial_index
+        r = process.r_grid[state_index]
+    else:
+        r = process.initial_r
+        if isinstance(process, DiscreteShocks):
+            shock_growths = np.array([g for g, _ in process.support])
+            shock_cumulative = np.cumsum([q for _, q in process.support])
+    phi = 2.0 * (r - p)
+    steps, stop_time, discounted, absorbed = [], None, 0.0, False
+    for t in range(horizon):
+        if absorbed:
+            steps.append(PathStep(t, r, 0.0, "absorbed", 0.0, 2.0 * p))
+            continue
+        if isinstance(policy, ValueSolution):
+            decision = policy.decision_at(phi, t)
+        elif policy == "always_stop":
+            decision = Decision.STOP
+        elif policy == "never_stop":
+            decision = Decision.CONTINUE
+        else:
+            decision = policy(t, phi)
+        if decision is Decision.STOP:
+            stage = phi - _reference_cost(costs.collapse, t, state_index)
+            steps.append(PathStep(t, r, phi, "stop", stage, 2.0 * p))
+            discounted += delta**t * stage
+            stop_time, absorbed = t, True
+            continue
+        stage = -_reference_cost(costs.maintain, t, state_index)
+        steps.append(PathStep(t, r, phi, "continue", stage, 2.0 * r))
+        discounted += delta**t * stage
+        if markov:
+            state_index = int(
+                np.searchsorted(cumulative_rows[state_index], rng.random(), side="right")
+            )
+            state_index = min(state_index, len(process.r_grid) - 1)
+            r = process.r_grid[state_index]
+            phi = 2.0 * (r - p)
+        elif isinstance(process, Deterministic):
+            phi *= 1.0 + process.growth
+            r = p + phi / 2.0
+        else:
+            k = min(
+                int(np.searchsorted(shock_cumulative, rng.random(), side="right")),
+                shock_growths.size - 1,
+            )
+            phi *= 1.0 + shock_growths[k]
+            r = p + phi / 2.0
+    return steps, stop_time, discounted
+
+
+CHAIN = MarkovGrid(
+    r_grid=(3.0, 3.5, 4.0, 4.5),
+    transition=(
+        (0.5, 0.5, 0.0, 0.0),
+        (0.2, 0.3, 0.5, 0.0),
+        (0.0, 0.3, 0.3, 0.4),
+        (0.0, 0.0, 0.6, 0.4),
+    ),
+    defection_payoff=2.0,
+    initial_r=4.0,
+)
+SIMULATOR_PROCESSES = {
+    "flat": FLAT,  # a one-point grid
+    "growing": GROWING,
+    "shrinking": Deterministic(growth=-0.1, defection_payoff=2.0, initial_r=4.0),
+    "shocks": SHOCKS,
+    "one-atom-shocks": DiscreteShocks(((0.05, 1.0),), defection_payoff=2.0, initial_r=4.0),
+    "chain": CHAIN,
+    "one-state-chain": MarkovGrid((4.0,), ((1.0,),), defection_payoff=2.0, initial_r=4.0),
+}
+SIMULATOR_COSTS = {
+    "constant": CostSchedule(collapse=0.3, maintain=0.1),
+    "per-period": CostSchedule(collapse=[0.5, 0.2, 0.4], maintain=[0.3, 0.0, 0.15]),
+}
+SIMULATOR_CASES = [
+    (process, costs) for process in SIMULATOR_PROCESSES for costs in SIMULATOR_COSTS
+] + [("chain", "period-x-state"), ("one-state-chain", "period-x-state")]
+
+
+def _threshold_rule(t: int, phi: float) -> Decision:
+    return Decision.STOP if phi > 4.5 or t == 12 else Decision.CONTINUE
+
+
+class TestSimulatorOracle:
+    """simulate_path against the per-type reference, trajectory for trajectory."""
+
+    @pytest.mark.parametrize("process_name, costs_name", SIMULATOR_CASES)
+    def test_trajectories_equal_reference(self, process_name, costs_name):
+        process = SIMULATOR_PROCESSES[process_name]
+        if costs_name == "period-x-state":
+            n = len(process.r_grid)
+            costs = CostSchedule(
+                collapse=[[0.1 * (k + 1) for k in range(n)], [0.4] * n],
+                maintain=[[0.05 * k for k in range(n)]],
+            )
+        else:
+            costs = SIMULATOR_COSTS[costs_name]
+        greedy = value_iteration(process, costs, DPConfig(delta=0.9, r_cap=12.0, grid_points=40))
+        for policy in (greedy, "always_stop", "never_stop", _threshold_rule):
+            for seed in range(50):
+                got = simulate_path(process, costs, policy, 0.9, horizon=16, seed=seed)
+                steps, stop_time, discounted = reference_simulate_path(
+                    process, costs, policy, 0.9, 16, seed
+                )
+                assert got.steps == steps
+                assert got.stop_time == stop_time
+                assert got.discounted_payoff == discounted
 
 
 def regime_rows_per_cell(dp, axes) -> list[list]:
