@@ -112,7 +112,6 @@ from .stopping import (
     RegimeLabel,
     Trajectory,
     ValueSolution,
-    bellman_backup,
     classify_regime,
     finite_horizon_oracle,
     initial_phi,

@@ -19,7 +19,9 @@ payoff by at most max(gamma_plus, gamma_minus) * L * |kappa|, where L is the
 Lipschitz constant of g3 on the visited domain.  Summing the discounted
 series bounds the value-function displacement by that amount over (1 -
 delta); ``verify_shift_stability`` checks the bound empirically by solving
-the same discounted problem under both references.
+the same discounted problem under both references.  With a stop option the
+problem is the adversary's stop/continue fixed point, so both references are
+solved as one block by ``stopping.solve_cells``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
-from .stopping import NonConvergence
+from .stopping import NonConvergence, Transition, solve_cells
 
 
 class HypothesisViolation(ValueError):
@@ -254,8 +257,8 @@ class ShiftCheckSetup:
     ``optimize`` False the value of the always-continue policy is computed
     by a direct linear solve; with ``optimize`` True a stop option (collect
     the current state's payoff once, then nothing) is added and the optimal
-    value is found by value iteration.  Dynamics and forecasts must not
-    depend on the reference.
+    value is found by value iteration in :func:`stopping.solve_cells`.
+    Dynamics and forecasts must not depend on the reference.
     """
 
     x_grid: np.ndarray
@@ -308,24 +311,29 @@ def _stage_matrix(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
     return eval_reference_payoff(setup.params, obs)
 
 
-def _solve_values(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
-    stage = _stage_matrix(setup, reference)
-    expected_stage = (setup.transition * stage).sum(axis=1)
+def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
+    """The value over the grid under each reference, one row per reference."""
+    stages = [_stage_matrix(setup, reference) for reference in references]
+    expected_stage = np.array([(setup.transition * stage).sum(axis=1) for stage in stages])
     n = setup.x_grid.size
     if not setup.optimize:
+        # One solve per reference: a multi-column solve rounds differently.
         system = np.eye(n) - setup.delta * setup.transition
-        return np.linalg.solve(system, expected_stage)
-    stop = stage.diagonal()  # stopping in state i collects the payoff of the step i -> i
-    values = np.zeros(n)
-    for _ in range(SHIFT_CHECK_MAX_ITERATIONS):
-        updated = np.maximum(stop, expected_stage + setup.delta * (setup.transition @ values))
-        residual = float(np.max(np.abs(updated - values)))
-        if residual < 1e-12:
-            return updated
-        values = updated
-    raise NonConvergence(
-        "shift-check value iteration failed to converge", SHIFT_CHECK_MAX_ITERATIONS, residual
+        return np.array([np.linalg.solve(system, rhs) for rhs in expected_stage])
+    # V = max(stop, expected_stage + delta * P V) is the stop/continue problem on
+    # a zero grid with collapse cost -stop and maintenance cost -expected_stage;
+    # stopping in state i collects the payoff of the step i -> i once.
+    stop = np.array([stage.diagonal() for stage in stages])
+    kernel, deltas = Transition(matrix=setup.transition), np.full(len(stages), setup.delta)
+    block = solve_cells(
+        np.zeros(n), kernel, deltas, [-stop], [-expected_stage], 1e-12, SHIFT_CHECK_MAX_ITERATIONS
     )
+    if not block.converged.all():
+        residual = float(block.residual.max())
+        raise NonConvergence(
+            "shift-check value iteration failed to converge", SHIFT_CHECK_MAX_ITERATIONS, residual
+        )
+    return block.tail_values  # the fixed point; ``values`` would apply one more backup
 
 
 def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftCheckResult:
@@ -341,8 +349,7 @@ def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftChe
         )
     if not math.isfinite(setup.reference + kappa_ref):
         raise ValueError("shifted reference must be finite")
-    base = _solve_values(setup, setup.reference)
-    shifted = _solve_values(setup, setup.reference + kappa_ref)
+    base, shifted = _solve_values(setup, [setup.reference, setup.reference + kappa_ref])
     gap = float(np.max(np.abs(shifted - base)))
     domain = float(
         max(

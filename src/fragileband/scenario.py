@@ -82,6 +82,7 @@ from .stopping import (
     classify_regime,
     non_convergence_message,
     simulate_path,
+    simulated_on_chain,
     solve_cells,
     state_grid,
     transition_kernel,
@@ -901,6 +902,10 @@ def cmd_simulate(scenario: Scenario) -> ResultTable:
     dp = scenario.dp
     if dp.horizon is None:
         raise ValidationError("dp.horizon is required for simulate")
+    try:
+        simulated_on_chain(dp.process, dp.costs)
+    except ValueError as exc:
+        raise ValidationError(f"dp.costs.{exc}") from None
     policy = dp.policy
     if policy == "greedy":
         policy = value_iteration(dp.process, dp.costs, dp.config)

@@ -21,7 +21,9 @@ looks up ``rows[min(t, last)][state]`` in ``collapse_rows`` / ``maintain_rows``.
 per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
 cells that share a grid (discount, costs and deterministic growth may differ
 per cell), each cell with its own tolerance test, so every cell gets the
-bits of a one-cell :func:`value_iteration`.  :func:`simulate_path` draws
+bits of a one-cell :func:`value_iteration`.  It is the library's one
+fixed-point loop: single solves, regime maps and the reference-shift check
+(``reference._solve_values``) all run through it.  :func:`simulate_path` draws
 each step's outcome k from a cumulative row, a chain's current row or a
 shock law's one row (a one-outcome row takes no draw), then moves the chain
 to state k or multiplies phi by 1 + g_k.
@@ -467,7 +469,8 @@ def solve_cells(
 
     ``delta`` holds one discount per cell.  ``collapse`` and ``maintain``
     hold one entry per tabulated period (the last is held): a (states,) row
-    shared by every cell, or a (cells, 1) column of per-cell constants.
+    shared by every cell, a (cells, 1) column of per-cell constants, or a
+    (cells, states) block with one row per cell.
     The stationary tail is iterated to the sup-norm tolerance, cell by
     cell, and the finite cost prefix is then backward-inducted to period 0.
     ``residuals``, when given, receives the residual history of a one-cell
@@ -685,40 +688,6 @@ def finite_horizon_oracle(
     return values
 
 
-def bellman_backup(
-    values,
-    phi: float,
-    process: SurplusProcess,
-    costs: CostSchedule,
-    delta: float,
-    t: int = 0,
-) -> float:
-    """One backup at surplus level phi: max(stop, delta*E[V'] - C_m).
-
-    ``values`` is either a callable phi -> value or a vector over the
-    process's natural grid (MarkovGrid only; the diffuse processes have no
-    intrinsic grid, so pass a callable for them).
-    """
-    n_states, index = 1, 0
-    if isinstance(process, MarkovGrid):
-        grid, _ = state_grid(process, None, 2)
-        n_states, index = grid.size, _nearest_index(grid, phi)
-        if abs(grid[index] - phi) > 1e-9 * max(1.0, abs(phi)):
-            raise ValueError("phi must be one of the grid values")
-        if callable(values):
-            successor_values = np.array([values(float(s)) for s in grid])
-        else:
-            successor_values = np.asarray(values, dtype=float)
-        expected = float(process.matrix[index] @ successor_values)
-    else:
-        if not callable(values):
-            raise TypeError("values must be callable for diffuse surplus processes")
-        expected = sum(p * float(values(phi * (1.0 + g))) for g, p in process.support)
-    collapse = float(_period(costs.collapse_rows(n_states), t)[index])
-    maintain = float(_period(costs.maintain_rows(n_states), t)[index])
-    return max(phi - collapse, delta * expected - maintain)
-
-
 @dataclass(frozen=True)
 class PathStep:
     """One period of a simulated trajectory."""
@@ -754,6 +723,22 @@ def _resolve_decision(policy: PolicyRule, t: int, phi: float) -> Decision:
     return policy(t, phi)
 
 
+def simulated_on_chain(process: SurplusProcess, costs: CostSchedule) -> bool:
+    """True if the simulator moves on a chain's states, False if it multiplies phi.
+
+    Off a chain the simulated surplus leaves the solver's grid, where a
+    period x state cost table has no column: that raises a ValueError that
+    starts with the cost's name.
+    """
+    if isinstance(process, MarkovGrid):
+        return True
+    for name in ("collapse", "maintain"):
+        shape = np.shape(getattr(costs, name))
+        if len(shape) == 2 and shape[1] > 1:
+            raise ValueError(f"{name}: state-dependent costs require a MarkovGrid process")
+    return False
+
+
 def simulate_path(
     process: SurplusProcess,
     costs: CostSchedule,
@@ -776,13 +761,11 @@ def simulate_path(
     p = process.defection_payoff
     # Each outcome row is cumulative: a chain has one per state, a shock
     # law one row over its shocks.
-    chain = isinstance(process, MarkovGrid)
+    chain = simulated_on_chain(process, costs)
     if chain:
         outcomes = np.cumsum(process.matrix, axis=1).tolist()
         state = process.initial_index
     else:
-        if any(np.ndim(c) == 2 and np.shape(c)[1] > 1 for c in (costs.collapse, costs.maintain)):
-            raise ValueError("state-dependent costs require a MarkovGrid process")
         outcomes = [np.cumsum([q for _, q in process.support]).tolist()]
         growths = [g for g, _ in process.support]
         state = 0

@@ -161,6 +161,14 @@ def _state_cost_table_on_growth_axis(doc):
     doc["dp"]["costs"]["collapse"] = [[0.1] * width]
 
 
+def _state_cost_table_off_chain(doc):
+    # As wide as the preset's grid, so the scenario loads and band runs; the
+    # simulator multiplies a shock process's surplus off that grid.
+    dp = scenario_from_dict(doc).dp
+    width = state_grid(dp.process, dp.config.r_cap, dp.config.grid_points)[0].size
+    doc["dp"]["costs"]["maintain"] = [[0.1] * width]
+
+
 def _negative_seed(doc):
     doc["seed"] = -3
 
@@ -186,13 +194,18 @@ def _unchanged(doc):
             "dp.sweep.growth: the axis changes the state grid (size 1 at growth 0), "
             "so dp.costs.collapse cannot be a period x state table 160 wide",
         ),
+        (
+            "simulate",
+            _state_cost_table_off_chain,
+            "error: dp.costs.maintain: state-dependent costs require a MarkovGrid process",
+        ),
         ("simulate", _negative_seed, "seed must satisfy seed >= 0, got -3"),
         ("simulate --seed -1", _unchanged, "seed must satisfy seed >= 0, got -1"),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
-         "narrow-state-cost-table", "state-cost-table-on-growth-axis", "negative-seed",
-         "negative-seed-flag"],
+         "narrow-state-cost-table", "state-cost-table-on-growth-axis",
+         "state-cost-table-off-chain", "negative-seed", "negative-seed-flag"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())

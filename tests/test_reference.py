@@ -285,34 +285,49 @@ class TestVerifyShiftStability:
 
     def test_random_draws_satisfying_hypotheses(self):
         rng = np.random.default_rng(19)
-        for trial in range(30):
-            n = int(rng.integers(8, 25))
-            lo = rng.uniform(-3, 0)
-            hi = lo + rng.uniform(1, 6)
-            grid = np.linspace(lo, hi, n)
-            raw = rng.uniform(0.01, 1.0, size=(n, n))
-            transition = raw / raw.sum(axis=1, keepdims=True)
-            shape = [Identity(), Power(float(rng.uniform(1, 2))), Saturating(float(rng.uniform(0.5, 3)))][trial % 3]
-            params = ReferenceParams(
-                alpha=float(rng.uniform(-0.5, 0.5)),
-                beta_plus=float(rng.uniform(0, 1)),
-                beta_minus=float(rng.uniform(0, 1)),
-                gamma_plus=float(rng.uniform(0, 2)),
-                gamma_minus=float(rng.uniform(0, 2)),
-                cost=float(rng.uniform(0, 1)),
-                g3=shape,
-            )
-            setup = ShiftCheckSetup(
-                x_grid=grid,
-                transition=transition,
-                forecasts=grid.copy(),
-                params=params,
-                reference=float(rng.uniform(lo - 2, hi + 2)),
-                delta=float(rng.uniform(0.5, 0.95)),
-                optimize=bool(trial % 2),
-            )
+        for trial, setup in enumerate(_random_setups(rng, 30)):
             result = verify_shift_stability(setup, float(rng.uniform(-1, 1)))
             assert result.holds, trial
+
+    def test_one_block_matches_one_reference_calls(self):
+        """A multi-reference solve returns, row for row, the bits of one-reference solves."""
+        rng = np.random.default_rng(19)
+        for setup in _random_setups(rng, 30):
+            setup.optimize = True
+            references = setup.reference + np.concatenate([[0.0], rng.uniform(-1, 1, size=3)])
+            block = _solve_values(setup, references)
+            for row, reference in zip(block, references):
+                np.testing.assert_array_equal(row, _solve_values(setup, [reference])[0])
+
+
+def _random_setups(rng, trials: int):
+    """Dense random transitions and payoffs; every other setup has the stop option."""
+    for trial in range(trials):
+        n = int(rng.integers(8, 25))
+        lo = rng.uniform(-3, 0)
+        hi = lo + rng.uniform(1, 6)
+        grid = np.linspace(lo, hi, n)
+        raw = rng.uniform(0.01, 1.0, size=(n, n))
+        transition = raw / raw.sum(axis=1, keepdims=True)
+        shape = [Identity(), Power(float(rng.uniform(1, 2))), Saturating(float(rng.uniform(0.5, 3)))][trial % 3]
+        params = ReferenceParams(
+            alpha=float(rng.uniform(-0.5, 0.5)),
+            beta_plus=float(rng.uniform(0, 1)),
+            beta_minus=float(rng.uniform(0, 1)),
+            gamma_plus=float(rng.uniform(0, 2)),
+            gamma_minus=float(rng.uniform(0, 2)),
+            cost=float(rng.uniform(0, 1)),
+            g3=shape,
+        )
+        yield ShiftCheckSetup(
+            x_grid=grid,
+            transition=transition,
+            forecasts=grid.copy(),
+            params=params,
+            reference=float(rng.uniform(lo - 2, hi + 2)),
+            delta=float(rng.uniform(0.5, 0.95)),
+            optimize=bool(trial % 2),
+        )
 
 
 def _stage_matrix_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
@@ -397,10 +412,10 @@ class TestBroadcastStageMatrix:
             tol = 0.0 if exact else 8 * EPS * scale
             np.testing.assert_allclose(_stage_matrix(setup, reference), loop, rtol=0, atol=tol)
             np.testing.assert_allclose(
-                _solve_values(setup, reference),
+                _solve_values(setup, [reference])[0],
                 _solve_values_loop(setup, reference),
                 rtol=0,
-                atol=1e-12 * scale + tol / (1.0 - setup.delta),
+                atol=0.0 if exact else 1e-12 * scale + tol / (1.0 - setup.delta),
             )
 
     def test_nonfinite_inputs_still_rejected(self):

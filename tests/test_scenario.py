@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -498,3 +499,15 @@ class TestCmdRefShiftCheck:
     def test_requires_section(self, sns):
         with pytest.raises(ValidationError, match="reference section"):
             cmd_ref_shift_check(dataclasses.replace(sns, reference=None))
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("sns", "5653e657fb7790b0876561c7b49ad932068412f7eb8d21c7c034b0619da7dd11"),
+            ("metagame", "8df894437f93f9844453d65032b5f93c244aa447be6560faf8019fa1591a9a5f"),
+        ],
+    )
+    def test_csv_bytes_pinned(self, name, digest):
+        # sns solves linearly, metagame has the stop option (value iteration).
+        table = cmd_ref_shift_check(load_scenario(preset_path(name)))
+        assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest

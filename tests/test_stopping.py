@@ -30,13 +30,14 @@ from fragileband.stopping import (
     PathStep,
     RegimeLabel,
     ValueSolution,
-    bellman_backup,
     classify_regime,
     finite_horizon_oracle,
     initial_phi,
     simulate_path,
     stagnation_sufficient,
+    state_grid,
     stop_value,
+    transition_kernel,
     value_iteration,
 )
 
@@ -76,20 +77,28 @@ class TestStagnationSufficient:
 
 
 class TestBellmanBackup:
+    """One backup max(stop, delta*E[V'] - C_m), by hand, through the solver's pieces."""
+
     def test_zero_continuation(self):
-        value = bellman_backup(lambda phi: 0.0, 4.0, FLAT, CostSchedule(maintain=0.7), 0.9)
-        assert value == max(4.0, -0.7)
-        value = bellman_backup(lambda phi: 0.0, 0.5, FLAT, CostSchedule(maintain=0.7), 0.9)
-        assert value == 0.5
+        costs = CostSchedule(maintain=0.7)
+        value = finite_horizon_oracle(FLAT, costs, 0.9, horizon=1)
+        assert value.tolist() == [max(4.0, -0.7)]
+        low = Deterministic(growth=0.0, defection_payoff=2.0, initial_r=2.25)  # phi = 0.5
+        assert finite_horizon_oracle(low, costs, 0.9, horizon=1).tolist() == [0.5]
 
     def test_identity_value_flat_growth(self):
         # V = phi on successors: backup = max(phi, delta*phi) = phi
-        assert bellman_backup(lambda phi: phi, 4.0, FLAT, CostSchedule(), 0.9) == 4.0
+        grid = np.array([4.0])
+        expected = transition_kernel(FLAT, grid).expect(grid)
+        assert expected.tolist() == [4.0]
+        assert max(4.0, 0.9 * expected[0]) == 4.0
 
     def test_shock_expectation_by_hand(self):
-        value = bellman_backup(lambda phi: phi, 4.0, SHOCKS, CostSchedule(), 0.9)
+        grid = 4.0 * (1.0 + np.array([-0.2, 0.0, 0.2]))  # phi = 4 and both successors
+        expected = transition_kernel(SHOCKS, grid).expect(grid)
         # E[V'] = 0.5*4.8 + 0.5*3.2 = 4; continue = 3.6 < stop = 4
-        assert value == 4.0
+        assert expected[1] == 4.0
+        assert max(4.0, 0.9 * expected[1]) == 4.0
 
     def test_markov_with_vector_values(self):
         chain = MarkovGrid(
@@ -98,13 +107,11 @@ class TestBellmanBackup:
             defection_payoff=2.0,
             initial_r=3.0,
         )
+        grid, _ = state_grid(chain, None, 2)
         values = np.array([2.0, 4.0])
-        got = bellman_backup(values, 2.0, chain, CostSchedule(), 0.9)
-        assert got == max(2.0, 0.9 * (0.5 * 2.0 + 0.5 * 4.0))
-
-    def test_diffuse_requires_callable(self):
-        with pytest.raises(TypeError, match="callable"):
-            bellman_backup(np.zeros(3), 4.0, FLAT, CostSchedule(), 0.9)
+        expected = transition_kernel(chain, grid).expect(values)
+        assert expected[0] == 0.5 * 2.0 + 0.5 * 4.0
+        assert 0.9 * expected[0] > 2.0  # continuing beats stopping at phi = 2
 
 
 class TestValueIteration:
