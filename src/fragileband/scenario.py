@@ -11,8 +11,8 @@ they produce byte-identical serialized output.
 
 CSV convention: UTF-8, comma separated, '.' decimal, reals at 17
 significant digits (round-trip safe), metadata as '#'-prefixed key=value
-header lines.  JSON outputs carry the same metadata/columns/rows structure;
-both schemas are shipped under docs/.
+header lines.  JSON outputs carry the same metadata/columns/rows structure,
+with NaN as null; both schemas are shipped under docs/.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import types
 from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
@@ -314,6 +316,9 @@ class Scenario:
     output: OutputSection = OutputSection()
 
     def __post_init__(self) -> None:
+        # The name is written into a '# scenario=' header line of the CSV.
+        if "".join(self.name.splitlines()) != self.name:
+            raise ValidationError(f"name must not contain a line break, got {self.name!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must satisfy seed >= 0, got {self.seed}")
 
@@ -610,6 +615,14 @@ def preset_path(name: str) -> Path:
 
 @dataclass(eq=False)
 class ResultTable:
+    """A command's output: named columns, rows of cells, string metadata.
+
+    The codec dispatches once per column: a column of one plain type (every
+    command builds such columns) takes one ``%`` template piece in CSV and one
+    C-encoder call in JSON; other columns are converted cell by cell to the
+    same bytes.  README.md ("CSV convention") states how cells read back.
+    """
+
     columns: list[str]
     rows: list[list]
     metadata: dict[str, str]
@@ -621,20 +634,41 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("rows must be rectangular")
 
+    def _column_types(self) -> list:
+        """The one type of each column's cells; None when they mix types or there are none."""
+        kinds = []
+        for j in range(len(self.columns)):
+            found = set(map(type, map(operator.itemgetter(j), self.rows)))
+            kinds.append(found.pop() if len(found) == 1 else None)
+        return kinds
+
     def to_csv(self) -> str:
         lines = [f"# {key}={value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_format_cell(cell) for cell in row))
+        kinds = self._column_types()
+        template = ",".join(_CSV_TEMPLATE.get(kind, "%s") for kind in kinds)
+        converted = {j for j, kind in enumerate(kinds) if kind not in _CSV_TEMPLATE}
+        rows = self.rows
+        if converted:
+            rows = (
+                [_format_cell(c) if j in converted else c for j, c in enumerate(row)]
+                for row in rows
+            )
+        lines += [template % tuple(row) for row in rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "metadata": dict(self.metadata),
-            "columns": list(self.columns),
-            "rows": [[_json_cell(cell) for cell in row] for row in self.rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        payload = {"metadata": dict(self.metadata), "columns": list(self.columns)}
+        if not (self.rows and self.columns):  # no cells
+            return json.dumps({**payload, "rows": [[] for _ in self.rows]}, indent=2) + "\n"
+        cells = [
+            _JSON_COLUMN.get(kind, _json_cells)(list(map(operator.itemgetter(j), self.rows)))
+            for j, kind in enumerate(self._column_types())
+        ]
+        # The layout json.dumps(..., indent=2) gives: rows at depth 2, cells at 3.
+        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+        head = json.dumps(payload, indent=2)[:-2]
+        return f'{head},\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}\n'
 
     @staticmethod
     def from_csv(text: str) -> "ResultTable":
@@ -643,14 +677,15 @@ class ResultTable:
         body = []
         for line in lines:
             if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
+                key, _, value = line[1:].removeprefix(" ").partition("=")
                 metadata[key] = value
             else:
                 body.append(line)
         if not body:
             raise ValueError("CSV table must have a header line")
         columns = body[0].split(",")
-        rows = [[_parse_cell(cell) for cell in line.split(",")] for line in body[1:]]
+        parse = _cell_parser()
+        rows = [list(map(parse, line.split(","))) for line in body[1:]]
         return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
     @staticmethod
@@ -658,9 +693,15 @@ class ResultTable:
         payload = json.loads(text)
         return ResultTable(
             columns=list(payload["columns"]),
-            rows=[list(row) for row in payload["rows"]],
+            rows=[[math.nan if cell is None else cell for cell in row] for row in payload["rows"]],
             metadata=dict(payload["metadata"]),
         )
+
+
+# The '%' template piece of each plain column type; the cells of any other
+# column are formatted one by one and written with '%s'.  '%.17g' % x is
+# format(x, '.17g').
+_CSV_TEMPLATE = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _format_cell(value) -> str:
@@ -673,29 +714,61 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _json_cell(value):
+def _json_numbers(column: list) -> list[str]:
+    """JSON text of each cell of a float, int or bool column, NaN as null."""
+    return json.dumps(column)[1:-1].replace("NaN", "null").split(", ")
+
+
+def _json_cells(column: list) -> list[str]:
+    """JSON text of each cell of a column of mixed or other types."""
+    return [_json_cell(cell) for cell in column]
+
+
+def _json_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return str(value)
+        value = bool(value)
+    elif isinstance(value, (int, np.integer)):
+        value = int(value)
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+    else:
+        value = str(value)
+    return "null" if value != value else json.dumps(value)
 
 
-def _parse_cell(cell: str):
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
+_JSON_COLUMN = {
+    float: _json_numbers,
+    int: _json_numbers,
+    bool: _json_numbers,
+    str: lambda column: list(map(encode_basestring_ascii, column)),
+}
+
+
+def _cell_parser():
+    """The cell parser of one CSV text: true/false give bool, what int() reads
+    gives int, what float() reads gives float, and other cells stay str.
+
+    float() reads every cell int() reads, as a whole number or an infinity,
+    so it runs first and int() only on those.  Non-numbers are memoized.
+    """
+    words = {"true": True, "false": False}
+
+    def parse(cell: str):
+        if cell in words:
+            return words[cell]
+        try:
+            number = float(cell)
+        except ValueError:
+            words[cell] = cell
+            return cell
+        if number.is_integer() or math.isinf(number):
+            try:
+                return int(cell)
+            except ValueError:
+                pass
+        return number
+
+    return parse
 
 
 def _metadata(scenario: Scenario, command: str, extra: dict[str, str] | None = None):

@@ -177,6 +177,10 @@ def _unchanged(doc):
     pass
 
 
+def _two_line_name(doc):
+    doc["name"] = "a\rb"
+
+
 @pytest.mark.parametrize(
     "command, edit, message",
     [
@@ -201,11 +205,12 @@ def _unchanged(doc):
         ),
         ("simulate", _negative_seed, "seed must satisfy seed >= 0, got -3"),
         ("simulate --seed -1", _unchanged, "seed must satisfy seed >= 0, got -1"),
+        ("band", _two_line_name, "error: name must not contain a line break, got 'a\\rb'"),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
          "narrow-state-cost-table", "state-cost-table-on-growth-axis",
-         "state-cost-table-off-chain", "negative-seed", "negative-seed-flag"],
+         "state-cost-table-off-chain", "negative-seed", "negative-seed-flag", "two-line-name"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import fragileband.scenario as scenario_module
 from fragileband.cli import run
 from fragileband.game import CurveError, PhaseLabel, TabulatedCurve, classify_phase_nonlinear
 from fragileband.scenario import (
+    COMMANDS,
     ParseError,
     RegimeSweep,
     ResultTable,
@@ -138,6 +140,17 @@ class TestLoading:
         doc["recognition"]["sweep"]["steps"] = 21.0
         assert scenario_from_dict(doc) == sns
 
+    @pytest.mark.parametrize(
+        "name",
+        ["a\nb", "a\rb", "a\r\nb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\n"],
+    )
+    def test_name_with_line_break_rejected(self, sns, name):
+        # The name is a CSV header line; a line break in it would split the table.
+        doc = scenario_to_dict(sns)
+        doc["name"] = name
+        with pytest.raises(ValidationError, match="^name must not contain a line break"):
+            scenario_from_dict(doc)
+
 
 # (dotted key to set, value, key path the error must name); every one also
 # breaks the generated schema.
@@ -236,6 +249,43 @@ class TestResultTable:
             parsed = ResultTable.from_csv(table.to_csv())
             assert parsed.columns == table.columns
             assert all(len(row) == len(parsed.columns) for row in parsed.rows)
+
+    def test_metadata_values_round_trip_exactly(self, sns):
+        table = cmd_band(dataclasses.replace(sns, name=" padded "))
+        assert table.metadata["scenario"] == " padded "
+        assert ResultTable.from_csv(table.to_csv()).metadata == table.metadata
+
+    def test_json_is_strict_and_nan_is_null(self, sns, metagame):
+        import jsonschema
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} in JSON")
+
+        schema = json.loads(
+            (Path(__file__).resolve().parents[1] / "docs" / "result_table.schema.json").read_text()
+        )
+        doc = scenario_to_dict(sns)
+        doc["dp"]["process"] = {
+            "kind": "markov_grid",
+            "r_grid": [3.0, 4.0, 5.0],
+            "transition": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+            "defection_payoff": 2.0,
+            "initial_r": 4.0,
+        }
+        doc["dp"]["sweep"] = {
+            "delta": {"start": 0.5, "stop": 0.9, "steps": 3},
+            "collapse_cost": {"start": 0.0, "stop": 1.0, "steps": 2},
+        }
+        markov_map = cmd_regime_map(scenario_from_dict(doc))
+        assert all(math.isnan(row[-1]) for row in markov_map.rows)
+        tables = [markov_map] + [
+            command(scenario) for scenario in (sns, metagame) for command in COMMANDS.values()
+        ]
+        for table in tables:
+            text = table.to_json()
+            jsonschema.validate(json.loads(text, parse_constant=reject), schema)
+            assert ResultTable.from_json(text).to_csv() == table.to_csv()
+        assert '      null\n' in markov_map.to_json()
 
     def test_csv_floats_are_17_significant_digits(self):
         table = ResultTable(columns=["v"], rows=[[2.0 / 3.0]], metadata={})
@@ -511,3 +561,40 @@ class TestCmdRefShiftCheck:
         # sns solves linearly, metagame has the stop option (value iteration).
         table = cmd_ref_shift_check(load_scenario(preset_path(name)))
         assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of to_csv() and to_json() of every command on both presets.
+PRESET_OUTPUT_DIGESTS = [
+    ("sns", "band", "88705df249e2444f4f6963f2b9d742bea3c7f01acf363bda3cada4967b8de9aa",
+     "db1c97230fd1f92858917395ac3c809b3b9d2027c76c3a059a60dba53d08bc5f"),
+    ("sns", "phase-sweep", "e0c3aef7fa05401592fa175c4f45a769267096f8c98f67ab5d64462636761c63",
+     "e45b2e1fb9b1dbdb511b6501864609c1cc4f05edf7669803656850d81ce99512"),
+    ("sns", "regime-map", "5930cb0b8a319a625f8849a1f219ff10d10f0f92bd7baf0fec65b85ddd786138",
+     "739890783ff6a8947fcc9b37b6ea589b16aec03f0b3481371414e681318cde1e"),
+    ("sns", "simulate", "c3d279ad075334f763f8a9268a504ed56ee53dad95439a038a0a10b8ad6508e5",
+     "d625f316be1a126d505d978afa3c415468df6e5c2d2298048406db12dd7f6335"),
+    ("sns", "mass-sim", "5b46f0d278b4e05094299260afb1b64a416d4f61f9257fe1b710e5eab3a4f84f",
+     "52494b865cb9c148e917b7049f78453621e4a0d437005a85e66794daa7343907"),
+    ("sns", "ref-shift-check", "5653e657fb7790b0876561c7b49ad932068412f7eb8d21c7c034b0619da7dd11",
+     "d0b0267d5da6a3f9cb8011bc3f3142d213e68042d956e3a65022f844f24cf8e9"),
+    ("metagame", "band", "33889f24619062d57a75f3729e43dc9b871ee7be4f263dca440493a48093df18",
+     "8be8f1b394b06ae91c328cff3f750c233f67efa2ef0f2bf9d430513ae5474393"),
+    ("metagame", "phase-sweep", "5c0fad97e80485a4c2e7b65cd5891a4a9fed31e229f67e89b01ee02c4e098b3e",
+     "1d50cea30eaa1ad23b472fdcec3ab9396a26d1f3df5a55d45f524cb5a2ba2bdb"),
+    ("metagame", "regime-map", "9d220aecff88d63b62a543fbfa0f23a119d66f1f6ad3f32a3db82d7769464f3e",
+     "a8a20d3c77a8745df25dbb26ae52a1db972edaa5100ab7df2973023305442a12"),
+    ("metagame", "simulate", "72ac9e65d8d127ddfbf29ca83f7da0103559849855a6537db1ebe0d72c9870ae",
+     "d04524f3de16cbc81908eee9c1e6b106cde75dfa39e86bf02e24e68357f4d124"),
+    ("metagame", "mass-sim", "3609c16678afb8576441719e8ff38001ae15959d98702b92bfdf91e4bd668084",
+     "2bf34aa8ac188e611fab600e30353fbd4e0c401fa5e04717ba928f50384c9f1f"),
+    ("metagame", "ref-shift-check",
+     "8df894437f93f9844453d65032b5f93c244aa447be6560faf8019fa1591a9a5f",
+     "38731926187d2c47759b9d8ef7753b6a69f229e25c130f49cfb07544c0ad42cc"),
+]
+
+
+@pytest.mark.parametrize("name, command, csv_digest, json_digest", PRESET_OUTPUT_DIGESTS)
+def test_preset_outputs_pinned(name, command, csv_digest, json_digest):
+    table = COMMANDS[command](load_scenario(preset_path(name)))
+    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == csv_digest
+    assert hashlib.sha256(table.to_json().encode("utf-8")).hexdigest() == json_digest
