@@ -333,7 +333,7 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
         raise NonConvergence(
             "shift-check value iteration failed to converge", SHIFT_CHECK_MAX_ITERATIONS, residual
         )
-    return block.tail_values  # the fixed point; ``values`` would apply one more backup
+    return block.layers[-1]  # the fixed point; ``values`` would apply one more backup
 
 
 def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftCheckResult:

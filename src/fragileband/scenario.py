@@ -1,9 +1,11 @@
 """Scenario files, result tables, and the computations behind each CLI command.
 
 A scenario document has the shape of the :class:`Scenario` dataclass tree,
-one key per field.  One table-driven codec reads and writes it and generates
-``docs/scenario.schema.json``; :data:`KINDS`, :data:`NULLABLE`, :data:`IGNORED`
-and :data:`CONVERTED` hold what the field types do not say.  An unknown key,
+one key per field, each field typed as the document writes it; only
+``dp.delta`` sits one level above the :class:`DPConfig` it feeds.  One
+table-driven codec reads and writes it and generates
+``docs/scenario.schema.json``; :data:`KINDS`, :data:`NULLABLE` and
+:data:`IGNORED` hold what the field types do not say.  An unknown key,
 a wrong JSON type or a missing key is a :class:`ValidationError` naming its
 key path; value rules are checked by the dataclasses.  Commands are pure
 functions Scenario -> :class:`ResultTable`; given the same scenario and seed
@@ -12,7 +14,8 @@ they produce byte-identical serialized output.
 CSV convention: UTF-8, comma separated, '.' decimal, reals at 17
 significant digits (round-trip safe), metadata as '#'-prefixed key=value
 header lines.  JSON outputs carry the same metadata/columns/rows structure,
-with NaN as null; both schemas are shipped under docs/.
+with NaN as null and infinities as the numbers 1e999 / -1e999; both schemas
+are shipped under docs/.
 """
 
 from __future__ import annotations
@@ -154,46 +157,26 @@ class RecognitionSection:
             raise ValueError("recognition.sweep: w must satisfy w >= 0 at start and stop")
 
 
-@dataclass(frozen=True)
-class RegimeSweep:
-    axes: tuple[tuple[RegimeAxis, SweepRange], tuple[RegimeAxis, SweepRange]]
-
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.axes]
-        if len(self.axes) != 2 or len(set(names)) != 2:
-            raise ValueError("regime-map sweeps take exactly two distinct axes")
-        for name in names:
-            if name not in REGIME_AXES:
-                raise ValueError(
-                    f"unknown sweep axis '{name}'; choose from {', '.join(REGIME_AXES)}"
-                )
-
-
 # The regime-map axes of a scenario without dp.sweep.
-DEFAULT_REGIME_SWEEP = RegimeSweep(
-    axes=(("delta", SweepRange(0.5, 0.99, 20)), ("growth", SweepRange(0.0, 0.5, 20)))
-)
+DEFAULT_REGIME_SWEEP = {"delta": SweepRange(0.5, 0.99, 20), "growth": SweepRange(0.0, 0.5, 20)}
 
 
-def _dp_grid(process: SurplusProcess, config: DPConfig, costs: CostSchedule, swept=()):
+def _dp_grid(process: SurplusProcess, config: DPConfig, costs: CostSchedule):
     """The state grid and initial index, checked against r_cap and the cost tables.
 
-    A period x state cost table must be as wide as the grid, unless a regime
-    axis in ``swept`` replaces it.
+    A period x state cost table needs a chain, and must be as wide as its grid.
     """
     try:
         grid, index = state_grid(process, config.r_cap, config.grid_points)
     except ValueError as exc:  # state_grid's only errors are its r_cap rules
         raise ValidationError(f"dp.config.{exc}") from None
+    try:
+        simulated_on_chain(process, costs)
+    except ValueError as exc:
+        raise ValidationError(f"dp.costs.{exc}") from None
     for name in ("collapse", "maintain"):
         shape = np.shape(getattr(costs, name))
-        if len(shape) == 2 and shape[1] not in (1, grid.size) and f"{name}_cost" not in swept:
-            if "growth" in swept:
-                raise ValidationError(
-                    f"dp.sweep.growth: the axis changes the state grid (size {grid.size} at "
-                    f"growth {process.growth:g}), so dp.costs.{name} cannot be a period x state "
-                    f"table {shape[1]} wide"
-                )
+        if len(shape) == 2 and shape[1] not in (1, grid.size):
             raise ValidationError(
                 f"dp.costs.{name}: a period x state table must be {grid.size} wide, not {shape[1]}"
             )
@@ -207,13 +190,20 @@ class DpSection:
     config: DPConfig
     policy: Policy = "greedy"
     horizon: int | None = None
-    sweep: RegimeSweep | None = None
+    sweep: dict[RegimeAxis, SweepRange] | None = None
 
     def __post_init__(self) -> None:
         if self.policy not in get_args(Policy):
             raise ValueError("dp.policy must be greedy, always_stop, or never_stop")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must satisfy horizon >= 1")
+        for name in self.sweep or ():
+            if name not in REGIME_AXES:
+                raise ValueError(
+                    f"dp.sweep.{name}: unknown sweep axis; choose from {', '.join(REGIME_AXES)}"
+                )
+        if self.sweep is not None and len(self.sweep) != 2:
+            raise ValueError(f"dp.sweep: a regime map takes two axes, got {len(self.sweep)}")
         _dp_grid(self.process, self.config, self.costs)
 
 
@@ -352,42 +342,14 @@ NULLABLE = {(DPConfig, "r_cap"), (OutputSection, "path")}
 # Keys accepted and ignored: older scenarios gave the noise a sample count.
 IGNORED = {(NoiseSpec, "samples")}
 
-
-@dataclass(frozen=True)
-class Shock:
-    """One entry of a discrete-shocks ``support``: a growth rate and its probability."""
-
-    growth: float
-    prob: float
-
-
-# Fields whose document form differs from the model's type:
-# (owner, field) -> (document type, document -> model, model -> document).
-# Besides these, dp.delta is written one level above the DPConfig it feeds.
-CONVERTED = {
-    (DiscreteShocks, "support"): (
-        tuple[Shock, ...],
-        lambda shocks: tuple((shock.growth, shock.prob) for shock in shocks),
-        lambda support: tuple(Shock(*pair) for pair in support),
-    ),
-    (DpSection, "sweep"): (
-        dict[RegimeAxis, SweepRange],
-        lambda axes: RegimeSweep(axes=tuple(axes.items())),
-        lambda sweep: dict(sweep.axes),
-    ),
-}
-
 _JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 
 
 @functools.cache
 def _fields(cls) -> tuple[tuple[str, object, object], ...]:
-    """(key, document type, default or MISSING) of each field of a dataclass."""
+    """(key, type, default or MISSING) of each field of a dataclass."""
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, CONVERTED.get((cls, f.name), (hints[f.name],))[0], f.default)
-        for f in dataclasses.fields(cls)
-    )
+    return tuple((f.name, hints[f.name], f.default) for f in dataclasses.fields(cls))
 
 
 def _mismatch(path: str, expected: str, value) -> ValidationError:
@@ -460,8 +422,7 @@ def _decode_object(cls, doc, path: str, **given):
         elif doc[key] is None and (cls, key) in NULLABLE:
             kwargs[key] = None
         else:
-            value = _decode(hint, doc[key], prefix + key)
-            kwargs[key] = CONVERTED[cls, key][1](value) if (cls, key) in CONVERTED else value
+            kwargs[key] = _decode(hint, doc[key], prefix + key)
     return cls(**kwargs)
 
 
@@ -482,8 +443,6 @@ def _encode(value):
         doc = {"kind": _KIND_OF[cls]} if cls in _KIND_OF else {}
         for key, _, _ in _fields(cls):
             item = getattr(value, key)
-            if item is not None and (cls, key) in CONVERTED:
-                item = CONVERTED[cls, key][2](item)
             if item is not None or (cls, key) in NULLABLE:
                 doc[key] = _encode(item)
         if cls is DpSection:  # dp.delta is written above the DPConfig it feeds
@@ -715,8 +674,13 @@ def _format_cell(value) -> str:
 
 
 def _json_numbers(column: list) -> list[str]:
-    """JSON text of each cell of a float, int or bool column, NaN as null."""
-    return json.dumps(column)[1:-1].replace("NaN", "null").split(", ")
+    """JSON text of each cell of a float, int or bool column.
+
+    JSON has no NaN or infinity: NaN is null, and +-inf the numbers +-1e999,
+    which JSON parsers read back as +-inf.
+    """
+    text = json.dumps(column)[1:-1].replace("NaN", "null").replace("Infinity", "1e999")
+    return text.split(", ")
 
 
 def _json_cells(column: list) -> list[str]:
@@ -726,14 +690,12 @@ def _json_cells(column: list) -> list[str]:
 
 def _json_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
-        value = bool(value)
-    elif isinstance(value, (int, np.integer)):
-        value = int(value)
-    elif isinstance(value, (float, np.floating)):
-        value = float(value)
-    else:
-        value = str(value)
-    return "null" if value != value else json.dumps(value)
+        return json.dumps(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return json.dumps(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _json_numbers([float(value)])[0]
+    return json.dumps(str(value))
 
 
 _JSON_COLUMN = {
@@ -746,7 +708,8 @@ _JSON_COLUMN = {
 
 def _cell_parser():
     """The cell parser of one CSV text: true/false give bool, what int() reads
-    gives int, what float() reads gives float, and other cells stay str.
+    gives int (but a negative zero stays the float -0.0), what float() reads
+    gives float, and other cells stay str.
 
     float() reads every cell int() reads, as a whole number or an infinity,
     so it runs first and int() only on those.  Non-numbers are memoized.
@@ -762,6 +725,8 @@ def _cell_parser():
             words[cell] = cell
             return cell
         if number.is_integer() or math.isinf(number):
+            if not number and math.copysign(1.0, number) < 0:
+                return number  # int() would drop the sign of -0
             try:
                 return int(cell)
             except ValueError:
@@ -854,12 +819,12 @@ def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.nd
     return values
 
 
-def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int, swept):
+def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
     """(rows, process, grid, initial index) of each block, ordered by first row.
 
     The cells of a block share one state grid.  Only a swept growth rate
-    moves the grid, and only through its sign.  Each grid is checked against
-    r_cap and the cost tables that no axis in ``swept`` replaces.
+    moves the grid, and only through its sign; each grid is checked against
+    r_cap.
     """
     rows = np.arange(count)
     groups = [rows] if growth is None else [
@@ -870,7 +835,7 @@ def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int, swept):
         process = dp.process
         if growth is not None:
             process = dataclasses.replace(process, growth=float(growth[group[0]]))
-        grid, index = _dp_grid(process, dp.config, dp.costs, swept)
+        grid, index = _dp_grid(process, dp.config, dp.costs)
         size = max(1, REGIME_BLOCK_VALUES // grid.size)
         blocks += [
             (group[start : start + size], process, grid, index)
@@ -891,7 +856,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     if scenario.dp is None:
         raise ValidationError("dp section is required for regime-map")
     dp = scenario.dp
-    (name1, sweep1), (name2, sweep2) = (dp.sweep or DEFAULT_REGIME_SWEEP).axes
+    (name1, sweep1), (name2, sweep2) = (dp.sweep or DEFAULT_REGIME_SWEEP).items()
     outer = _axis_values(name1, sweep1, dp.process)
     inner = _axis_values(name2, sweep2, dp.process)
     cells = {name1: np.repeat(outer, inner.size), name2: np.tile(inner, outer.size)}
@@ -903,7 +868,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     gain, cost_diff, value = np.empty(count), np.empty(count), np.empty(count)
     stop = np.empty(count, dtype=bool)
     failed = None
-    for rows, process, grid, i in _regime_blocks(dp, growth, count, cells):
+    for rows, process, grid, i in _regime_blocks(dp, growth, count):
         if failed is not None and rows[0] > failed[0]:
             break
         n = grid.size
@@ -975,10 +940,6 @@ def cmd_simulate(scenario: Scenario) -> ResultTable:
     dp = scenario.dp
     if dp.horizon is None:
         raise ValidationError("dp.horizon is required for simulate")
-    try:
-        simulated_on_chain(dp.process, dp.costs)
-    except ValueError as exc:
-        raise ValidationError(f"dp.costs.{exc}") from None
     policy = dp.policy
     if policy == "greedy":
         policy = value_iteration(dp.process, dp.costs, dp.config)

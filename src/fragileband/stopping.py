@@ -10,12 +10,15 @@ discounted expected future value alive):
     V(phi) = max( phi - C_c,  delta * E[V(phi')] - C_m )
 
 Each surplus process states its law once.  Deterministic growth (one atom)
-and i.i.d. discrete growth shocks give a ``support`` of (g, p) shocks that
-multiply phi by 1 + g on a log-spaced grid truncated at a cap; their mean
-growth follows from it.  A Markov chain on an R grid gives its read-only
-transition ``matrix`` (mean growth NaN).  Costs are constants, per-period
-tables (last entry held forever) or period x state tables, and every reader
-looks up ``rows[min(t, last)][state]`` in ``collapse_rows`` / ``maintain_rows``.
+and i.i.d. discrete growth shocks give a ``support`` of :class:`Shock` entries
+(unpacking as (g, p)) that multiply phi by 1 + g on a log-spaced grid
+truncated at a cap; their mean growth follows from it.  A Markov chain on an
+R grid gives its read-only transition ``matrix`` (mean growth NaN).  Costs
+are constants, per-period tables (last entry held forever) or period x state
+tables, and every reader looks up ``rows[min(t, last)][state]`` in
+``collapse_rows`` / ``maintain_rows``.  A period x state table is as wide as a
+chain's grid; the other processes leave the solver's grid when simulated, so
+the scenario loader accepts wide tables only on a chain.
 
 :class:`Transition` is the kernel on a grid: one linear-interpolation piece
 per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
@@ -23,10 +26,12 @@ cells that share a grid (discount, costs and deterministic growth may differ
 per cell), each cell with its own tolerance test, so every cell gets the
 bits of a one-cell :func:`value_iteration`.  It is the library's one
 fixed-point loop: single solves, regime maps and the reference-shift check
-(``reference._solve_values``) all run through it.  :func:`simulate_path` draws
-each step's outcome k from a cumulative row, a chain's current row or a
-shock law's one row (a one-outcome row takes no draw), then moves the chain
-to state k or multiplies phi by 1 + g_k.
+(``reference._solve_values``) all run through it, and it returns the values
+of every period, so the greedy lookup of :class:`ValueSolution` reads the
+exact layer of each period.  :func:`simulate_path` draws each step's outcome
+k from a cumulative row, a chain's current row or a shock law's one row (a
+one-outcome row takes no draw), then moves the chain to state k or
+multiplies phi by 1 + g_k.
 
 The per-state diagnostics
 
@@ -87,8 +92,19 @@ def _check_common(defection_payoff: float, initial_r: float) -> None:
         raise InvalidProcess("initial cooperative payoff must satisfy R_0 > P")
 
 
+@dataclass(frozen=True)
+class Shock:
+    """One entry of a shock ``support``: a growth rate and its probability, as (g, p)."""
+
+    growth: float
+    prob: float
+
+    def __iter__(self):
+        return iter((self.growth, self.prob))
+
+
 class _ShockLaw:
-    """I.i.d. multiplicative growth shocks, read from ``support`` as (g, p) pairs."""
+    """I.i.d. multiplicative growth shocks, read from ``support`` as (g, p) shocks."""
 
     def mean_growth(self) -> float:
         return sum(g * p for g, p in self.support)
@@ -111,22 +127,23 @@ class Deterministic(_ShockLaw):
             raise InvalidProcess("growth rates must satisfy g > -1")
 
     @property
-    def support(self) -> tuple[tuple[float, float], ...]:
-        """The growth law as (g, p) shocks: a single atom."""
-        return ((self.growth, 1.0),)
+    def support(self) -> tuple[Shock, ...]:
+        """The growth law as shocks: a single atom."""
+        return (Shock(self.growth, 1.0),)
 
 
 @dataclass(frozen=True)
 class DiscreteShocks(_ShockLaw):
     """Surplus multiplied by (1 + g_k) with probability p_k each period."""
 
-    support: tuple[tuple[float, float], ...]
+    support: tuple[Shock, ...]
     defection_payoff: float
     initial_r: float
 
     def __post_init__(self) -> None:
         _check_common(self.defection_payoff, self.initial_r)
-        support = tuple((float(g), float(p)) for g, p in self.support)
+        # Any (g, p) pairs become shocks.
+        support = tuple(Shock(float(g), float(p)) for g, p in self.support)
         object.__setattr__(self, "support", support)
         if not support:
             raise InvalidProcess("shock support must be nonempty")
@@ -439,17 +456,19 @@ def _block_rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
 class CellSolutions:
     """Period-0 results of a block solve, one row per cell.
 
-    ``values``, ``stop``, ``delta_gain``, ``cost_differential`` and
-    ``tail_values`` are (cells, states); ``iterations``, ``residual`` and
-    ``converged`` are (cells,).  A cell that misses the tolerance reports
-    the iteration budget and its last residual.
+    ``values``, ``stop``, ``delta_gain`` and ``cost_differential`` are
+    (cells, states); ``iterations``, ``residual`` and ``converged`` are
+    (cells,).  ``layers`` holds the values of periods 1 to the tail, each
+    (cells, states); the last is the stationary fixed point, the only one
+    under constant costs.  A cell that misses the tolerance reports the
+    iteration budget and its last residual.
     """
 
     values: np.ndarray
     stop: np.ndarray
     delta_gain: np.ndarray
     cost_differential: np.ndarray
-    tail_values: np.ndarray
+    layers: tuple[np.ndarray, ...]
     iterations: np.ndarray
     residual: np.ndarray
     converged: np.ndarray
@@ -472,7 +491,8 @@ def solve_cells(
     shared by every cell, a (cells, 1) column of per-cell constants, or a
     (cells, states) block with one row per cell.
     The stationary tail is iterated to the sup-norm tolerance, cell by
-    cell, and the finite cost prefix is then backward-inducted to period 0.
+    cell, and the finite cost prefix is then backward-inducted to period 0,
+    keeping every layer.
     ``residuals``, when given, receives the residual history of a one-cell
     block.
     """
@@ -516,13 +536,11 @@ def solve_cells(
         residual[active] = step
 
     # Backward-induct the nonstationary cost prefix down to period 1.
-    values_next = tail_values
+    layers = [tail_values]
     for t in range(tail_t - 1, 0, -1):
-        values_next = np.maximum(
-            grid - _period(collapse, t),
-            delta * kernel.expect(values_next) - _period(maintain, t),
-        )
-    expected_next = kernel.expect(values_next)
+        continue_t = delta * kernel.expect(layers[0]) - _period(maintain, t)
+        layers.insert(0, np.maximum(grid - _period(collapse, t), continue_t))
+    expected_next = kernel.expect(layers[0])
     stop_now = grid - collapse[0]
     continue_now = delta * expected_next - maintain[0]
     return CellSolutions(
@@ -530,7 +548,7 @@ def solve_cells(
         stop=stop_now >= continue_now,
         delta_gain=delta * expected_next - grid,
         cost_differential=np.broadcast_to(maintain[0] - collapse[0], (cells, n)),
-        tail_values=tail_values,
+        layers=tuple(layers),
         iterations=iterations,
         residual=residual,
         converged=residual < tolerance,
@@ -553,7 +571,8 @@ class ValueSolution:
     finds the stationary fixed point under the held tail costs and then
     backward-inducts the finite prefix.  ``values`` satisfies the max
     structure, and ``policy`` is Stop exactly where the stop value is at
-    least the continuation value (ties stop).
+    least the continuation value (ties stop).  The greedy lookup at period t
+    reads the exact layer of period t + 1.
     """
 
     phi_grid: np.ndarray
@@ -569,7 +588,7 @@ class ValueSolution:
     initial_index: int
     process: SurplusProcess
     costs: CostSchedule
-    _tail_values: np.ndarray
+    _layers: tuple[np.ndarray, ...]
     _collapse: np.ndarray
     _maintain: np.ndarray
 
@@ -588,16 +607,16 @@ class ValueSolution:
     def continuation_value_at(self, phi: float, t: int = 0) -> float:
         """Greedy continuation estimate at an arbitrary surplus level.
 
-        Uses the stationary-tail values (exact for constant costs; for
-        tabulated costs the prefix layers are approximated by the tail).
+        Interpolates the values of period t + 1; at a grid state this is
+        the solver's continuation value.
         """
-        tail = self._tail_values
+        following = _period(self._layers, t)
         index = _nearest_index(self.phi_grid, phi)
         if isinstance(self.process, MarkovGrid):
-            expected = float(self.process.matrix[index] @ tail)
+            expected = float(self.process.matrix[index] @ following)
         else:
             expected = sum(
-                p * float(np.interp(phi * (1.0 + g), self.phi_grid, tail))
+                p * float(np.interp(phi * (1.0 + g), self.phi_grid, following))
                 for g, p in self.process.support
             )
         return self.delta * expected - float(_period(self._maintain, t)[index])
@@ -654,7 +673,7 @@ def value_iteration(
         initial_index=initial_index,
         process=process,
         costs=costs,
-        _tail_values=block.tail_values[0],
+        _layers=tuple(layer[0] for layer in block.layers),
         _collapse=collapse,
         _maintain=maintain,
     )

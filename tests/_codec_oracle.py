@@ -2,15 +2,19 @@
 
 ``ResultTable`` encodes and parses once per column; this is the codec it
 replaced, which converts every cell through one ``isinstance`` chain.  The
-two must give the same bytes and the same parsed cells.  The one change from
-the old code: a NaN cell is JSON ``null`` (``_json_cell``), as the current
-codec writes it.  The metadata header is not part of the oracle, since the
-current codec keeps a value's surrounding whitespace and the old one did not.
+two must give the same bytes and the same parsed cells.  The changes from
+the old code follow the current codec: a NaN cell is JSON ``null``
+(``_json_cell``), an infinite cell the JSON number ``1e999`` or ``-1e999``
+(``to_json``), and a CSV cell that int() reads as 0 but that is written with
+a minus sign parses as the float -0.0 (``_parse_cell``).  The metadata
+header is not part of the oracle, since the current codec keeps a value's
+surrounding whitespace and the old one did not.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -29,7 +33,10 @@ def to_json(table) -> str:
         "columns": list(table.columns),
         "rows": [[_json_cell(cell) for cell in row] for row in table.rows],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    # Each cell is a line of its own at depth 3; json.dumps writes an
+    # infinite one as the bare word Infinity, which is not JSON.
+    text = json.dumps(payload, indent=2)
+    return re.sub(r"^( {6}-?)Infinity(,?)$", r"\g<1>1e999\2", text, flags=re.M) + "\n"
 
 
 def from_csv_body(text: str) -> tuple[list[str], list[list]]:
@@ -69,9 +76,12 @@ def _parse_cell(cell: str):
     if cell == "false":
         return False
     try:
-        return int(cell)
+        number = int(cell)
     except ValueError:
         pass
+    else:
+        # int() drops the sign of a negative zero.
+        return float(cell) if number == 0 and cell.lstrip().startswith("-") else number
     try:
         return float(cell)
     except ValueError:

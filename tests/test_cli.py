@@ -154,16 +154,16 @@ def _narrow_state_cost_table(doc):
 
 
 def _state_cost_table_on_growth_axis(doc):
-    # As wide as the preset's grid, so the scenario loads; the growth = 0 cells
-    # of the map have a one-state grid.
+    # As wide as the preset's grid; the growth = 0 cells of the map have a
+    # one-state grid, and a growth process takes no such table at all.
     dp = scenario_from_dict(doc).dp
     width = state_grid(dp.process, dp.config.r_cap, dp.config.grid_points)[0].size
     doc["dp"]["costs"]["collapse"] = [[0.1] * width]
 
 
 def _state_cost_table_off_chain(doc):
-    # As wide as the preset's grid, so the scenario loads and band runs; the
-    # simulator multiplies a shock process's surplus off that grid.
+    # As wide as the preset's grid; the simulator multiplies a shock
+    # process's surplus off that grid, so the loader rejects the table.
     dp = scenario_from_dict(doc).dp
     width = state_grid(dp.process, dp.config.r_cap, dp.config.grid_points)[0].size
     doc["dp"]["costs"]["maintain"] = [[0.1] * width]
@@ -195,8 +195,7 @@ def _two_line_name(doc):
         (
             "regime-map",
             _state_cost_table_on_growth_axis,
-            "dp.sweep.growth: the axis changes the state grid (size 1 at growth 0), "
-            "so dp.costs.collapse cannot be a period x state table 160 wide",
+            "error: dp.costs.collapse: state-dependent costs require a MarkovGrid process",
         ),
         (
             "simulate",

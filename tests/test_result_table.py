@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -119,3 +120,30 @@ def test_zero_rows():
     assert table.to_csv() == oracle.to_csv(table) == "# k=v\na,b\n"
     assert table.to_json() == oracle.to_json(table)
     assert ResultTable.from_csv(table.to_csv()).rows == []
+
+
+def test_negative_zero_and_infinities_round_trip():
+    cells = [[-0.0], [math.inf], [-math.inf]]
+    table = ResultTable(columns=["x"], rows=cells, metadata={})
+    text = table.to_csv()
+    assert text == "x\n-0\ninf\n-inf\n"
+    parsed = ResultTable.from_csv(text)
+    assert typed(parsed.rows) == typed(cells)  # float -0.0, not the int 0
+    assert parsed.to_csv() == text
+
+    def strict(word):
+        raise ValueError(f"not JSON: {word}")
+
+    # A str cell keeps its bytes; number cells are JSON numbers in float and
+    # mixed columns alike.
+    mixed = ResultTable(
+        columns=["x", "mixed"],
+        rows=[row + [cell] for row, cell in zip(cells, ["Infinity", math.inf, -math.inf])],
+        metadata={},
+    )
+    for table in (table, mixed):
+        text = table.to_json()
+        payload = json.loads(text, parse_constant=strict)
+        assert typed(payload["rows"]) == typed(table.rows)
+        assert '"Infinity"' in text if table is mixed else "Infinity" not in text
+        assert typed(ResultTable.from_json(text).rows) == typed(table.rows)

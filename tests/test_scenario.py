@@ -18,7 +18,6 @@ from fragileband.game import CurveError, PhaseLabel, TabulatedCurve, classify_ph
 from fragileband.scenario import (
     COMMANDS,
     ParseError,
-    RegimeSweep,
     ResultTable,
     SweepRange,
     ValidationError,
@@ -173,6 +172,9 @@ BAD_DOCUMENTS = {
     "boolean-integer": ("dp.config.grid_points", True, "dp.config.grid_points"),
     "fractional-integer": ("recognition.sweep.steps", 2.7, "recognition.sweep.steps"),
     "sweep-as-list": ("dp.sweep", [{"start": 0.5, "stop": 0.9, "steps": 3}], "dp.sweep"),
+    "misspelled-sweep-axis": (
+        "dp.sweep.gorwth", {"start": 0.0, "stop": 0.5, "steps": 3}, "dp.sweep.gorwth"
+    ),
     "null-w": ("recognition", {"w": None}, "recognition.w"),
 }
 
@@ -197,6 +199,20 @@ def test_bad_document_names_key_path(case, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["band", "--scenario", str(path)]) == 1
     assert key_path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axes", [["delta"], ["delta", "growth", "maintain_cost"]])
+def test_regime_sweep_takes_two_axes(axes, tmp_path, capsys):
+    # The generated schema does not fix the number of axes, so these documents
+    # are not in the corpus above.
+    doc = json.loads(preset_path("sns").read_text())
+    doc["dp"]["sweep"] = {name: {"start": 0.0, "stop": 0.5, "steps": 3} for name in axes}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["regime-map", "--scenario", str(path)]) == 1
+    assert f"error: dp.sweep: a regime map takes two axes, got {len(axes)}" in (
+        capsys.readouterr().err
+    )
 
 
 class TestResultTable:
@@ -402,13 +418,7 @@ class TestCmdRegimeMap:
 
     def test_growth_axis_requires_deterministic(self, metagame):
         dp = metagame.dp
-        sweep = dataclasses.replace(
-            dp.sweep,
-            axes=(
-                ("delta", dp.sweep.axes[0][1]),
-                ("growth", dp.sweep.axes[1][1]),
-            ),
-        )
+        sweep = dict(zip(("delta", "growth"), dp.sweep.values()))
         scenario = dataclasses.replace(metagame, dp=dataclasses.replace(dp, sweep=sweep))
         with pytest.raises(ValidationError, match="deterministic"):
             cmd_regime_map(scenario)
@@ -418,9 +428,9 @@ class TestCmdRegimeMap:
         # the last, growth runs 0.2, 0, -0.2 within each delta and the
         # negative-growth cells fail first in row order, though their block
         # comes after the positive-growth block.
-        descending_growth = RegimeSweep(
-            axes=(("delta", SweepRange(0.5, 0.99, 8)), ("growth", SweepRange(0.2, -0.2, 3)))
-        )
+        descending_growth = {
+            "delta": SweepRange(0.5, 0.99, 8), "growth": SweepRange(0.2, -0.2, 3)
+        }
         cases = (
             ({"max_iterations": 2, "tolerance": 1e-15}, sns.dp.sweep),
             ({"max_iterations": 40}, sns.dp.sweep),
@@ -431,7 +441,7 @@ class TestCmdRegimeMap:
             dp = dataclasses.replace(sns.dp, config=config, sweep=sweep)
             scenario = dataclasses.replace(sns, dp=dp)
             with pytest.raises(NonConvergence) as expected:
-                regime_rows_per_cell(dp, sweep.axes)
+                regime_rows_per_cell(dp, tuple(sweep.items()))
             assert "cell delta=0.5, growth=0:" not in str(expected.value)
             for block_values in (scenario_module.REGIME_BLOCK_VALUES, 200):
                 monkeypatch.setattr(scenario_module, "REGIME_BLOCK_VALUES", block_values)

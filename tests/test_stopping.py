@@ -518,6 +518,28 @@ class TestSimulatorOracle:
                 assert got.discounted_payoff == discounted
 
 
+class TestGreedyLookup:
+    """The greedy lookup reads the solver's exact period layers."""
+
+    @pytest.mark.parametrize("case", ["sns", "shocks", "chain"])
+    def test_continuation_at_grid_states_equals_the_dp(self, case):
+        # A maintenance cost of 3 in period 1 only: a lookup that reads the
+        # stationary tail at t = 0 misses it (by up to 43% on sns).
+        if case == "sns":
+            dp = scenario_from_dict(json.loads(preset_path("sns").read_text())).dp
+            process, config = dp.process, dp.config
+            costs = CostSchedule(collapse=dp.costs.collapse, maintain=[0.0, 3.0, 0.0])
+        else:
+            process = {"shocks": SHOCKS, "chain": CHAIN}[case]
+            config = DPConfig(delta=0.95, r_cap=40.0)
+            costs = CostSchedule(maintain=[0.0, 3.0, 0.0])
+        sol = value_iteration(process, costs, config)
+        # delta * E[V_1] - C_m[0], from the solver's own period-0 diagnostics.
+        dp_continuation = sol.delta_gain + sol.phi_grid - costs.maintain_rows(sol.phi_grid.size)[0]
+        lookup = [sol.continuation_value_at(float(phi), 0) for phi in sol.phi_grid]
+        np.testing.assert_allclose(lookup, dp_continuation, rtol=1e-12, atol=0)
+
+
 def regime_rows_per_cell(dp, axes) -> list[list]:
     """A regime map solved one cell at a time by value_iteration.
 
@@ -650,7 +672,7 @@ class TestRegimeMapBlocks:
         table = cmd_regime_map(scenario)
         expected = ResultTable(
             columns=table.columns,
-            rows=regime_rows_per_cell(scenario.dp, scenario.dp.sweep.axes),
+            rows=regime_rows_per_cell(scenario.dp, tuple(scenario.dp.sweep.items())),
             metadata=table.metadata,
         )
         assert table.to_csv() == expected.to_csv()
