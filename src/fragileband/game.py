@@ -113,13 +113,9 @@ class PhaseLabel(Enum):
 
 def objective_payoffs(pd: PayoffMatrix, profile: Profile) -> tuple[float, float]:
     """Objective payoff pair (u_A, u_B) for a profile."""
-    table = {
-        CC: (pd.R, pd.R),
-        DD: (pd.P, pd.P),
-        CD: (pd.S, pd.T),
-        DC: (pd.T, pd.S),
-    }
-    return table[profile]
+    if profile.action_a is Action.C:
+        return (pd.R, pd.R) if profile.action_b is Action.C else (pd.S, pd.T)
+    return (pd.T, pd.S) if profile.action_b is Action.C else (pd.P, pd.P)
 
 
 def transform_utilities(
@@ -159,25 +155,30 @@ def _deviation(profile: Profile, player: int) -> Profile:
     return Profile(profile.action_a, flip[profile.action_b])
 
 
+# For each profile of PROFILES, the PROFILES indices that player A's and
+# player B's unilateral deviations reach.
+_DEVIATIONS = tuple(
+    tuple(PROFILES.index(_deviation(profile, player)) for player in (0, 1))
+    for profile in PROFILES
+)
+
+
 def nash_equilibria(pd: PayoffMatrix, rec: Recognition) -> set[Profile]:
     """Brute-force pure Nash equilibria of the transformed game.
 
     A profile is an equilibrium when no unilateral deviation strictly
     improves the deviator's transformed utility (weak inequalities, so
-    indifferent deviations do not break an equilibrium).
+    indifferent deviations do not break an equilibrium).  Each profile is
+    checked against its deviations' utilities directly, never against the
+    thresholds, so this stays the independent oracle of
+    :func:`classify_phase`.
     """
-    stable = set()
-    for profile in PROFILES:
-        utilities = transform_utilities(pd, rec, profile)
-        ok = True
-        for player in (0, 1):
-            deviated = transform_utilities(pd, rec, _deviation(profile, player))
-            if deviated[player] > utilities[player]:
-                ok = False
-                break
-        if ok:
-            stable.add(profile)
-    return stable
+    utilities = [transform_utilities(pd, rec, profile) for profile in PROFILES]
+    return {
+        profile
+        for profile, own, deviations in zip(PROFILES, utilities, _DEVIATIONS)
+        if not any(utilities[d][player] > own[player] for player, d in enumerate(deviations))
+    }
 
 
 def _label_from_thresholds(effective_w: float, fb: FragileBand) -> PhaseLabel:

@@ -12,6 +12,11 @@ J > 1 diverges monotonically (buzz), J < -1 diverges with alternating sign
 (backlash).  At exact kinks (surprise or deviation equal to zero) the
 one-sided contributions are taken to be zero, which makes the gain a total
 deterministic function.
+
+Inputs are validated once, where they enter (a :class:`MassState` is
+built for each start); the fixed-point search and the trajectory then loop
+on plain floats through one update function, the same one :func:`step`
+runs.
 """
 
 from __future__ import annotations
@@ -22,14 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .reference import (
-    Identity,
-    Observation,
-    ShapeFn,
-    differences,
-    negative_part,
-    positive_part,
-)
+from .reference import Identity, ShapeFn, negative_part, positive_part
 
 
 class NoFixedPointFound(RuntimeError):
@@ -122,14 +120,15 @@ def response_rates(params: MassParams, epsilon: float, xi: float) -> tuple[float
     return logistic(s_plus), logistic(s_minus)
 
 
+def _next_x(params: MassParams, x: float, forecast: float, reference: float) -> float:
+    """One macro update of x on plain floats; the caller has validated them."""
+    praise, attack = response_rates(params, x - forecast, x - reference)
+    return x + params.kappa * (praise - attack) - params.rho * (x - params.x_bar)
+
+
 def step(state: MassState, params: MassParams) -> float:
     """One macro update of x (forecast and reference held exogenous)."""
-    obs = Observation(
-        x=state.x, x_prev=state.x, forecast=state.forecast, reference=state.reference
-    )
-    _, epsilon, xi = differences(obs)
-    praise, attack = response_rates(params, epsilon, xi)
-    return state.x + params.kappa * (praise - attack) - params.rho * (state.x - params.x_bar)
+    return _next_x(params, state.x, state.forecast, state.reference)
 
 
 def local_gain(params: MassParams, epsilon: float, xi: float) -> float:
@@ -193,11 +192,14 @@ def find_fixed_point(
     The damped map is contracting near stable and backlash fixed points;
     monotone-unstable (buzz) fixed points are found only when the seed is
     already at or extremely close to them.
+
+    ``start``, ``forecast`` and ``reference`` are validated once, on entry
+    (a non-finite one raises ``ValueError``); the loop then runs on floats.
     """
     x = float(start)
+    MassState(x=x, forecast=forecast, reference=reference)  # the one finiteness check
     for _ in range(max_iterations):
-        fx = step(MassState(x=x, forecast=forecast, reference=reference), params)
-        residual = fx - x
+        residual = _next_x(params, x, forecast, reference) - x
         if abs(residual) < tolerance:
             return x
         x += damping * residual
@@ -259,20 +261,15 @@ def simulate_mass(
     """
     if steps < 2:
         raise ValueError("steps must satisfy steps >= 2")
-    fp = find_fixed_point(params, state0.forecast, state0.reference, start=state0.x)
-    _, eps_fp, xi_fp = differences(
-        Observation(x=fp, x_prev=fp, forecast=state0.forecast, reference=state0.reference)
-    )
-    gain = local_gain(params, eps_fp, xi_fp)
+    forecast, reference = state0.forecast, state0.reference
+    fp = find_fixed_point(params, forecast, reference, start=state0.x)
+    gain = local_gain(params, fp - forecast, fp - reference)
     j = jacobian(gain, params.rho)
 
-    xs = [fp + perturbation]
+    xs = [MassState(x=fp + perturbation, forecast=forecast, reference=reference).x]
     guard = 1e9 * max(abs(perturbation), 1e-12)
     for _ in range(steps):
-        nxt = step(
-            MassState(x=xs[-1], forecast=state0.forecast, reference=state0.reference),
-            params,
-        )
+        nxt = _next_x(params, xs[-1], forecast, reference)
         xs.append(nxt)
         if not math.isfinite(nxt) or abs(nxt - fp) > guard:
             break

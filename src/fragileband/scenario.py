@@ -631,6 +631,14 @@ class ResultTable:
 
     @staticmethod
     def from_csv(text: str) -> "ResultTable":
+        """Read back a table written by :meth:`to_csv`.
+
+        A cell's type comes from its text alone (see ``_cell_parser``), so a
+        str cell that reads as a bool or a number, such as ``true``, ``inf``,
+        ``nan`` or ``1e3``, comes back as that bool or float, not as the str
+        that was written.  No command writes such a str cell; ``to_json``
+        keeps every str cell as it is.
+        """
         metadata: dict[str, str] = {}
         lines = [line for line in text.splitlines() if line]
         body = []
@@ -894,6 +902,8 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
         cost_diff[rows] = block.cost_differential[:, i]
         value[rows] = block.values[:, i]
         stop[rows] = block.stop[:, i]
+        # Only period 0 is read: free every cost-prefix layer before the next solve.
+        del block
     if failed is not None:
         row, iterations, residual = failed
         message = non_convergence_message(config.tolerance, config.max_iterations, residual)

@@ -15,6 +15,7 @@ from fragileband.game import (
     DC,
     DD,
     PROFILES,
+    Action,
     CurveError,
     LinearClamped,
     LogisticShifted,
@@ -166,6 +167,54 @@ class TestNashEquilibria:
             assert nash_equilibria(pd, Recognition(a, b)) == nash_equilibria(
                 pd, Recognition(lam * a, lam * b)
             )
+
+
+def _oracle_nash(pd, rec):
+    """The brute force as first written: a payoff dict per call, 12 utility pairs per w."""
+
+    def utilities(profile):
+        table = {CC: (pd.R, pd.R), DD: (pd.P, pd.P), CD: (pd.S, pd.T), DC: (pd.T, pd.S)}
+        u_a, u_b = table[profile]
+        return rec.a * u_a + rec.b * u_b, rec.a * u_b + rec.b * u_a
+
+    def deviation(profile, player):
+        flip = {Action.C: Action.D, Action.D: Action.C}
+        if player == 0:
+            return Profile(flip[profile.action_a], profile.action_b)
+        return Profile(profile.action_a, flip[profile.action_b])
+
+    stable = set()
+    for profile in PROFILES:
+        own = utilities(profile)
+        ok = True
+        for player in (0, 1):
+            if utilities(deviation(profile, player))[player] > own[player]:
+                ok = False
+                break
+        if ok:
+            stable.add(profile)
+    return stable
+
+
+def test_nash_matches_the_twelve_call_oracle():
+    # Whole-number matrices make exact ties at the thresholds likely, real ones
+    # probe rounding next to them; w_min and w_max are hit exactly.
+    rng = np.random.default_rng(2024)
+    at_w_min_with_cc = 0
+    for i in range(2400):
+        if i % 2:
+            pd = random_matrix(rng)
+        else:
+            t, r, p, s = sorted(rng.choice(np.arange(-20, 21), size=4, replace=False).tolist(),
+                                reverse=True)
+            pd = PayoffMatrix(T=t, R=r, P=p, S=s)
+        fb = band(pd)
+        for w in (0.0, fb.w_min, fb.w_max, float(rng.uniform(0.0, 2.0 * fb.w_max + 1.0))):
+            rec = Recognition(a=1.0, b=w)
+            expected = _oracle_nash(pd, rec)
+            assert nash_equilibria(pd, rec) == expected, (pd, w)
+            at_w_min_with_cc += w == fb.w_min and CC in expected
+    assert at_w_min_with_cc > 0  # the weak inequality is exercised on a tie
 
 
 class TestClassifyPhase:

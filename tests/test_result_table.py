@@ -10,7 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _codec_oracle as oracle
-from fragileband.scenario import ResultTable
+from _bench_inputs import inputs
+from fragileband.scenario import (
+    COMMANDS,
+    ResultTable,
+    cmd_regime_map,
+    load_scenario,
+    preset_path,
+    scenario_from_dict,
+)
 
 # Every character str.splitlines splits on.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -147,3 +155,26 @@ def test_negative_zero_and_infinities_round_trip():
         assert typed(payload["rows"]) == typed(table.rows)
         assert '"Infinity"' in text if table is mixed else "Infinity" not in text
         assert typed(ResultTable.from_json(text).rows) == typed(table.rows)
+
+
+def test_no_command_writes_a_str_cell_that_reads_back_as_another_type():
+    # from_csv types a cell by its text, so a str cell such as "inf" or "true"
+    # would come back as a float or bool: guard every preset output and the
+    # benchmark's regime maps.
+    tables = [
+        command(load_scenario(preset_path(name)))
+        for name in inputs.PRESETS
+        for command in COMMANDS.values()
+    ]
+    assert len(tables) == 12
+    sweep = inputs.regime_sweep(1, inputs.FULL)
+    tables += [cmd_regime_map(scenario_from_dict(doc)) for doc in sweep.documents.values()]
+    strings = 0
+    for table in tables:
+        parsed = ResultTable.from_csv(table.to_csv())
+        for row, back in zip(table.rows, parsed.rows, strict=True):
+            for cell, read in zip(row, back, strict=True):
+                if isinstance(cell, str):
+                    assert type(read) is str and read == cell, (table.metadata["command"], cell)
+                    strings += 1
+    assert strings > 0
