@@ -11,7 +11,9 @@ is the local gain of kappa * (P - N) with respect to x:  |J| < 1 decays,
 J > 1 diverges monotonically (buzz), J < -1 diverges with alternating sign
 (backlash).  At exact kinks (surprise or deviation equal to zero) the
 one-sided contributions are taken to be zero, which makes the gain a total
-deterministic function.
+deterministic function.  The one-sided signals pass through the shapes on
+their magnitudes (``ShapeFn.magnitude``), +0.0 at a kink; the shapes' odd
+extension is not used here.
 
 Inputs are validated once, where they enter (a :class:`MassState` is
 built for each start); the fixed-point search and the trajectory then loop
@@ -27,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .reference import Identity, ShapeFn, negative_part, positive_part
+from .reference import Identity, ShapeFn
 
 
 class NoFixedPointFound(RuntimeError):
@@ -95,20 +97,18 @@ def _logistic_slope(z: float) -> float:
 
 
 def _signals(params: MassParams, epsilon: float, xi: float) -> tuple[float, float]:
+    # One-sided magnitudes, +0.0 (never -0.0) at a kink; a NaN stays NaN.
+    eps_up = 0.0 if epsilon <= 0.0 else epsilon
+    eps_down = 0.0 if epsilon >= 0.0 else -epsilon
+    xi_up = 0.0 if xi <= 0.0 else xi
+    xi_down = 0.0 if xi >= 0.0 else -xi
+    g2, g3 = params.g2.magnitude, params.g3.magnitude
     s_plus = (
-        params.eta
-        * (
-            params.beta_plus * params.g2(positive_part(epsilon))
-            + params.gamma_plus * params.g3(positive_part(xi))
-        )
+        params.eta * (params.beta_plus * g2(eps_up) + params.gamma_plus * g3(xi_up))
         - params.c_bar
     )
     s_minus = (
-        params.eta
-        * (
-            params.beta_minus * params.g2(negative_part(epsilon))
-            + params.gamma_minus * params.g3(negative_part(xi))
-        )
+        params.eta * (params.beta_minus * g2(eps_down) + params.gamma_minus * g3(xi_down))
         - params.c_bar
     )
     return s_plus, s_minus
@@ -148,14 +148,14 @@ def local_gain(params: MassParams, epsilon: float, xi: float) -> float:
     s_plus, s_minus = _signals(params, epsilon, xi)
     up = 0.0
     if epsilon > 0:
-        up += params.beta_plus * params.g2.derivative(positive_part(epsilon))
+        up += params.beta_plus * params.g2.derivative(epsilon)
     if xi > 0:
-        up += params.gamma_plus * params.g3.derivative(positive_part(xi))
+        up += params.gamma_plus * params.g3.derivative(xi)
     down = 0.0
     if epsilon < 0:
-        down += params.beta_minus * params.g2.derivative(negative_part(epsilon))
+        down += params.beta_minus * params.g2.derivative(epsilon)
     if xi < 0:
-        down += params.gamma_minus * params.g3.derivative(negative_part(xi))
+        down += params.gamma_minus * params.g3.derivative(xi)
     return params.kappa * params.eta * (
         _logistic_slope(s_plus) * up + _logistic_slope(s_minus) * down
     )

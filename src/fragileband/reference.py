@@ -10,6 +10,10 @@ be felt asymmetrically:
         + gamma_plus*g3(xi_+) + gamma_minus*g3(xi_-)
         + delta_weight*h(x) - cost
 
+Only the signed change term g1(dx) uses a shape's odd extension
+sign(z)·g(|z|); the four one-sided terms evaluate g on their magnitudes
+(``ShapeFn.magnitude``), each +0.0 where its difference is zero.
+
 With only the deviation terms active (gamma_plus = gamma_minus > 0, identity
 g3) and the state below the reference, U reduces to a multiple of the
 potential-loss utility reference - x.
@@ -51,15 +55,17 @@ def negative_part(z: float) -> float:
 class ShapeFn:
     """Nonlinear sensitivity shape: continuous, g(0) = 0, locally Lipschitz.
 
-    Shapes are defined on z >= 0 by one formula ``_eval`` for floats and
-    arrays, extended oddly as sign(z)·g(|z|) so that signed change terms
-    stay well defined without breaking continuity at zero.
-    ``lipschitz(bound)`` reports a declared Lipschitz constant valid on
-    [0, bound]; the constant is declared from the shape's closed form, not
-    estimated numerically.
+    Shapes are defined on z >= 0 by one formula, ``magnitude``, for floats
+    and arrays.  The one-sided gain and loss terms call it directly on
+    their magnitudes.  Calling the shape extends it oddly, sign(z)·g(|z|),
+    which only the signed change term g1(dx) needs; it stays well defined
+    without breaking continuity at zero.  ``lipschitz(bound)`` reports a
+    declared Lipschitz constant valid on [0, bound]; the constant is
+    declared from the shape's closed form, not estimated numerically.
     """
 
-    def _eval(self, z):
+    def magnitude(self, z):
+        """g(z) for a magnitude z >= 0, a float or an array."""
         raise NotImplementedError
 
     def _slope(self, z: float) -> float:
@@ -67,7 +73,7 @@ class ShapeFn:
 
     def __call__(self, z):
         # sign(z)·g(|z|) for floats and arrays alike; g(0) = 0, so z = 0 may take +1.
-        return (1.0 - 2.0 * (z < 0)) * self._eval(abs(z))
+        return (1.0 - 2.0 * (z < 0)) * self.magnitude(abs(z))
 
     def derivative(self, z: float) -> float:
         """One-sided slope at |z| (the odd extension has an even slope)."""
@@ -79,7 +85,7 @@ class ShapeFn:
 
 @dataclass(frozen=True)
 class Identity(ShapeFn):
-    def _eval(self, z):
+    def magnitude(self, z):
         return z
 
     def _slope(self, z: float) -> float:
@@ -99,7 +105,7 @@ class Power(ShapeFn):
         if not self.exponent >= 1:
             raise ValueError("power exponent must satisfy p >= 1")
 
-    def _eval(self, z):
+    def magnitude(self, z):
         return z**self.exponent
 
     def _slope(self, z: float) -> float:
@@ -125,7 +131,7 @@ class Saturating(ShapeFn):
         if not self.scale > 0:
             raise ValueError("saturating scale must satisfy s > 0")
 
-    def _eval(self, z):
+    def magnitude(self, z):
         try:  # floats keep math.exp: fast in the mass dynamics, and bit-stable
             decay = math.exp(-z / self.scale)
         except TypeError:  # an array of magnitudes
@@ -213,15 +219,21 @@ def differences(obs: Observation) -> tuple[float, float, float]:
     )
 
 
+def _one_sided(z):
+    """max(z, 0) on a float or an array, +0.0 (never -0.0) where z is zero."""
+    return abs(np.maximum(z, 0.0))  # np.maximum(-0.0, 0.0) may be either zero
+
+
 def eval_reference_payoff(params: ReferenceParams, obs: Observation):
     """Stage payoff at one observation, or at a grid whose fields are arrays that broadcast."""
     dx, eps, xi = differences(obs)
+    g2, g3 = params.g2.magnitude, params.g3.magnitude
     return (
         params.alpha * params.g1(dx)
-        + params.beta_plus * params.g2(np.maximum(eps, 0.0))
-        + params.beta_minus * params.g2(np.maximum(-eps, 0.0))
-        + params.gamma_plus * params.g3(np.maximum(xi, 0.0))
-        + params.gamma_minus * params.g3(np.maximum(-xi, 0.0))
+        + params.beta_plus * g2(_one_sided(eps))
+        + params.beta_minus * g2(_one_sided(-eps))
+        + params.gamma_plus * g3(_one_sided(xi))
+        + params.gamma_minus * g3(_one_sided(-xi))
         + params.delta_weight * params.h(obs.x)
         - params.cost
     )

@@ -5,12 +5,17 @@ written before the loops ran on plain floats: every step builds and
 validates a ``MassState`` and an ``Observation`` and reads the signals
 through ``differences``.  The library must give the same bits: fixed point,
 gain, Jacobian, both labels and every trajectory value.
+
+At signed zeros the signals themselves are checked against the form they
+had before the one-sided terms skipped the shapes' odd extension:
+``positive_part``/``negative_part``, then sign(z)·g(|z|).
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -22,14 +27,25 @@ from fragileband.mass import (
     NoFixedPointFound,
     StabilityLabel,
     _empirical_label,
+    _logistic_slope,
+    _signals,
     classify_stability,
     find_fixed_point,
     jacobian,
     local_gain,
+    logistic,
     response_rates,
     simulate_mass,
 )
-from fragileband.reference import Observation, Power, Saturating, differences
+from fragileband.reference import (
+    Identity,
+    Observation,
+    Power,
+    Saturating,
+    differences,
+    negative_part,
+    positive_part,
+)
 from fragileband.scenario import scenario_from_dict
 
 
@@ -175,3 +191,102 @@ def test_divergence_and_budget_raise_as_before():
         find_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0, max_iterations=3)
     with pytest.raises(NoFixedPointFound, match="within 3 iterations"):
         _oracle_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0, max_iterations=3)
+
+
+def _odd(shape, z):
+    return (1.0 - 2.0 * (z < 0)) * shape.magnitude(abs(z))
+
+
+def _oracle_signals(params, epsilon, xi):
+    s_plus = (
+        params.eta
+        * (
+            params.beta_plus * _odd(params.g2, positive_part(epsilon))
+            + params.gamma_plus * _odd(params.g3, positive_part(xi))
+        )
+        - params.c_bar
+    )
+    s_minus = (
+        params.eta
+        * (
+            params.beta_minus * _odd(params.g2, negative_part(epsilon))
+            + params.gamma_minus * _odd(params.g3, negative_part(xi))
+        )
+        - params.c_bar
+    )
+    return s_plus, s_minus
+
+
+def _oracle_rates(params, epsilon, xi):
+    s_plus, s_minus = _oracle_signals(params, epsilon, xi)
+    return logistic(s_plus), logistic(s_minus)
+
+
+def _oracle_gain(params, epsilon, xi):
+    s_plus, s_minus = _oracle_signals(params, epsilon, xi)
+    up = 0.0
+    if epsilon > 0:
+        up += params.beta_plus * params.g2.derivative(positive_part(epsilon))
+    if xi > 0:
+        up += params.gamma_plus * params.g3.derivative(positive_part(xi))
+    down = 0.0
+    if epsilon < 0:
+        down += params.beta_minus * params.g2.derivative(negative_part(epsilon))
+    if xi < 0:
+        down += params.gamma_minus * params.g3.derivative(negative_part(xi))
+    return params.kappa * params.eta * (
+        _logistic_slope(s_plus) * up + _logistic_slope(s_minus) * down
+    )
+
+
+ZERO_SHAPES = [Identity(), Power(1.0), Power(1.5), Power(3.0), Saturating(0.7)]
+
+
+def _symmetric(shape):
+    """Equal weights on both sides, so x = forecast = reference = x_bar is a fixed point.
+
+    With c_bar = 0 and a shape that keeps -0.0 (identity, odd powers), a
+    signal of -0.0 would reach s+ or s-; logistic(-0.0) equals logistic(0.0),
+    so the signals are compared as well as the rates.
+    """
+    return [
+        MassParams(eta=1.3, c_bar=c_bar, kappa=1.1, rho=0.4, x_bar=0.0,
+                   beta_plus=0.7, beta_minus=0.7, gamma_plus=0.6, gamma_minus=0.6,
+                   g2=shape, g3=shape)
+        for c_bar in (0.0, 0.8)
+    ]
+
+
+SIGNALS = [0.0, -0.0, 0.4, -0.4]
+
+
+def _all_bits(values):
+    return tuple(_bits(v) for v in values)
+
+
+@pytest.mark.parametrize("shape", ZERO_SHAPES, ids=repr)
+def test_signed_zero_signals_bit_identical(shape):
+    for params in _symmetric(shape):
+        for epsilon in SIGNALS:
+            for xi in SIGNALS:
+                case = (params, epsilon, xi)
+                assert _all_bits(_signals(*case)) == _all_bits(_oracle_signals(*case)), case
+                assert _all_bits(response_rates(*case)) == _all_bits(_oracle_rates(*case)), case
+                assert _bits(local_gain(*case)) == _bits(_oracle_gain(*case)), case
+
+
+@pytest.mark.parametrize("shape", ZERO_SHAPES, ids=repr)
+def test_signed_zero_fixed_points_bit_identical(shape, monkeypatch):
+    # The oracle loop reads response_rates and local_gain from this module:
+    # give it the old forms, so the whole oracle is the pre-change code.
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "response_rates", _oracle_rates)
+    monkeypatch.setattr(module, "local_gain", _oracle_gain)
+    for params in _symmetric(shape):
+        for start in (0.0, -0.0):
+            for forecast in (0.0, -0.0):
+                for reference in (0.0, -0.0):
+                    state = MassState(x=start, forecast=forecast, reference=reference)
+                    for perturbation in (1e-4, -1e-4):
+                        outcome = _assert_same(state, params, 20, perturbation)
+                        assert outcome[0] == _bits(start)  # the start is the fixed point
