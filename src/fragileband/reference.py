@@ -324,9 +324,19 @@ def _stage_matrix(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
 
 
 def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
-    """The value over the grid under each reference, one row per reference."""
-    stages = [_stage_matrix(setup, reference) for reference in references]
-    expected_stage = np.array([(setup.transition * stage).sum(axis=1) for stage in stages])
+    """The value over the grid under each reference, one row per reference.
+
+    Every stage payoff enters its state's expected stage payoff (a zero
+    transition weight times inf or NaN is NaN), so testing those sums also
+    tests the stop payoffs, the matrix diagonals.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        stages = [_stage_matrix(setup, reference) for reference in references]
+        expected_stage = np.array([(setup.transition * stage).sum(axis=1) for stage in stages])
+    if not np.isfinite(expected_stage).all():
+        raise HypothesisViolation(
+            "stage payoffs must be finite on the shift-check grid; g1, g2, g3 or a weight overflows"
+        )
     n = setup.x_grid.size
     if not setup.optimize:
         # One solve per reference: a multi-column solve rounds differently.
@@ -345,7 +355,7 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
         raise NonConvergence(
             "shift-check value iteration failed to converge", SHIFT_CHECK_MAX_ITERATIONS, residual
         )
-    return block.layers[-1]  # the fixed point; ``values`` would apply one more backup
+    return block.fixed_point  # ``values`` would apply one more backup
 
 
 def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftCheckResult:
@@ -353,7 +363,9 @@ def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftChe
 
     The Lipschitz constant is declared by g3 on the widest norm-deviation
     magnitude reachable on the grid under either reference, so the
-    analytical bound is sound for the states actually visited.
+    analytical bound is sound for the states actually visited.  It is
+    computed before the solve: a g3 with no finite constant there, or a
+    stage payoff that is not finite, raises HypothesisViolation.
     """
     if setup.dynamics_depend_on_reference:
         raise HypothesisViolation(
@@ -361,15 +373,20 @@ def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftChe
         )
     if not math.isfinite(setup.reference + kappa_ref):
         raise ValueError("shifted reference must be finite")
-    base, shifted = _solve_values(setup, [setup.reference, setup.reference + kappa_ref])
-    gap = float(np.max(np.abs(shifted - base)))
     domain = float(
         max(
             np.max(np.abs(setup.x_grid - setup.reference)),
             np.max(np.abs(setup.x_grid - setup.reference - kappa_ref)),
         )
     )
-    lipschitz = setup.params.g3.lipschitz(domain)
+    try:
+        lipschitz = setup.params.g3.lipschitz(domain)
+    except OverflowError:
+        lipschitz = math.inf
+    if not math.isfinite(lipschitz):
+        raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
+    base, shifted = _solve_values(setup, [setup.reference, setup.reference + kappa_ref])
+    gap = float(np.max(np.abs(shifted - base)))
     bound = ref_shift_bound(
         setup.params.gamma_plus,
         setup.params.gamma_minus,

@@ -367,7 +367,14 @@ def _decode(hint, value, path: str):
     """The model value of the document value ``value``, declared as ``hint``."""
     if hint in _JSON_TYPES:  # a boolean is not a number, and 3.0 is an integer
         if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            # json reads Infinity, NaN and 1e999 as floats.
+            try:
+                number = float(value)
+            except OverflowError:  # an integer literal beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ValidationError(f"{path} must be finite, got {number}")
+            return number
         if hint is int and (type(value) is int or isinstance(value, float) and value.is_integer()):
             return int(value)
         if hint in (str, bool) and isinstance(value, hint):

@@ -26,12 +26,13 @@ cells that share a grid (discount, costs and deterministic growth may differ
 per cell), each cell with its own tolerance test, so every cell gets the
 bits of a one-cell :func:`value_iteration`.  It is the library's one
 fixed-point loop: single solves, regime maps and the reference-shift check
-(``reference._solve_values``) all run through it, and it returns the values
-of every period, so the greedy lookup of :class:`ValueSolution` reads the
-exact layer of each period.  :func:`simulate_path` draws each step's outcome
-k from a cumulative row, a chain's current row or a shock law's one row (a
-one-outcome row takes no draw), then moves the chain to state k or
-multiplies phi by 1 + g_k.
+(``reference._solve_values``) all run through it.  It returns the
+continuation value delta * E[V_{t+1}] - C_m(t) of every period, and the
+greedy lookup of :class:`ValueSolution` interpolates that row over phi, so
+the successor law is stated once, in the kernel.  :func:`simulate_path`
+draws each step's outcome k from a cumulative row, a chain's current row or
+a shock law's one row (a one-outcome row takes no draw), then moves the
+chain to state k or multiplies phi by 1 + g_k.
 
 The per-state diagnostics
 
@@ -334,6 +335,8 @@ def state_grid(
         if not r_cap >= process.initial_r:
             raise ValueError("r_cap must be at least initial_r")
         phi_hi = 2.0 * (r_cap - p)
+        if not math.isfinite(phi_hi):
+            raise ValueError(f"r_cap must give a finite surplus cap 2*(r_cap - P), got {r_cap:g}")
     else:
         phi_hi = phi0
     phi_lo = phi0 * 1e-4 if min(rates) < 0 else phi0
@@ -458,9 +461,11 @@ class CellSolutions:
 
     ``values``, ``stop``, ``delta_gain`` and ``cost_differential`` are
     (cells, states); ``iterations``, ``residual`` and ``converged`` are
-    (cells,).  ``layers`` holds the values of periods 1 to the tail, each
-    (cells, states); the last is the stationary fixed point, the only one
-    under constant costs.  A cell that misses the tolerance reports the
+    (cells,).  ``continuation`` holds the continuation value
+    delta * E[V_{t+1}] - C_m(t) of periods 0 to the tail, each (cells,
+    states); the last is held for every later period, and under constant
+    costs it is the only one.  ``fixed_point`` is the stationary value
+    under the tail costs.  A cell that misses the tolerance reports the
     iteration budget and its last residual.
     """
 
@@ -468,7 +473,8 @@ class CellSolutions:
     stop: np.ndarray
     delta_gain: np.ndarray
     cost_differential: np.ndarray
-    layers: tuple[np.ndarray, ...]
+    continuation: tuple[np.ndarray, ...]
+    fixed_point: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
     converged: np.ndarray
@@ -492,7 +498,7 @@ def solve_cells(
     (cells, states) block with one row per cell.
     The stationary tail is iterated to the sup-norm tolerance, cell by
     cell, and the finite cost prefix is then backward-inducted to period 0,
-    keeping every layer.
+    keeping the continuation value of every period.
     ``residuals``, when given, receives the residual history of a one-cell
     block.
     """
@@ -535,20 +541,23 @@ def solve_cells(
         tail_values[active] = values
         residual[active] = step
 
-    # Backward-induct the nonstationary cost prefix down to period 1.
-    layers = [tail_values]
-    for t in range(tail_t - 1, 0, -1):
-        continue_t = delta * kernel.expect(layers[0]) - _period(maintain, t)
-        layers.insert(0, np.maximum(grid - _period(collapse, t), continue_t))
-    expected_next = kernel.expect(layers[0])
-    stop_now = grid - collapse[0]
-    continue_now = delta * expected_next - maintain[0]
+    # Backward-induct the nonstationary cost prefix down to period 0; the
+    # continuation of period t is delta * E[V_{t+1}] - C_m(t), and the
+    # held tail shares one expectation with period tail - 1.
+    expected_next = kernel.expect(tail_values)
+    continuation = [delta * expected_next - _period(maintain, tail_t)]
+    for t in range(tail_t - 1, -1, -1):
+        continuation.insert(0, delta * expected_next - _period(maintain, t))
+        if t:
+            expected_next = kernel.expect(np.maximum(grid - _period(collapse, t), continuation[0]))
+    stop_now, continue_now = grid - collapse[0], continuation[0]
     return CellSolutions(
         values=np.maximum(stop_now, continue_now),
         stop=stop_now >= continue_now,
         delta_gain=delta * expected_next - grid,
         cost_differential=np.broadcast_to(maintain[0] - collapse[0], (cells, n)),
-        layers=tuple(layers),
+        continuation=tuple(continuation),
+        fixed_point=tail_values,
         iterations=iterations,
         residual=residual,
         converged=residual < tolerance,
@@ -572,7 +581,8 @@ class ValueSolution:
     backward-inducts the finite prefix.  ``values`` satisfies the max
     structure, and ``policy`` is Stop exactly where the stop value is at
     least the continuation value (ties stop).  The greedy lookup at period t
-    reads the exact layer of period t + 1.
+    interpolates the solver's own continuation row of period t, so it needs
+    no successor law of its own.
     """
 
     phi_grid: np.ndarray
@@ -588,9 +598,8 @@ class ValueSolution:
     initial_index: int
     process: SurplusProcess
     costs: CostSchedule
-    _layers: tuple[np.ndarray, ...]
+    _continuation: tuple[np.ndarray, ...]
     _collapse: np.ndarray
-    _maintain: np.ndarray
 
     @property
     def initial_value(self) -> float:
@@ -607,19 +616,10 @@ class ValueSolution:
     def continuation_value_at(self, phi: float, t: int = 0) -> float:
         """Greedy continuation estimate at an arbitrary surplus level.
 
-        Interpolates the values of period t + 1; at a grid state this is
-        the solver's continuation value.
+        Interpolates the solver's continuation delta * E[V_{t+1}] - C_m(t)
+        of period t; at a grid state it is that value exactly.
         """
-        following = _period(self._layers, t)
-        index = _nearest_index(self.phi_grid, phi)
-        if isinstance(self.process, MarkovGrid):
-            expected = float(self.process.matrix[index] @ following)
-        else:
-            expected = sum(
-                p * float(np.interp(phi * (1.0 + g), self.phi_grid, following))
-                for g, p in self.process.support
-            )
-        return self.delta * expected - float(_period(self._maintain, t)[index])
+        return float(np.interp(phi, self.phi_grid, _period(self._continuation, t)))
 
     def stop_value_at(self, phi: float, t: int = 0) -> float:
         return phi - float(_period(self._collapse, t)[_nearest_index(self.phi_grid, phi)])
@@ -673,9 +673,8 @@ def value_iteration(
         initial_index=initial_index,
         process=process,
         costs=costs,
-        _layers=tuple(layer[0] for layer in block.layers),
+        _continuation=tuple(row[0] for row in block.continuation),
         _collapse=collapse,
-        _maintain=maintain,
     )
 
 

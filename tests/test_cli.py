@@ -169,6 +169,55 @@ def _state_cost_table_off_chain(doc):
     doc["dp"]["costs"]["maintain"] = [[0.1] * width]
 
 
+def _infinite_r_cap(doc):
+    doc["dp"]["config"]["r_cap"] = float("inf")
+
+
+def _overflowing_r_cap(doc):
+    # Finite, but the surplus cap 2 * (r_cap - P) overflows.
+    doc["dp"]["config"]["r_cap"] = 1e308
+
+
+def _nan_perturbation(doc):
+    doc["mass"]["perturbation"] = float("nan")
+
+
+def _infinite_noise_sd(doc):
+    doc["recognition"]["noise"]["sd"] = float("inf")
+
+
+def _infinite_tolerance(doc):
+    doc["dp"]["config"]["tolerance"] = float("inf")
+
+
+def _infinite_growth(doc):
+    doc["dp"]["process"]["growth"] = float("inf")
+
+
+def _integer_beyond_floats(doc):
+    doc["payoff_matrix"]["T"] = 10**400
+
+
+def _overflowing_g3(doc):
+    doc["reference"]["params"]["g3"] = {"kind": "power", "exponent": 400}
+
+
+def _overflowing_g2(doc):
+    # g3 keeps a finite Lipschitz constant; the stage payoffs overflow.
+    doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
+
+
+def _on_metagame(edit):
+    """The edit applied to the metagame preset in place of sns."""
+
+    def on_metagame(doc):
+        doc.clear()
+        doc.update(json.loads(Path(METAGAME).read_text()))
+        edit(doc)
+
+    return on_metagame
+
+
 def _negative_seed(doc):
     doc["seed"] = -3
 
@@ -205,11 +254,32 @@ def _two_line_name(doc):
         ("simulate", _negative_seed, "seed must satisfy seed >= 0, got -3"),
         ("simulate --seed -1", _unchanged, "seed must satisfy seed >= 0, got -1"),
         ("band", _two_line_name, "error: name must not contain a line break, got 'a\\rb'"),
+        ("simulate", _infinite_r_cap, "error: dp.config.r_cap must be finite, got inf"),
+        ("simulate", _overflowing_r_cap, "error: dp.config.r_cap must give a finite surplus cap"),
+        ("mass-sim", _nan_perturbation, "error: mass.perturbation must be finite, got nan"),
+        ("phase-sweep", _infinite_noise_sd, "error: recognition.noise.sd must be finite, got inf"),
+        ("simulate", _infinite_tolerance, "error: dp.config.tolerance must be finite, got inf"),
+        ("simulate", _infinite_growth, "error: dp.process.growth must be finite, got inf"),
+        ("band", _integer_beyond_floats, "error: payoff_matrix.T must be finite, got inf"),
+        (
+            "ref-shift-check",
+            _overflowing_g3,
+            "error: g3 has no finite Lipschitz constant on [0, 8]",
+        ),
+        (
+            "ref-shift-check",
+            _on_metagame(_overflowing_g3),
+            "error: g3 has no finite Lipschitz constant on [0, 7.5]",
+        ),
+        ("ref-shift-check", _overflowing_g2, "error: stage payoffs must be finite"),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
          "narrow-state-cost-table", "state-cost-table-on-growth-axis",
-         "state-cost-table-off-chain", "negative-seed", "negative-seed-flag", "two-line-name"],
+         "state-cost-table-off-chain", "negative-seed", "negative-seed-flag", "two-line-name",
+         "infinite-r-cap", "overflowing-r-cap", "nan-perturbation", "infinite-noise-sd",
+         "infinite-tolerance", "infinite-growth", "integer-beyond-floats",
+         "overflowing-g3-sns", "overflowing-g3-metagame", "overflowing-g2-stage-payoff"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())
@@ -220,6 +290,7 @@ def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert message in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def _missing_file(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fragileband.reference as reference_module
 from fragileband.reference import (
     ClampedLevel,
     HypothesisViolation,
@@ -268,6 +269,39 @@ class TestVerifyShiftStability:
         )
         setup.dynamics_depend_on_reference = True
         with pytest.raises(HypothesisViolation):
+            verify_shift_stability(setup, 0.1)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_overflowing_g3_rejected_before_the_solve(self, optimize, monkeypatch):
+        # 400 * 8**399 is beyond the float range: no bound can be stated.
+        setup = _setup(
+            np.linspace(0, 6, 31),
+            ReferenceParams(gamma_plus=1.0, gamma_minus=1.0, g3=Power(400.0)),
+            reference=8.0,
+            delta=0.9,
+            optimize=optimize,
+        )
+
+        def no_solve(*args):
+            raise AssertionError("solved before the Lipschitz check")
+
+        monkeypatch.setattr(reference_module, "_solve_values", no_solve)
+        with pytest.raises(HypothesisViolation, match=r"g3 has no finite Lipschitz constant"):
+            verify_shift_stability(setup, 0.1)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_nonfinite_stage_payoffs_rejected(self, optimize, weight):
+        # g2(eps) overflows on the grid's widest step; a zero weight makes it NaN.
+        setup = _setup(
+            np.linspace(0, 6, 31),
+            ReferenceParams(gamma_plus=1.0, beta_plus=weight, g2=Power(400.0)),
+            reference=8.0,
+            delta=0.9,
+            optimize=optimize,
+            transition=np.full((31, 31), 1.0 / 31),
+        )
+        with pytest.raises(HypothesisViolation, match="stage payoffs must be finite"):
             verify_shift_stability(setup, 0.1)
 
     def test_non_stochastic_transition_rejected(self):

@@ -201,6 +201,27 @@ def test_bad_document_names_key_path(case, tmp_path, capsys):
     assert key_path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dotted, value, message",
+    [
+        ("dp.costs.maintain", [0.2, math.nan], "dp.costs.maintain[1] must be finite, got nan"),
+        ("dp.costs.collapse", [[-math.inf]], "dp.costs.collapse[0][0] must be finite, got -inf"),
+        ("dp.sweep.delta.start", -math.inf, "dp.sweep.delta.start must be finite, got -inf"),
+        ("mass.state.x", math.inf, "mass.state.x must be finite, got inf"),
+        ("reference.params.cost", 10**400, "reference.params.cost must be finite, got inf"),
+    ],
+)
+def test_non_finite_number_names_key_path(dotted, value, message):
+    doc = json.loads(preset_path("sns").read_text())
+    *parents, last = dotted.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("axes", [["delta"], ["delta", "growth", "maintain_cost"]])
 def test_regime_sweep_takes_two_axes(axes, tmp_path, capsys):
     # The generated schema does not fix the number of axes, so these documents

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from _bench_inputs import inputs
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from fragileband.stopping import (
     finite_horizon_oracle,
     initial_phi,
     simulate_path,
+    solve_cells,
     stagnation_sufficient,
     state_grid,
     stop_value,
@@ -519,7 +521,7 @@ class TestSimulatorOracle:
 
 
 class TestGreedyLookup:
-    """The greedy lookup reads the solver's exact period layers."""
+    """The greedy lookup reads the solver's own continuation rows."""
 
     @pytest.mark.parametrize("case", ["sns", "shocks", "chain"])
     def test_continuation_at_grid_states_equals_the_dp(self, case):
@@ -538,6 +540,116 @@ class TestGreedyLookup:
         dp_continuation = sol.delta_gain + sol.phi_grid - costs.maintain_rows(sol.phi_grid.size)[0]
         lookup = [sol.continuation_value_at(float(phi), 0) for phi in sol.phi_grid]
         np.testing.assert_allclose(lookup, dp_continuation, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["sns", "shocks", "chain"])
+    def test_lookup_at_grid_states_is_the_continuation_row(self, case):
+        if case == "sns":
+            dp = scenario_from_dict(json.loads(preset_path("sns").read_text())).dp
+            process, config = dp.process, dp.config
+        else:
+            process = {"shocks": SHOCKS, "chain": CHAIN}[case]
+            config = DPConfig(delta=0.95, r_cap=40.0)
+        # The tail keeps states continuing, so one more backup moves the fixed point.
+        costs = CostSchedule(collapse=1.0, maintain=[0.1, 3.0, 0.0])
+        sol = value_iteration(process, costs, config)
+        grid, collapse, maintain, block = _dp_block(process, costs, config)
+        # delta * E[V_{t+1}] - C_m(t) by hand, with V_2 the stationary fixed point.
+        kernel, delta = transition_kernel(process, grid), config.delta
+        expected_tail = kernel.expect(block.fixed_point[0])
+        middle = delta * expected_tail - maintain[1]
+        first = delta * kernel.expect(np.maximum(grid - collapse[0], middle)) - maintain[0]
+        rows = [first, middle, delta * expected_tail - maintain[2]]
+        assert [row[0].tolist() for row in block.continuation] == [row.tolist() for row in rows]
+        midpoints = (grid[:-1] + grid[1:]) / 2
+        for t in range(len(rows) + 2):
+            row = rows[min(t, 2)]
+            lookup = [sol.continuation_value_at(float(phi), t) for phi in grid]
+            assert lookup == row.tolist(), t
+            # Between grid states the row is interpolated linearly.
+            between = [sol.continuation_value_at(float(phi), t) for phi in midpoints]
+            np.testing.assert_allclose(between, (row[:-1] + row[1:]) / 2, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_greedy_paths_match_the_interpolated_v_lookup(self, seed):
+        # Every trajectory of the benchmark's Monte Carlo cases; the paths of
+        # a case in DETERMINISTIC_PATHS are all the same, so one is simulated.
+        mc = inputs.greedy_mc(seed, inputs.FULL)
+        for case, document in mc.documents.items():
+            dp = scenario_from_dict(document).dp
+            sol = value_iteration(dp.process, dp.costs, dp.config)
+            rule = _interpolated_v_rule(dp.process, dp.costs, dp.config)
+            seeds = mc.extras["path_seeds"][case]
+            for s in seeds[:1] if case in inputs.DETERMINISTIC_PATHS else seeds:
+                got = simulate_path(dp.process, dp.costs, sol, dp.config.delta, dp.horizon, s)
+                want = simulate_path(dp.process, dp.costs, rule, dp.config.delta, dp.horizon, s)
+                assert got.stop_time == want.stop_time, (case, s)
+                assert [step.action for step in got.steps] == [step.action for step in want.steps]
+                assert got.discounted_payoff == want.discounted_payoff, (case, s)
+
+    @pytest.mark.parametrize("preset", ["sns", "metagame"])
+    def test_simulate_csv_matches_the_interpolated_v_lookup(self, preset, monkeypatch):
+        base = scenario_from_dict(json.loads(preset_path(preset).read_text()))
+        dp = base.dp
+        rule = _interpolated_v_rule(dp.process, dp.costs, dp.config)
+        scenarios = [scenario_module.with_seed(base, seed) for seed in range(10)]
+        got = [scenario_module.cmd_simulate(scenario).to_csv() for scenario in scenarios]
+
+        def simulate_with_rule(process, costs, policy, delta, horizon, seed):
+            assert isinstance(policy, ValueSolution)
+            return simulate_path(process, costs, rule, delta, horizon, seed)
+
+        monkeypatch.setattr(scenario_module, "simulate_path", simulate_with_rule)
+        want = [scenario_module.cmd_simulate(scenario).to_csv() for scenario in scenarios]
+        assert got == want
+
+
+def _dp_block(process, costs, config):
+    """(grid, collapse rows, maintain rows, one-cell block) of the solve behind value_iteration."""
+    grid, _ = state_grid(process, config.r_cap, config.grid_points)
+    collapse, maintain = costs.collapse_rows(grid.size), costs.maintain_rows(grid.size)
+    block = solve_cells(
+        grid,
+        transition_kernel(process, grid),
+        np.array([config.delta]),
+        collapse,
+        maintain,
+        config.tolerance,
+        config.max_iterations,
+    )
+    return grid, collapse, maintain, block
+
+
+def _interpolated_v_rule(process, costs, config):
+    """The greedy rule of the lookup that interpolated the values V_{t+1}.
+
+    The oracle for the lookup that interpolates the solver's continuation
+    rows.  At period t it takes the values of period t + 1 (the stationary
+    fixed point from the tail on), then E[V(phi')] as one ``np.interp`` per
+    shock at phi * (1 + g), or a chain's matrix row at the nearest state,
+    and the maintenance cost of the nearest state.
+    """
+    grid, collapse, maintain, block = _dp_block(process, costs, config)
+    tail = len(block.continuation) - 1
+    layers = [
+        np.maximum(grid - collapse[min(t, len(collapse) - 1)], block.continuation[t][0])
+        for t in range(1, tail)
+    ] + [block.fixed_point[0]]
+
+    def rule(t: int, phi: float) -> Decision:
+        following = layers[min(t, len(layers) - 1)]
+        index = int(np.argmin(np.abs(grid - phi)))  # ties go to the lower state
+        if isinstance(process, MarkovGrid):
+            expected = float(process.matrix[index] @ following)
+        else:
+            expected = sum(
+                p * float(np.interp(phi * (1.0 + g), grid, following))
+                for g, p in process.support
+            )
+        continuation = config.delta * expected - float(maintain[min(t, len(maintain) - 1)][index])
+        stop = phi - float(collapse[min(t, len(collapse) - 1)][index])
+        return Decision.STOP if stop >= continuation else Decision.CONTINUE
+
+    return rule
 
 
 def regime_rows_per_cell(dp, axes) -> list[list]:
