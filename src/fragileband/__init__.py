@@ -77,6 +77,7 @@ from .reference import (
     negative_part,
     positive_part,
     ref_shift_bound,
+    verify_shift_section,
     verify_shift_stability,
 )
 from .scenario import (

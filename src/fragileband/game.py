@@ -73,6 +73,11 @@ class PayoffMatrix:
             raise ValueError("payoff values must be finite")
         if not (self.T > self.R > self.P > self.S):
             raise ValueError("payoff matrix must satisfy T > R > P > S")
+        # The band's ratios read these; P - S <= R - S is finite when R - S is.
+        differences = {"T - R": self.T - self.R, "R - S": self.R - self.S, "T - P": self.T - self.P}
+        for name, difference in differences.items():
+            if not math.isfinite(difference):
+                raise ValueError(f"payoff difference {name} must be finite, got {difference}")
 
 
 @dataclass(frozen=True)

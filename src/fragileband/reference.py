@@ -22,10 +22,13 @@ Shifting the reference by a constant kappa at every date perturbs each stage
 payoff by at most max(gamma_plus, gamma_minus) * L * |kappa|, where L is the
 Lipschitz constant of g3 on the visited domain.  Summing the discounted
 series bounds the value-function displacement by that amount over (1 -
-delta); ``verify_shift_stability`` checks the bound empirically by solving
-the same discounted problem under both references.  With a stop option the
-problem is the adversary's stop/continue fixed point, so both references are
-solved as one block by ``stopping.solve_cells``.
+delta); ``verify_shift_section`` checks the bound empirically for every
+kappa of a section by solving the same discounted problem under the base
+reference and each shifted one.  All references are solved together: one
+dense solve per reference without a stop option, and with one the
+adversary's stop/continue fixed point, one ``stopping.solve_cells`` block in
+which each reference is its own cell.  Either way a reference's values do
+not depend on which others share the block.
 """
 
 from __future__ import annotations
@@ -260,17 +263,19 @@ def ref_shift_bound(
 
 @dataclass(eq=False)
 class ShiftCheckSetup:
-    """Finite-state discounted problem used by :func:`verify_shift_stability`.
+    """Finite-state discounted problem used by :func:`verify_shift_section`.
 
-    The state x moves on ``x_grid`` with the given row-stochastic
-    ``transition`` matrix; ``forecasts[i]`` is the forecast held while in
-    state i.  Stage payoff on a step i -> j is the reference payoff at
+    ``reference`` is the base reference that every kappa shifts.  The state
+    x moves on ``x_grid`` with the given row-stochastic ``transition``
+    matrix; ``forecasts[i]`` is the forecast held while in state i.  Stage
+    payoff on a step i -> j is the reference payoff at
     Observation(x=grid[j], x_prev=grid[i], forecast=forecasts[i]).  With
     ``optimize`` False the value of the always-continue policy is computed
-    by a direct linear solve; with ``optimize`` True a stop option (collect
-    the current state's payoff once, then nothing) is added and the optimal
-    value is found by value iteration in :func:`stopping.solve_cells`.
-    Dynamics and forecasts must not depend on the reference.
+    by a direct linear solve per reference; with ``optimize`` True a stop
+    option (collect the current state's payoff once, then nothing) is added
+    and the optimal value is found by value iteration in
+    :func:`stopping.solve_cells`, one cell per reference.  Dynamics and
+    forecasts must not depend on the reference.
     """
 
     x_grid: np.ndarray
@@ -312,10 +317,18 @@ class ShiftCheckResult:
 
 # Iteration budget of the optimize-mode value iteration (not a user option).
 SHIFT_CHECK_MAX_ITERATIONS = 1_000_000
+# Stage payoffs held per solve block: max(2, SHIFT_BLOCK_VALUES // n**2)
+# references of an n-state grid, about 1 MiB per temporary (not a user option).
+SHIFT_BLOCK_VALUES = 2**17
 
 
-def _stage_matrix(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
-    """Stage payoff of every step i -> j, in one broadcast payoff call."""
+def _stage_matrix(setup: ShiftCheckSetup, reference) -> np.ndarray:
+    """Stage payoff of every step i -> j, in one broadcast payoff call.
+
+    A float reference gives the (n, n) matrix.  References shaped (refs, 1, 1)
+    give one matrix per reference, and the terms that do not read the
+    reference are computed once.
+    """
     grid = setup.x_grid
     obs = SimpleNamespace(
         x=grid, x_prev=grid[:, None], forecast=setup.forecasts[:, None], reference=reference
@@ -331,8 +344,8 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     tests the stop payoffs, the matrix diagonals.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        stages = [_stage_matrix(setup, reference) for reference in references]
-        expected_stage = np.array([(setup.transition * stage).sum(axis=1) for stage in stages])
+        stages = _stage_matrix(setup, np.asarray(references, dtype=float)[:, None, None])
+        expected_stage = (setup.transition * stages).sum(axis=2)
     if not np.isfinite(expected_stage).all():
         raise HypothesisViolation(
             "stage payoffs must be finite on the shift-check grid; g1, g2, g3 or a weight overflows"
@@ -345,7 +358,7 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     # V = max(stop, expected_stage + delta * P V) is the stop/continue problem on
     # a zero grid with collapse cost -stop and maintenance cost -expected_stage;
     # stopping in state i collects the payoff of the step i -> i once.
-    stop = np.array([stage.diagonal() for stage in stages])
+    stop = np.diagonal(stages, axis1=1, axis2=2)
     kernel, deltas = Transition(matrix=setup.transition), np.full(len(stages), setup.delta)
     block = solve_cells(
         np.zeros(n), kernel, deltas, [-stop], [-expected_stage], 1e-12, SHIFT_CHECK_MAX_ITERATIONS
@@ -358,45 +371,62 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     return block.fixed_point  # ``values`` would apply one more backup
 
 
-def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftCheckResult:
-    """Solve the discounted problem under both references and check the bound.
+def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> list[ShiftCheckResult]:
+    """Solve the problem under the base and every shifted reference; check each bound.
 
-    The Lipschitz constant is declared by g3 on the widest norm-deviation
-    magnitude reachable on the grid under either reference, so the
-    analytical bound is sound for the states actually visited.  It is
-    computed before the solve: a g3 with no finite constant there, or a
-    stage payoff that is not finite, raises HypothesisViolation.
+    The Lipschitz constant of a kappa is declared by g3 on the widest
+    norm-deviation magnitude reachable on the grid under either reference,
+    so the analytical bound is sound for the states actually visited.
+    Every kappa is checked in order before the one solve: a shifted
+    reference that is not finite, or a g3 with no finite constant, raises
+    HypothesisViolation, as does a stage payoff that is not finite.  The
+    references are solved in blocks of at most
+    max(2, SHIFT_BLOCK_VALUES // n**2), the base in the first only.  A gap
+    or bound that overflows raises HypothesisViolation naming its kappa;
+    otherwise the bound holds when the gap exceeds it by at most 1e-9 of
+    max(1, bound), a slack for rounding at any scale.
     """
     if setup.dynamics_depend_on_reference:
         raise HypothesisViolation(
             "shift stability requires dynamics and forecasts independent of the reference"
         )
-    if not math.isfinite(setup.reference + kappa_ref):
-        raise ValueError("shifted reference must be finite")
-    domain = float(
-        max(
-            np.max(np.abs(setup.x_grid - setup.reference)),
-            np.max(np.abs(setup.x_grid - setup.reference - kappa_ref)),
+    grid, reference, params = setup.x_grid, setup.reference, setup.params
+    base_domain = np.max(np.abs(grid - reference))
+    constants = []
+    for kappa in kappas:
+        if not math.isfinite(reference + kappa):
+            raise HypothesisViolation(
+                f"shifted reference must be finite, got {reference!r} + {kappa!r}"
+            )
+        domain = float(max(base_domain, np.max(np.abs(grid - reference - kappa))))
+        try:
+            lipschitz = params.g3.lipschitz(domain)
+        except OverflowError:
+            lipschitz = math.inf
+        if not math.isfinite(lipschitz):
+            raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
+        constants.append(lipschitz)
+    shifted = [reference + kappa for kappa in kappas]
+    size = max(2, SHIFT_BLOCK_VALUES // grid.size**2)
+    base, *rows = _solve_values(setup, [reference, *shifted[: size - 1]])
+    for start in range(size - 1, len(shifted), size):
+        rows.extend(_solve_values(setup, shifted[start : start + size]))
+    results = []
+    for kappa, lipschitz, row in zip(kappas, constants, rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+            gap = float(np.max(np.abs(row - base)))
+        bound = ref_shift_bound(
+            params.gamma_plus, params.gamma_minus, lipschitz, kappa, setup.delta
         )
-    )
-    try:
-        lipschitz = setup.params.g3.lipschitz(domain)
-    except OverflowError:
-        lipschitz = math.inf
-    if not math.isfinite(lipschitz):
-        raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
-    base, shifted = _solve_values(setup, [setup.reference, setup.reference + kappa_ref])
-    gap = float(np.max(np.abs(shifted - base)))
-    bound = ref_shift_bound(
-        setup.params.gamma_plus,
-        setup.params.gamma_minus,
-        lipschitz,
-        kappa_ref,
-        setup.delta,
-    )
-    return ShiftCheckResult(
-        empirical_gap=gap,
-        bound=bound,
-        holds=gap <= bound + 1e-9,
-        lipschitz=lipschitz,
-    )
+        if not (math.isfinite(gap) and math.isfinite(bound)):
+            raise HypothesisViolation(
+                f"kappa {kappa!r}: the empirical gap ({gap}) or the bound ({bound}) is not finite"
+            )
+        holds = gap <= bound + 1e-9 * max(1.0, bound)
+        results.append(ShiftCheckResult(gap, bound, holds, lipschitz))
+    return results
+
+
+def verify_shift_stability(setup: ShiftCheckSetup, kappa_ref: float) -> ShiftCheckResult:
+    """:func:`verify_shift_section` for one kappa."""
+    return verify_shift_section(setup, [kappa_ref])[0]

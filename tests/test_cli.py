@@ -207,6 +207,20 @@ def _overflowing_g2(doc):
     doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
 
 
+def _overflowing_kappa(doc):
+    # The linear solve overflows: the gap is NaN and the bound inf.
+    doc["reference"]["kappas"] = [1e308]
+
+
+def _overflowing_shifted_reference(doc):
+    doc["reference"]["reference"] = 1e308
+    doc["reference"]["kappas"] = [1e308]
+
+
+def _overflowing_payoff_differences(doc):
+    doc["payoff_matrix"] = {"T": 1e308, "R": -1e308, "P": -1.5e308, "S": -1.7e308}
+
+
 def _on_metagame(edit):
     """The edit applied to the metagame preset in place of sns."""
 
@@ -272,6 +286,21 @@ def _two_line_name(doc):
             "error: g3 has no finite Lipschitz constant on [0, 7.5]",
         ),
         ("ref-shift-check", _overflowing_g2, "error: stage payoffs must be finite"),
+        (
+            "ref-shift-check",
+            _overflowing_kappa,
+            "error: kappa 1e+308: the empirical gap (nan) or the bound (inf) is not finite",
+        ),
+        (
+            "ref-shift-check",
+            _overflowing_shifted_reference,
+            "error: shifted reference must be finite, got 1e+308 + 1e+308",
+        ),
+        (
+            "band",
+            _overflowing_payoff_differences,
+            "error: payoff difference T - R must be finite, got inf",
+        ),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
@@ -279,7 +308,8 @@ def _two_line_name(doc):
          "state-cost-table-off-chain", "negative-seed", "negative-seed-flag", "two-line-name",
          "infinite-r-cap", "overflowing-r-cap", "nan-perturbation", "infinite-noise-sd",
          "infinite-tolerance", "infinite-growth", "integer-beyond-floats",
-         "overflowing-g3-sns", "overflowing-g3-metagame", "overflowing-g2-stage-payoff"],
+         "overflowing-g3-sns", "overflowing-g3-metagame", "overflowing-g2-stage-payoff",
+         "overflowing-kappa", "overflowing-shifted-reference", "overflowing-payoff-differences"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())
@@ -291,6 +321,20 @@ def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message
     assert "Traceback" not in done.stderr
     assert message in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_bound_holds_up_to_rounding_at_large_scale(tmp_path):
+    # The gap is 1.0000000000000004e+307 against a bound of 1.0000000000000002e+307.
+    doc = json.loads(Path(SNS).read_text())
+    doc["reference"]["kappas"] = [1e306]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    done = _python(["-m", "fragileband.cli", "ref-shift-check", "--scenario", str(path)])
+    assert done.returncode == 0, done.stderr
+    table = ResultTable.from_csv(done.stdout)
+    [[kappa, gap, bound, holds]] = table.rows
+    assert (kappa, holds) == (1e306, True)
+    assert bound < gap <= bound * (1 + 1e-9)
 
 
 def _missing_file(tmp_path):

@@ -67,6 +67,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             PayoffMatrix(T=float("inf"), R=4, P=2, S=0)
 
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ((1e308, -1e308, -1.5e308, -1.7e308), "T - R"),
+            ((1e308, 0.9e308, 0.0, -0.9e308), "R - S"),
+            ((1e308, 0.0, -0.8e308, -0.9e308), "T - P"),
+        ],
+        ids=["T-R", "R-S", "T-P"],
+    )
+    def test_overflowing_differences(self, values, name):
+        with pytest.raises(ValueError, match=f"payoff difference {name} must be finite"):
+            PayoffMatrix(*values)
+
     def test_recognition_bounds(self):
         with pytest.raises(ValueError, match="a > 0"):
             Recognition(a=0.0, b=1.0)

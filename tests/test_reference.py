@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _bench_inputs import inputs
 import fragileband.reference as reference_module
 from fragileband.reference import (
     ClampedLevel,
@@ -25,8 +26,11 @@ from fragileband.reference import (
     negative_part,
     positive_part,
     ref_shift_bound,
+    verify_shift_section,
     verify_shift_stability,
 )
+from fragileband.scenario import cmd_ref_shift_check, load_scenario, preset_path, scenario_from_dict
+from fragileband.stopping import Transition, solve_cells
 
 EPS = np.finfo(float).eps
 
@@ -332,6 +336,168 @@ class TestVerifyShiftStability:
             block = _solve_values(setup, references)
             for row, reference in zip(block, references):
                 np.testing.assert_array_equal(row, _solve_values(setup, [reference])[0])
+
+
+def _per_kappa_oracle(setup: ShiftCheckSetup, kappa: float) -> tuple:
+    """The per-kappa check that the section solve replaced, written out here.
+
+    Each kappa solves the base and the shifted reference again, as one
+    two-reference problem whose stage matrices are built one reference at a
+    time; it returns (empirical_gap, bound, holds, lipschitz).  ``holds``
+    keeps the absolute 1e-9 slack, which on every input here decides as the
+    relative one does.
+    """
+    references = [setup.reference, setup.reference + kappa]
+    domain = float(
+        max(
+            np.max(np.abs(setup.x_grid - setup.reference)),
+            np.max(np.abs(setup.x_grid - setup.reference - kappa)),
+        )
+    )
+    lipschitz = setup.params.g3.lipschitz(domain)
+    stages = [_stage_matrix(setup, r) for r in references]
+    expected_stage = np.array([(setup.transition * stage).sum(axis=1) for stage in stages])
+    n = setup.x_grid.size
+    if setup.optimize:
+        stop = np.array([stage.diagonal() for stage in stages])
+        block = solve_cells(
+            np.zeros(n), Transition(matrix=setup.transition), np.full(2, setup.delta),
+            [-stop], [-expected_stage], 1e-12, reference_module.SHIFT_CHECK_MAX_ITERATIONS,
+        )
+        assert block.converged.all()
+        base, shifted = block.fixed_point
+    else:
+        system = np.eye(n) - setup.delta * setup.transition
+        base, shifted = (np.linalg.solve(system, rhs) for rhs in expected_stage)
+    gap = float(np.max(np.abs(shifted - base)))
+    bound = ref_shift_bound(
+        setup.params.gamma_plus, setup.params.gamma_minus, lipschitz, kappa, setup.delta
+    )
+    return gap, bound, gap <= bound + 1e-9, lipschitz
+
+
+def _fields(result) -> tuple:
+    return result.empirical_gap, result.bound, result.holds, result.lipschitz
+
+
+def _assert_section_matches_oracle(setup: ShiftCheckSetup, kappas) -> None:
+    got = [_fields(result) for result in verify_shift_section(setup, kappas)]
+    expected = [_per_kappa_oracle(setup, kappa) for kappa in kappas]
+    # Tuples of floats compare by value; repr compares the bits (and -0.0).
+    assert list(map(repr, got)) == list(map(repr, expected))
+
+
+def _section_setups():
+    """(name, setup, kappas) of both presets and the fine-grids documents of seeds 1 and 3."""
+    scenarios = [(name, load_scenario(preset_path(name))) for name in ("sns", "metagame")]
+    for seed in (1, 3):
+        for name, doc in inputs.fine_grids(seed, inputs.FULL).documents.items():
+            scenarios.append((f"{name}-{seed}", scenario_from_dict(doc)))
+    for name, scenario in scenarios:
+        section = scenario.reference
+        setup = section.setup.build(section.params, section.reference, section.delta)
+        yield name, setup, section.kappas
+
+
+class TestVerifyShiftSection:
+    """One solve per section, against the per-kappa checks it replaced, bit for bit."""
+
+    def test_presets_and_fine_grids_match_per_kappa_checks(self):
+        checked = set()
+        for name, setup, kappas in _section_setups():
+            _assert_section_matches_oracle(setup, kappas)
+            checked.add(setup.optimize)
+        assert checked == {False, True}
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_random_setups_match_per_kappa_checks(self, optimize):
+        rng = np.random.default_rng(23)
+        for setup in _random_setups(rng, 20):
+            setup.optimize = optimize
+            _assert_section_matches_oracle(setup, [0.0, *rng.uniform(-1, 1, size=4)])
+
+    def test_broadcast_stage_matrices_match_one_reference_calls(self):
+        for name, setup, kappas in _section_setups():
+            references = np.array([setup.reference + kappa for kappa in (0.0, *kappas)])
+            stages = _stage_matrix(setup, references[:, None, None])
+            for stage, reference in zip(stages, references):
+                assert stage.tobytes() == _stage_matrix(setup, reference).tobytes(), name
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_small_blocks_give_the_same_results(self, optimize, monkeypatch):
+        rng = np.random.default_rng(29)
+        setup = next(_random_setups(rng, 1))
+        setup.optimize = optimize
+        kappas = [0.0, *rng.uniform(-1, 1, size=5)]
+        whole = verify_shift_section(setup, kappas)
+        blocks = []
+
+        def counted(setup, references):
+            blocks.append(len(references))
+            return _solve_values(setup, references)
+
+        monkeypatch.setattr(reference_module, "_solve_values", counted)
+        monkeypatch.setattr(reference_module, "SHIFT_BLOCK_VALUES", 1)
+        # Two references a block; the base is solved in the first one only.
+        assert verify_shift_section(setup, kappas) == whole
+        assert blocks == [2, 2, 2, 1]
+
+    def test_one_solve_block_per_section(self, monkeypatch):
+        # The fine-grids metagame section: 121 states, 4 kappas, optimize mode.
+        doc = inputs.fine_grids(1, inputs.FULL).documents["metagame"]
+        scenario = scenario_from_dict(doc)
+        assert scenario.reference.setup.optimize and len(scenario.reference.kappas) == 4
+        blocks = []
+
+        def counted(*args):
+            blocks.append(args[2].size)
+            return solve_cells(*args)
+
+        monkeypatch.setattr(reference_module, "solve_cells", counted)
+        cmd_ref_shift_check(scenario)
+        assert blocks == [5]
+
+    def test_checks_every_kappa_before_the_solve(self, monkeypatch):
+        # 400 * 3.1**399 is finite; at kappa 5 the domain is [0, 8] and 400 * 8**399 is not.
+        setup = _setup(
+            np.linspace(0, 2, 11),
+            ReferenceParams(gamma_plus=1.0, gamma_minus=1.0, g3=Power(400.0)),
+            reference=3.0,
+            delta=0.9,
+        )
+
+        def no_solve(*args):
+            raise AssertionError("solved before every kappa was checked")
+
+        monkeypatch.setattr(reference_module, "_solve_values", no_solve)
+        with pytest.raises(HypothesisViolation, match=r"Lipschitz constant on \[0, 8\]"):
+            verify_shift_section(setup, [0.1, 5.0])
+        setup.reference = 1e308
+        setup.params = ReferenceParams(gamma_plus=1.0, gamma_minus=1.0)
+        with pytest.raises(HypothesisViolation, match="shifted reference must be finite"):
+            verify_shift_section(setup, [0.1, 1e308])
+
+    def test_overflowing_gap_or_bound_names_the_kappa(self):
+        setup = _setup(
+            np.linspace(0, 6, 31),
+            ReferenceParams(gamma_plus=1.0, gamma_minus=1.0),
+            reference=8.0,
+            delta=0.9,
+        )
+        with pytest.raises(HypothesisViolation, match=r"kappa 1e\+308: .* not finite"):
+            verify_shift_section(setup, [0.1, 1e308])
+
+    def test_holds_allows_rounding_relative_to_the_bound(self):
+        setup = _setup(
+            np.linspace(0, 6, 31),
+            ReferenceParams(gamma_plus=1.0, gamma_minus=1.0),
+            reference=8.0,
+            delta=0.9,
+        )
+        # The gap exceeds the bound by 1.5e-5, 1.7e-15 of it: rounding at this scale.
+        [result] = verify_shift_section(setup, [1e10])
+        assert result.empirical_gap > result.bound + 1e-9
+        assert result.holds
 
 
 def _random_setups(rng, trials: int):
