@@ -15,16 +15,19 @@ equilibria.  When the band vanishes (w_min > w_max) the game turns
 Hawk-Dove-like and only the asymmetric profiles survive in the middle.
 
 Everything in this module is a pure function of immutable inputs; the noisy
-tipping band is an exact truncated-Normal mass, not a sample.
+tipping band is an exact truncated-Normal mass, not a sample.  The module
+works on plain floats with ``math`` and does not import numpy: each
+recognition curve is one scalar formula, mapped over a sweep as a list.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from ._lazy import linspace
 
 
 class CurveError(ValueError):
@@ -78,6 +81,14 @@ class PayoffMatrix:
         for name, difference in differences.items():
             if not math.isfinite(difference):
                 raise ValueError(f"payoff difference {name} must be finite, got {difference}")
+        # The two sides of the band's existence criterion, as the band command reports them.
+        products = {
+            "(T - R)(T - P)": (self.T - self.R) * (self.T - self.P),
+            "(P - S)(R - S)": (self.P - self.S) * (self.R - self.S),
+        }
+        for name, product in products.items():
+            if not math.isfinite(product):
+                raise ValueError(f"payoff product {name} must be finite, got {product}")
 
 
 @dataclass(frozen=True)
@@ -218,25 +229,42 @@ class RecognitionCurve:
     """Monotone response F(w) mapping raw recognition into effective weight.
 
     Valid curves satisfy F(0) = 0, F nondecreasing and 0 <= F(w) <= 1.
-    Subclasses implement ``__call__`` on floats and arrays alike; ``validate``
-    checks the contract by dense sampling and raises :class:`CurveError`.
+    Subclasses implement ``at``, F at one float w; calling a curve maps it
+    over a sequence of w and returns a list.  ``validate`` checks the
+    contract by dense sampling and raises :class:`CurveError`.
     """
 
-    def __call__(self, w):
+    def at(self, w: float) -> float:
         raise NotImplementedError
+
+    def __call__(self, w):
+        """F(w) of a float w, or the list of F over a sequence of w."""
+        at = self.at
+        try:
+            ws = iter(w)
+        except TypeError:
+            return at(float(w))
+        return [at(float(v)) for v in ws]
 
     def validate(self, upper, points: int = 257) -> None:
         """Check the contract at ``points`` evenly spaced w in [0, max(upper, 1)].
 
-        An array ``upper`` (a sweep) checks every entry's own grid at once.
+        A sequence ``upper`` (a sweep) checks the grid of every distinct
+        max(w, 1), one grid at a time.  F(0) is checked first, then
+        monotonicity on every grid, then the range on every grid.
         """
-        uppers = np.unique(np.maximum(np.ravel(upper), 1.0))
-        values = self(np.linspace(0.0, uppers, points, axis=-1))
-        if np.any(np.abs(values[:, 0]) > 1e-12):
+        uppers = _floats(upper)
+        if uppers is None:
+            uppers = [float(upper)]
+        if abs(self.at(0.0)) > 1e-12:
             raise CurveError("recognition curve must satisfy F(0) = 0")
-        if np.any(np.diff(values, axis=1) < -1e-12):
-            raise CurveError("recognition curve must be nondecreasing")
-        if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+        out_of_range = False
+        for stop in sorted({max(u, 1.0) for u in uppers}):
+            values = self(linspace(0.0, stop, points))
+            if any(b - a < -1e-12 for a, b in zip(values, values[1:])):
+                raise CurveError("recognition curve must be nondecreasing")
+            out_of_range = out_of_range or any(v < -1e-12 or v > 1.0 + 1e-12 for v in values)
+        if out_of_range:
             raise CurveError("recognition curve values must lie in [0, 1]")
 
 
@@ -244,8 +272,8 @@ class RecognitionCurve:
 class LinearClamped(RecognitionCurve):
     """F(w) = min(w, 1); the identity on [0, 1]."""
 
-    def __call__(self, w):
-        return np.minimum(w, 1.0)
+    def at(self, w: float) -> float:
+        return min(w, 1.0)
 
 
 @dataclass(frozen=True)
@@ -258,8 +286,8 @@ class SaturatingExponential(RecognitionCurve):
         if not self.rate > 0:
             raise ValueError("curve rate must satisfy rate > 0")
 
-    def __call__(self, w):
-        return 1.0 - np.exp(-self.rate * w)
+    def at(self, w: float) -> float:
+        return 1.0 - math.exp(-self.rate * w)
 
 
 @dataclass(frozen=True)
@@ -275,11 +303,17 @@ class LogisticShifted(RecognitionCurve):
     def __post_init__(self) -> None:
         if not self.steepness > 0:
             raise ValueError("curve steepness must satisfy steepness > 0")
-
-    def __call__(self, w):
         base = _sigmoid(-self.steepness * self.midpoint)
-        raw = _sigmoid(self.steepness * (w - self.midpoint))
-        return (raw - base) / (1.0 - base)
+        if not base < 1.0:  # F would divide by 1 - base = 0
+            raise ValueError(
+                "curve steepness * midpoint is too far below 0: the logistic at w = 0 "
+                f"rounds to 1, got {self.steepness * self.midpoint:g}"
+            )
+        object.__setattr__(self, "_base", base)
+
+    def at(self, w: float) -> float:
+        base = self._base  # the raw logistic at w = 0
+        return (_sigmoid(self.steepness * (w - self.midpoint)) - base) / (1.0 - base)
 
 
 @dataclass(frozen=True)
@@ -296,34 +330,55 @@ class TabulatedCurve(RecognitionCurve):
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("tabulated curves need at least two samples")
-        ws = [w for w, _ in pts]
+        ws = tuple(w for w, _ in pts)
         if any(b <= a for a, b in zip(ws, ws[1:])):
             raise ValueError("tabulated curve samples must have strictly ascending w")
+        object.__setattr__(self, "_ws", ws)
 
-    def __call__(self, w):
-        ws, fs = zip(*self.points)
-        return np.interp(w, ws, fs)
+    def at(self, w: float) -> float:
+        # np.interp's rule: the end values are held, a sample's own w gives its value.
+        if w != w:
+            return w
+        j = bisect.bisect_right(self._ws, w) - 1
+        if j < 0:
+            return self.points[0][1]
+        if j >= len(self.points) - 1:
+            return self.points[-1][1]
+        (w0, f0), (w1, f1) = self.points[j], self.points[j + 1]
+        if w == w0:
+            return f0
+        return (f1 - f0) / (w1 - w0) * (w - w0) + f0
 
 
-def _sigmoid(z):
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: float) -> float:
+    e = math.exp(-abs(z))
+    return (1.0 if z >= 0 else e) / (1.0 + e)
 
 
 def classify_phase_nonlinear(pd: PayoffMatrix, w, curve: RecognitionCurve):
     """Phase classification with effective weight F(w) in place of w.
 
     The curve is checked against its contract by dense sampling before use;
-    a violating curve raises :class:`CurveError`.  For an array ``w`` (a sweep)
-    the curve is validated once, on every ratio's own grid, and a list returned.
+    a violating curve raises :class:`CurveError`.  For a sequence ``w`` (a
+    sweep) the curve is validated once, on every ratio's own grid, and a
+    list returned.
     """
-    ws = np.asarray(w, dtype=float)
-    if not np.all(ws >= 0):
+    ws = _floats(w)
+    values = [float(w)] if ws is None else ws
+    if not all(v >= 0 for v in values):
         raise ValueError("w must satisfy w >= 0")
-    curve.validate(upper=ws)
+    curve.validate(upper=values)
     fb = band(pd)
-    labels = [_label_from_thresholds(f, fb) for f in np.ravel(curve(ws))]
-    return labels if ws.ndim else labels[0]
+    labels = [_label_from_thresholds(f, fb) for f in curve(values)]
+    return labels if ws is not None else labels[0]
+
+
+def _floats(w) -> list[float] | None:
+    """The floats of a sequence ``w``, or None when ``w`` is one number."""
+    try:
+        return [float(v) for v in w]
+    except TypeError:
+        return None
 
 
 def min_total_payoff_profile(pd: PayoffMatrix) -> tuple[Profile, float]:

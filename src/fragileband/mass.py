@@ -18,7 +18,9 @@ extension is not used here.
 Inputs are validated once, where they enter (a :class:`MassState` is
 built for each start); the fixed-point search and the trajectory then loop
 on plain floats through one update function, the same one :func:`step`
-runs.
+runs.  A :class:`MassSimResult` keeps its trajectory as floats, so the
+layer and the mass-sim command never load numpy; only the ``xs`` and
+``deviations`` arrays it hands to library callers do.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import np
 from .reference import Identity, ShapeFn
 
 
@@ -212,18 +213,30 @@ def find_fixed_point(
 
 @dataclass(eq=False)
 class MassSimResult:
+    """A perturbed trajectory and its labels; ``trajectory`` holds x_0, x_1, ... as floats."""
+
     fixed_point: float
     gain: float
     jacobian: float
     analytic_label: StabilityLabel
     empirical_label: StabilityLabel
-    xs: np.ndarray
-    deviations: np.ndarray
+    trajectory: list[float]
+
+    @property
+    def xs(self) -> np.ndarray:
+        """The trajectory as an array."""
+        return np.array(self.trajectory)
+
+    @property
+    def deviations(self) -> np.ndarray:
+        """x_t - fixed_point along the trajectory, as an array."""
+        return self.xs - self.fixed_point
 
 
-def _empirical_label(deviations: np.ndarray) -> StabilityLabel:
+def _empirical_label(deviations) -> StabilityLabel:
+    """The label a sequence of deviations x_t - fixed_point shows."""
     d0 = deviations[0]
-    if d0 == 0.0 or np.all(np.abs(deviations) < 1e-300):
+    if d0 == 0.0 or all(abs(d) < 1e-300 for d in deviations):
         return StabilityLabel.STABLE
     last = deviations[-1]
     if abs(last) < 0.5 * abs(d0):
@@ -232,8 +245,8 @@ def _empirical_label(deviations: np.ndarray) -> StabilityLabel:
         return StabilityLabel.BOUNDARY
     # Growing: read the sign pattern inside the local window before the
     # trajectory leaves the linear regime.
-    exceed = np.nonzero(np.abs(deviations) > 100.0 * abs(d0))[0]
-    cut = int(exceed[0]) + 1 if exceed.size else deviations.size
+    limit = 100.0 * abs(d0)
+    cut = next((t + 1 for t, d in enumerate(deviations) if abs(d) > limit), len(deviations))
     window = deviations[: max(cut, 4)]
     signs = [1 if v > 0 else -1 for v in window if v != 0.0]
     if len(signs) < 2:
@@ -273,14 +286,11 @@ def simulate_mass(
         xs.append(nxt)
         if not math.isfinite(nxt) or abs(nxt - fp) > guard:
             break
-    xs_arr = np.array(xs)
-    deviations = xs_arr - fp
     return MassSimResult(
         fixed_point=fp,
         gain=gain,
         jacobian=j,
         analytic_label=classify_stability(j),
-        empirical_label=_empirical_label(deviations),
-        xs=xs_arr,
-        deviations=deviations,
+        empirical_label=_empirical_label([x - fp for x in xs]),
+        trajectory=xs,
     )

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .stopping import NonConvergence, Transition, solve_cells
 
 
@@ -341,7 +340,9 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
 
     Every stage payoff enters its state's expected stage payoff (a zero
     transition weight times inf or NaN is NaN), so testing those sums also
-    tests the stop payoffs, the matrix diagonals.
+    tests the stop payoffs, the matrix diagonals.  Finite stage payoffs can
+    still give values that overflow in the value iteration; that raises
+    HypothesisViolation naming the first such reference.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         stages = _stage_matrix(setup, np.asarray(references, dtype=float)[:, None, None])
@@ -360,9 +361,15 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     # stopping in state i collects the payoff of the step i -> i once.
     stop = np.diagonal(stages, axis1=1, axis2=2)
     kernel, deltas = Transition(matrix=setup.transition), np.full(len(stages), setup.delta)
-    block = solve_cells(
-        np.zeros(n), kernel, deltas, [-stop], [-expected_stage], 1e-12, SHIFT_CHECK_MAX_ITERATIONS
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        block = solve_cells(
+            np.zeros(n), kernel, deltas, [-stop], [-expected_stage], 1e-12, SHIFT_CHECK_MAX_ITERATIONS
+        )
+    overflowed = np.flatnonzero(~np.isfinite(block.residual))
+    if overflowed.size:
+        raise HypothesisViolation(
+            f"the shift-check values under reference {references[overflowed[0]]!r} are not finite"
+        )
     if not block.converged.all():
         residual = float(block.residual.max())
         raise NonConvergence(
@@ -379,8 +386,8 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
     so the analytical bound is sound for the states actually visited.
     Every kappa is checked in order before the one solve: a shifted
     reference that is not finite, or a g3 with no finite constant, raises
-    HypothesisViolation, as does a stage payoff that is not finite.  The
-    references are solved in blocks of at most
+    HypothesisViolation, as does a stage payoff or an optimize-mode value
+    that is not finite.  The references are solved in blocks of at most
     max(2, SHIFT_BLOCK_VALUES // n**2), the base in the first only.  A gap
     or bound that overflows raises HypothesisViolation naming its kappa;
     otherwise the bound holds when the gap exceeds it by at most 1e-9 of

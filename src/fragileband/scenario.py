@@ -16,6 +16,10 @@ significant digits (round-trip safe), metadata as '#'-prefixed key=value
 header lines.  JSON outputs carry the same metadata/columns/rows structure,
 with NaN as null and infinities as the numbers 1e999 / -1e999; both schemas
 are shipped under docs/.
+
+Loading and validating a scenario does not load numpy, and neither do the
+band, phase-sweep and mass-sim commands; regime-map, simulate and
+ref-shift-check solve on arrays and load it on first use.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
+from ._lazy import linspace, np
 from .game import (
     LinearClamped,
     LogisticShifted,
@@ -86,6 +89,7 @@ from .stopping import (
     NonConvergence,
     SurplusProcess,
     classify_regime,
+    cost_width,
     non_convergence_message,
     simulate_path,
     simulated_on_chain,
@@ -131,8 +135,9 @@ class SweepRange:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep ranges must be finite")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+    def values(self) -> list[float]:
+        """The points of ``np.linspace(start, stop, steps)``, as floats."""
+        return linspace(self.start, self.stop, self.steps)
 
 
 @dataclass(frozen=True)
@@ -162,26 +167,26 @@ class RecognitionSection:
 DEFAULT_REGIME_SWEEP = {"delta": SweepRange(0.5, 0.99, 20), "growth": SweepRange(0.0, 0.5, 20)}
 
 
-def _dp_grid(process: SurplusProcess, config: DPConfig, costs: CostSchedule):
-    """The state grid and initial index, checked against r_cap and the cost tables.
+def _check_dp(process: SurplusProcess, config: DPConfig, costs: CostSchedule) -> None:
+    """Check the r_cap rules and the cost tables' widths; builds no grid.
 
     A period x state cost table needs a chain, and must be as wide as its grid.
     """
     try:
-        grid, index = state_grid(process, config.r_cap, config.grid_points)
-    except ValueError as exc:  # state_grid's only errors are its r_cap rules
+        process.phi_cap(config.r_cap)
+    except ValueError as exc:  # the r_cap rules
         raise ValidationError(f"dp.config.{exc}") from None
     try:
-        simulated_on_chain(process, costs)
+        chain = simulated_on_chain(process, costs)
     except ValueError as exc:
         raise ValidationError(f"dp.costs.{exc}") from None
     for name in ("collapse", "maintain"):
-        shape = np.shape(getattr(costs, name))
-        if len(shape) == 2 and shape[1] not in (1, grid.size):
+        width = cost_width(getattr(costs, name))
+        if chain and width not in (1, len(process.r_grid)):
             raise ValidationError(
-                f"dp.costs.{name}: a period x state table must be {grid.size} wide, not {shape[1]}"
+                f"dp.costs.{name}: a period x state table must be {len(process.r_grid)} wide, "
+                f"not {width}"
             )
-    return grid, index
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -205,7 +210,7 @@ class DpSection:
                 )
         if self.sweep is not None and len(self.sweep) != 2:
             raise ValueError(f"dp.sweep: a regime map takes two axes, got {len(self.sweep)}")
-        _dp_grid(self.process, self.config, self.costs)
+        _check_dp(self.process, self.config, self.costs)
 
 
 @dataclass(frozen=True)
@@ -679,12 +684,29 @@ class ResultTable:
 _CSV_TEMPLATE = {float: "%.17g", int: "%d", str: "%s"}
 
 
+def _plain(value):
+    """A numpy bool, integer or float scalar as its Python bool, int or float.
+
+    Python types are tested first, because testing a numpy type loads numpy.
+    """
+    if isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    value = _plain(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return format(float(value), ".17g")
     return str(value)
 
@@ -705,11 +727,12 @@ def _json_cells(column: list) -> list[str]:
 
 
 def _json_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    value = _plain(value)
+    if isinstance(value, bool):
         return json.dumps(bool(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return json.dumps(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return _json_numbers([float(value)])[0]
     return json.dumps(str(value))
 
@@ -807,7 +830,7 @@ def cmd_phase_sweep(scenario: Scenario) -> ResultTable:
     if rec.curve is not None:
         nonlinear = classify_phase_nonlinear(pd, ws, rec.curve)
     rows = []
-    for i, w in enumerate(ws.tolist()):
+    for i, w in enumerate(ws):
         row: list = [w, classify_phase(pd, w).value, _eq_names(pd, w)]
         if rec.curve is not None:
             row.append(nonlinear[i].value)
@@ -820,7 +843,7 @@ def cmd_phase_sweep(scenario: Scenario) -> ResultTable:
 
 def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.ndarray:
     """The values of one regime-map axis, each checked before any solve."""
-    values = sweep.values()
+    values = np.array(sweep.values())
     if name == "delta":
         valid, rule = (values > 0) & (values < 1), "0 < delta < 1"
     elif name == "growth":
@@ -851,7 +874,8 @@ def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
         process = dp.process
         if growth is not None:
             process = dataclasses.replace(process, growth=float(growth[group[0]]))
-        grid, index = _dp_grid(process, dp.config, dp.costs)
+        _check_dp(process, dp.config, dp.costs)
+        grid, index = state_grid(process, dp.config.r_cap, dp.config.grid_points)
         size = max(1, REGIME_BLOCK_VALUES // grid.size)
         blocks += [
             (group[start : start + size], process, grid, index)
@@ -1000,8 +1024,7 @@ def cmd_mass_sim(scenario: Scenario) -> ResultTable:
     )
     params = section.params
     rows = []
-    for t, x in enumerate(result.xs):
-        x = float(x)
+    for t, x in enumerate(result.trajectory):
         obs = Observation(
             x=x,
             x_prev=x,

@@ -13,12 +13,16 @@ Each surplus process states its law once.  Deterministic growth (one atom)
 and i.i.d. discrete growth shocks give a ``support`` of :class:`Shock` entries
 (unpacking as (g, p)) that multiply phi by 1 + g on a log-spaced grid
 truncated at a cap; their mean growth follows from it.  A Markov chain on an
-R grid gives its read-only transition ``matrix`` (mean growth NaN).  Costs
+R grid gives its read-only transition ``matrix``, built on first use (mean
+growth NaN).  Each process also states the top of its surplus grid,
+``phi_cap``, with the r_cap rules, and builds no grid to do so.  Costs
 are constants, per-period tables (last entry held forever) or period x state
 tables, and every reader looks up ``rows[min(t, last)][state]`` in
 ``collapse_rows`` / ``maintain_rows``.  A period x state table is as wide as a
 chain's grid; the other processes leave the solver's grid when simulated, so
-the scenario loader accepts wide tables only on a chain.
+the scenario loader accepts wide tables only on a chain.  Processes, costs
+and settings are validated in plain Python, so loading a scenario does not
+load numpy; the solvers do.
 
 :class:`Transition` is the kernel on a grid: one linear-interpolation piece
 per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
@@ -51,12 +55,14 @@ stagnation condition collapses to delta > 1/(1+g).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Callable, Sequence, Union
 
-import numpy as np
+from ._lazy import np
 
 
 class InvalidProcess(ValueError):
@@ -113,6 +119,23 @@ class _ShockLaw:
 
     def cooperative_learning(self) -> bool:
         return self.mean_growth() >= 0
+
+    def phi_cap(self, r_cap: float | None) -> float:
+        """The top of the surplus grid: 2*(r_cap - P) if a shock grows, else phi0.
+
+        A growing law needs a finite cap of at least initial_r; a ValueError
+        whose message starts with ``r_cap`` says which rule fails.
+        """
+        if not max(g for g, _ in self.support) > 0:
+            return initial_phi(self)
+        if r_cap is None:
+            raise ValueError("r_cap must be set for growing processes")
+        if not r_cap >= self.initial_r:
+            raise ValueError("r_cap must be at least initial_r")
+        phi_hi = 2.0 * (r_cap - self.defection_payoff)
+        if not math.isfinite(phi_hi):
+            raise ValueError(f"r_cap must give a finite surplus cap 2*(r_cap - P), got {r_cap:g}")
+        return phi_hi
 
 
 @dataclass(frozen=True)
@@ -190,13 +213,21 @@ class MarkovGrid:
         if distances[idx] > tol:
             raise InvalidProcess("initial_r must be one of the grid values")
         object.__setattr__(self, "initial_r", grid[idx])
-        matrix = np.array(rows, dtype=float)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The transition matrix as a read-only array, built on first use."""
+        matrix = np.array(self.transition, dtype=float)
         matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     @property
     def initial_index(self) -> int:
         return self.r_grid.index(self.initial_r)
+
+    def phi_cap(self, r_cap: float | None) -> float:
+        """The top of the chain's own surplus grid; ``r_cap`` is not read."""
+        return 2.0 * (self.r_grid[-1] - self.defection_payoff)
 
     def mean_growth(self) -> float:
         """NaN: a chain has no single growth rate."""
@@ -213,18 +244,29 @@ CostValue = Union[float, Sequence[float], Sequence[Sequence[float]]]
 
 
 def _canonical_cost(value: CostValue):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim > 2:
+    """A float, a tuple of floats per period, or a tuple of equally wide period rows."""
+    if isinstance(value, Real):
+        cost = float(value)
+        cells = [cost]
+    elif all(isinstance(v, Real) for v in value):
+        cost = cells = tuple(map(float, value))
+    elif all(not isinstance(row, Real) and all(isinstance(v, Real) for v in row) for row in value):
+        cost = tuple(tuple(map(float, row)) for row in value)
+        if len(set(map(len, cost))) > 1:
+            raise ValueError("a period x state cost table must have rows of one width")
+        cells = [v for row in cost for v in row]
+    else:
         raise ValueError("cost tables must be scalar, per-period, or period x state")
-    if arr.size == 0:
+    if not cells:
         raise ValueError("cost tables must be nonempty")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    if not all(0.0 <= v < math.inf for v in cells):
         raise ValueError("costs must be nonnegative")
-    if arr.ndim == 0:
-        return float(arr)
-    if arr.ndim == 1:
-        return tuple(float(v) for v in arr)
-    return tuple(tuple(float(v) for v in row) for row in arr)
+    return cost
+
+
+def cost_width(cost: CostValue) -> int:
+    """The row width of a canonical period x state table; 1 for any other cost."""
+    return len(cost[0]) if isinstance(cost, tuple) and isinstance(cost[0], tuple) else 1
 
 
 def _cost_rows(value: CostValue, n_states: int) -> np.ndarray:
@@ -329,18 +371,8 @@ def state_grid(
     if isinstance(process, MarkovGrid):
         grid = 2.0 * (np.array(process.r_grid) - p)
         return grid, process.initial_index
-    rates = [g for g, _ in process.support]
-    if max(rates) > 0:
-        if r_cap is None:
-            raise ValueError("r_cap must be set for growing processes")
-        if not r_cap >= process.initial_r:
-            raise ValueError("r_cap must be at least initial_r")
-        phi_hi = 2.0 * (r_cap - p)
-        if not math.isfinite(phi_hi):
-            raise ValueError(f"r_cap must give a finite surplus cap 2*(r_cap - P), got {r_cap:g}")
-    else:
-        phi_hi = phi0
-    phi_lo = phi0 * 1e-4 if min(rates) < 0 else phi0
+    phi_hi = process.phi_cap(r_cap)
+    phi_lo = phi0 * 1e-4 if min(g for g, _ in process.support) < 0 else phi0
     if phi_hi <= phi_lo * (1.0 + 1e-12):
         return np.array([phi0]), 0
     base = np.geomspace(phi_lo, phi_hi, grid_points)
@@ -467,7 +499,9 @@ class CellSolutions:
     states); the last is held for every later period, and under constant
     costs it is the only one.  ``fixed_point`` is the stationary value
     under the tail costs.  A cell that misses the tolerance reports the
-    iteration budget and its last residual.
+    iteration budget and its last residual; a cell whose values overflow
+    stops at its first NaN residual (inf - inf) and reports that iteration
+    and residual.  Neither is ``converged``.
     """
 
     values: np.ndarray
@@ -525,13 +559,15 @@ def solve_cells(
         values = updated
         if residuals is not None:
             residuals.append(float(step[0]))
-        done = step < tolerance
-        if done.any():
+        # A NaN residual (overflowed values, inf - inf) is never kept: the
+        # cell leaves at once, unconverged.
+        keep = step >= tolerance
+        if not keep.all():
+            done = ~keep
             finished = active[done]
             tail_values[finished] = values[done]
             iterations[finished] = iteration
             residual[finished] = step[done]
-            keep = ~done
             if not keep.any():
                 break
             active, values, step = active[keep], values[keep], step[keep]
@@ -752,8 +788,7 @@ def simulated_on_chain(process: SurplusProcess, costs: CostSchedule) -> bool:
     if isinstance(process, MarkovGrid):
         return True
     for name in ("collapse", "maintain"):
-        shape = np.shape(getattr(costs, name))
-        if len(shape) == 2 and shape[1] > 1:
+        if cost_width(getattr(costs, name)) > 1:
             raise ValueError(f"{name}: state-dependent costs require a MarkovGrid process")
     return False
 

@@ -116,6 +116,39 @@ def test_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+_RUN_AND_REPORT_NUMPY = """
+import sys
+from fragileband import cli
+
+commands, out = sys.argv[1].split(","), sys.argv[2]
+codes = [
+    cli.run([command, "--scenario", scenario, "--out", out, "--quiet"])
+    for command in commands
+    for scenario in sys.argv[3:]
+]
+# The lazy binding registers "numpy" alone; loading it adds numpy._core and the rest.
+print(codes, any(name.startswith("numpy.") for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "commands, loads_numpy",
+    [
+        ("band,phase-sweep,mass-sim", False),
+        ("regime-map", True),
+        ("simulate", True),
+        ("ref-shift-check", True),
+    ],
+)
+def test_only_the_solving_commands_load_numpy(tmp_path, commands, loads_numpy):
+    # A fresh interpreter for each case: once loaded, numpy stays loaded.
+    out = str(tmp_path / "table.csv")
+    done = _python(["-c", _RUN_AND_REPORT_NUMPY, commands, out, SNS, METAGAME])
+    assert done.returncode == 0, done.stderr
+    runs = 2 * len(commands.split(","))
+    assert done.stdout.strip() == f"{[0] * runs} {loads_numpy}"
+
+
 def _delta_axis_to_one(doc):
     doc["dp"]["sweep"]["delta"]["stop"] = 1.0
 
@@ -221,6 +254,26 @@ def _overflowing_payoff_differences(doc):
     doc["payoff_matrix"] = {"T": 1e308, "R": -1e308, "P": -1.5e308, "S": -1.7e308}
 
 
+def _overflowing_payoff_products(doc):
+    # Every difference is finite; (T - R)(T - P) is not.
+    doc["payoff_matrix"] = {"T": 1.5e308, "R": 1e308, "P": 0.9e308, "S": 0.0}
+
+
+def _unscalable_logistic_curve(doc):
+    # The logistic at w = 0 rounds to 1: F would divide by zero.
+    doc["recognition"]["curve"] = {"kind": "logistic_shifted", "steepness": 50.0, "midpoint": -1.0}
+
+
+def _overflowing_optimized_values(kappa):
+    """Finite stage payoffs whose optimize-mode values overflow in value iteration."""
+
+    def edit(doc):
+        doc["reference"]["params"]["g3"] = {"kind": "identity"}
+        doc["reference"]["kappas"] = [kappa]
+
+    return edit
+
+
 def _on_metagame(edit):
     """The edit applied to the metagame preset in place of sns."""
 
@@ -301,6 +354,26 @@ def _two_line_name(doc):
             _overflowing_payoff_differences,
             "error: payoff difference T - R must be finite, got inf",
         ),
+        (
+            "band",
+            _overflowing_payoff_products,
+            "error: payoff product (T - R)(T - P) must be finite, got inf",
+        ),
+        (
+            "phase-sweep",
+            _unscalable_logistic_curve,
+            "error: curve steepness * midpoint is too far below 0",
+        ),
+        (
+            "ref-shift-check",
+            _on_metagame(_overflowing_optimized_values(1e308)),
+            "error: the shift-check values under reference 1e+308 are not finite",
+        ),
+        (
+            "ref-shift-check",
+            _on_metagame(_overflowing_optimized_values(-1e308)),
+            "error: the shift-check values under reference -1e+308 are not finite",
+        ),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
@@ -309,7 +382,10 @@ def _two_line_name(doc):
          "infinite-r-cap", "overflowing-r-cap", "nan-perturbation", "infinite-noise-sd",
          "infinite-tolerance", "infinite-growth", "integer-beyond-floats",
          "overflowing-g3-sns", "overflowing-g3-metagame", "overflowing-g2-stage-payoff",
-         "overflowing-kappa", "overflowing-shifted-reference", "overflowing-payoff-differences"],
+         "overflowing-kappa", "overflowing-shifted-reference", "overflowing-payoff-differences",
+         "overflowing-payoff-products", "unscalable-logistic-curve",
+         "overflowing-optimized-values-1e308",
+         "overflowing-optimized-values-minus-1e308"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())

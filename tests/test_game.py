@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestValidation:
     )
     def test_overflowing_differences(self, values, name):
         with pytest.raises(ValueError, match=f"payoff difference {name} must be finite"):
+            PayoffMatrix(*values)
+
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ((1.5e308, 1e308, 0.9e308, 0.0), "(T - R)(T - P)"),
+            ((1e160 + 2e150, 1e160 + 1e150, 1e160, -1e160), "(P - S)(R - S)"),
+        ],
+        ids=["band-lhs", "band-rhs"],
+    )
+    def test_overflowing_products(self, values, name):
+        # Every difference is finite; the band criterion's product is not.
+        with pytest.raises(ValueError, match=re.escape(f"payoff product {name} must be finite")):
             PayoffMatrix(*values)
 
     def test_recognition_bounds(self):
@@ -298,6 +312,12 @@ class TestNonlinearClassification:
         with pytest.raises(CurveError, match=r"F\(0\) = 0"):
             classify_phase_nonlinear(PD, 0.5, nonzero_origin)
 
+    def test_logistic_that_cannot_be_rescaled_rejected(self):
+        # The logistic at w = 0 rounds to 1, so F = (raw - base) / (1 - base) has no value.
+        with pytest.raises(ValueError, match="rounds to 1, got -50"):
+            LogisticShifted(steepness=50.0, midpoint=-1.0)
+        assert LogisticShifted(steepness=30.0, midpoint=-1.0)(0.0) == 0.0
+
     def test_good_tabulated_curve(self):
         curve = TabulatedCurve(points=((0.0, 0.0), (0.5, 0.4), (1.0, 0.9)))
         assert classify_phase_nonlinear(PD, 0.5, curve) is PhaseLabel.FRAGILE_BAND
@@ -317,6 +337,65 @@ class TestNonlinearClassification:
     def test_sweep_rejects_negative_w(self):
         with pytest.raises(ValueError, match="w >= 0"):
             classify_phase_nonlinear(PD, np.array([0.2, -0.1]), LinearClamped())
+
+    def test_validate_checks_f0_first_then_monotonicity_then_range(self):
+        # The w = 1 grid leaves [0, 1]; only the w = 3 grid reaches the dip at 2.5.
+        dip_and_high = TabulatedCurve(
+            points=((0.0, 0.0), (1.0, 1.2), (2.49, 1.2), (2.5, 0.5), (3.0, 0.6))
+        )
+        with pytest.raises(CurveError, match="nondecreasing"):
+            dip_and_high.validate(upper=[0.5, 3.0])
+        with pytest.raises(CurveError, match=r"\[0, 1\]"):
+            dip_and_high.validate(upper=[0.5, 2.0])
+        shifted = TabulatedCurve(points=((0.0, 0.5), (1.0, 0.2), (2.0, 1.5)))
+        with pytest.raises(CurveError, match=r"F\(0\) = 0"):
+            shifted.validate(upper=[1.0, 2.0])
+
+
+def _numpy_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _numpy_curve(curve, ws: np.ndarray) -> np.ndarray:
+    """The curves' former numpy expressions: the oracle of the scalar formulas."""
+    if isinstance(curve, LinearClamped):
+        return np.minimum(ws, 1.0)
+    if isinstance(curve, SaturatingExponential):
+        return 1.0 - np.exp(-curve.rate * ws)
+    if isinstance(curve, LogisticShifted):
+        base = _numpy_sigmoid(-curve.steepness * curve.midpoint)
+        return (_numpy_sigmoid(curve.steepness * (ws - curve.midpoint)) - base) / (1.0 - base)
+    xp, fp = zip(*curve.points)
+    return np.interp(ws, xp, fp)
+
+
+def test_scalar_curves_match_the_numpy_expressions():
+    # math.exp and numpy's exp may differ in the last bit, and 1 - exp(-x) near
+    # x = 0 turns one ulp of 1 into a large relative error: hence the atol.
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        xp = np.sort(rng.uniform(0.0, 3.0, 5))
+        xp[0] = 0.0
+        fp = np.sort(rng.uniform(0.0, 1.0, 5))
+        fp[0] = 0.0
+        curves = (
+            LinearClamped(),
+            SaturatingExponential(rate=float(rng.uniform(0.1, 10.0))),
+            LogisticShifted(
+                steepness=float(rng.uniform(0.5, 20.0)), midpoint=float(rng.uniform(0.0, 1.5))
+            ),
+            TabulatedCurve(points=tuple(zip(xp.tolist(), fp.tolist()))),
+        )
+        ws = np.concatenate([rng.uniform(0.0, 5.0, 100), np.linspace(0.0, 1.0, 257), xp, [4.0]])
+        for curve in curves:
+            got = curve(ws)
+            assert isinstance(got, list) and all(type(f) is float for f in got)
+            assert [curve(float(w)) for w in ws] == got
+            want = _numpy_curve(curve, ws)
+            if isinstance(curve, (LinearClamped, TabulatedCurve)):
+                assert got == want.tolist(), curve  # no exp: the same bits
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15, err_msg=repr(curve))
 
 
 class TestMinTotalPayoff:

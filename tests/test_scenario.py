@@ -236,6 +236,27 @@ def test_regime_sweep_takes_two_axes(axes, tmp_path, capsys):
     )
 
 
+def test_sweep_values_match_numpy_linspace_bit_for_bit():
+    rng = np.random.default_rng(14)
+    cases = [(0.0, 1.0, 21), (0.5, 0.99, 20), (2.5, 2.5, 7), (-3.0, 4.0, 1), (1.0, 1.0, 1)]
+    for _ in range(2000):
+        start = float(rng.uniform(-10.0, 10.0) * 10.0 ** rng.integers(-300, 300))
+        kind = rng.integers(4)
+        if kind == 0:
+            stop = start
+        elif kind == 1:
+            stop = float(np.nextafter(start, np.inf) + rng.integers(0, 50) * 5e-324)
+        else:
+            stop = float(rng.uniform(-10.0, 10.0) * 10.0 ** rng.integers(-300, 300))
+        steps = int(rng.choice([1, 2, 3, rng.integers(1, 400)]))
+        cases.append((start, stop, steps))
+    for start, stop, steps in cases:
+        got = SweepRange(start, stop, steps).values()
+        assert all(type(v) is float for v in got)
+        want = np.linspace(start, stop, steps)
+        assert np.array(got).tobytes() == want.tobytes(), (start, stop, steps)
+
+
 class TestResultTable:
     def test_unique_columns_enforced(self):
         with pytest.raises(ValueError, match="unique"):

@@ -30,6 +30,7 @@ from fragileband.stopping import (
     NonConvergence,
     PathStep,
     RegimeLabel,
+    Transition,
     ValueSolution,
     classify_regime,
     finite_horizon_oracle,
@@ -328,6 +329,41 @@ class TestProcessValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             CostSchedule(collapse=-0.1)
 
+    def test_cost_tables_are_canonical_tuples(self):
+        costs = CostSchedule(collapse=[0.5, 1], maintain=np.array([[0.1, 0.2], [0.3, 0.4]]))
+        assert costs.collapse == (0.5, 1.0)
+        assert costs.maintain == ((0.1, 0.2), (0.3, 0.4))
+        assert CostSchedule(collapse=np.float64(2.0), maintain=3).maintain == 3.0
+        for bad, message in [
+            ([[0.1, 0.2], [0.3]], "one width"),
+            ([0.1, [0.2]], "scalar, per-period, or period x state"),
+            ([[[0.1]]], "scalar, per-period, or period x state"),
+            ([], "nonempty"),
+            ([[]], "nonempty"),
+            ([0.1, math.nan], "nonnegative"),
+            ([[math.inf]], "nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                CostSchedule(maintain=bad)
+
+    def test_phi_cap_states_the_r_cap_rules_without_a_grid(self):
+        assert FLAT.phi_cap(None) == initial_phi(FLAT)
+        assert GROWING.phi_cap(30.0) == 2.0 * (30.0 - 2.0)
+        assert state_grid(GROWING, 30.0, 40)[0][-1] == GROWING.phi_cap(30.0)
+        for r_cap, message in [(None, "must be set"), (3.0, "must be at least initial_r"),
+                               (1e308, "must give a finite surplus cap")]:
+            with pytest.raises(ValueError, match=f"^r_cap {message}"):
+                GROWING.phi_cap(r_cap)
+            with pytest.raises(ValueError, match=f"^r_cap {message}"):
+                state_grid(GROWING, r_cap, 40)
+
+    def test_markov_matrix_is_built_on_first_use(self):
+        chain = MarkovGrid((3.0, 4.0), ((0.5, 0.5), (0.25, 0.75)), 2.0, 3.0)
+        assert "matrix" not in vars(chain)
+        assert chain.matrix.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert chain.matrix is chain.matrix and not chain.matrix.flags.writeable
+        assert chain.phi_cap(None) == 4.0
+
 
 class TestSimulatePath:
     def test_immediate_stop_payoff(self):
@@ -601,6 +637,21 @@ class TestGreedyLookup:
         monkeypatch.setattr(scenario_module, "simulate_path", simulate_with_rule)
         want = [scenario_module.cmd_simulate(scenario).to_csv() for scenario in scenarios]
         assert got == want
+
+
+def test_an_overflowed_cell_leaves_the_block_at_once():
+    # Cell 0 earns 1e308 a period, so its values overflow by the second
+    # iteration; cell 1 is finite and keeps the bits of its own one-cell solve.
+    grid, kernel = np.zeros(2), Transition(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))
+    maintain = np.array([[-1e308], [-1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = solve_cells(grid, kernel, np.array([0.9, 0.9]), [grid], [maintain], 1e-12, 10**6)
+    alone = solve_cells(grid, kernel, np.array([0.9]), [grid], [maintain[1:]], 1e-12, 10**6)
+    assert block.converged.tolist() == [False, True]
+    assert not math.isfinite(block.residual[0]) and block.iterations[0] <= 3
+    assert block.iterations[1] == alone.iterations[0]
+    assert block.values[1].tobytes() == alone.values[0].tobytes()
+    assert block.fixed_point[1].tobytes() == alone.fixed_point[0].tobytes()
 
 
 def _dp_block(process, costs, config):
