@@ -17,7 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from .game import CurveError
 from .mass import NoFixedPointFound
 from .reference import HypothesisViolation
 from .scenario import (
@@ -106,7 +105,7 @@ def run(argv=None) -> int:
         table = COMMANDS[args.command](scenario)
         fmt = args.format or scenario.output.format
         _emit(table, _resolve_out(args.out, scenario), fmt, quiet)
-    except (ParseError, ValidationError, HypothesisViolation, InvalidProcess, CurveError) as exc:
+    except (ParseError, ValidationError, HypothesisViolation, InvalidProcess) as exc:
         return _fail(1, str(exc), quiet)
     except UnicodeDecodeError as exc:  # only the scenario file is decoded
         return _fail(1, f"{args.scenario}: {exc}", quiet)

@@ -17,7 +17,10 @@ Hawk-Dove-like and only the asymmetric profiles survive in the middle.
 Everything in this module is a pure function of immutable inputs; the noisy
 tipping band is an exact truncated-Normal mass, not a sample.  The module
 works on plain floats with ``math`` and does not import numpy: each
-recognition curve is one scalar formula, mapped over a sweep as a list.
+recognition curve is one scalar formula, mapped over a sweep as a list.  A
+curve meets its contract (F(0) = 0, nondecreasing, values in [0, 1]) from
+the moment it is built: the parametric kinds by their formulas, a tabulated
+curve by an exact check of its samples.  No sweep re-checks it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._lazy import linspace
+from .mass import logistic
 
 
 class CurveError(ValueError):
@@ -228,10 +231,12 @@ def classify_phase(pd: PayoffMatrix, w: float) -> PhaseLabel:
 class RecognitionCurve:
     """Monotone response F(w) mapping raw recognition into effective weight.
 
-    Valid curves satisfy F(0) = 0, F nondecreasing and 0 <= F(w) <= 1.
-    Subclasses implement ``at``, F at one float w; calling a curve maps it
-    over a sequence of w and returns a list.  ``validate`` checks the
-    contract by dense sampling and raises :class:`CurveError`.
+    Every curve satisfies F(0) = 0, F nondecreasing and 0 <= F(w) <= 1 on
+    w >= 0 once it is built.  The parametric kinds meet this by their
+    formulas, given the parameter checks of their constructors; a
+    :class:`TabulatedCurve` checks its samples when it is built and raises
+    :class:`CurveError`.  Subclasses implement ``at``, F at one float w;
+    calling a curve maps it over a sequence of w and returns a list.
     """
 
     def at(self, w: float) -> float:
@@ -245,27 +250,6 @@ class RecognitionCurve:
         except TypeError:
             return at(float(w))
         return [at(float(v)) for v in ws]
-
-    def validate(self, upper, points: int = 257) -> None:
-        """Check the contract at ``points`` evenly spaced w in [0, max(upper, 1)].
-
-        A sequence ``upper`` (a sweep) checks the grid of every distinct
-        max(w, 1), one grid at a time.  F(0) is checked first, then
-        monotonicity on every grid, then the range on every grid.
-        """
-        uppers = _floats(upper)
-        if uppers is None:
-            uppers = [float(upper)]
-        if abs(self.at(0.0)) > 1e-12:
-            raise CurveError("recognition curve must satisfy F(0) = 0")
-        out_of_range = False
-        for stop in sorted({max(u, 1.0) for u in uppers}):
-            values = self(linspace(0.0, stop, points))
-            if any(b - a < -1e-12 for a, b in zip(values, values[1:])):
-                raise CurveError("recognition curve must be nondecreasing")
-            out_of_range = out_of_range or any(v < -1e-12 or v > 1.0 + 1e-12 for v in values)
-        if out_of_range:
-            raise CurveError("recognition curve values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -303,7 +287,7 @@ class LogisticShifted(RecognitionCurve):
     def __post_init__(self) -> None:
         if not self.steepness > 0:
             raise ValueError("curve steepness must satisfy steepness > 0")
-        base = _sigmoid(-self.steepness * self.midpoint)
+        base = logistic(-self.steepness * self.midpoint)
         if not base < 1.0:  # F would divide by 1 - base = 0
             raise ValueError(
                 "curve steepness * midpoint is too far below 0: the logistic at w = 0 "
@@ -313,14 +297,18 @@ class LogisticShifted(RecognitionCurve):
 
     def at(self, w: float) -> float:
         base = self._base  # the raw logistic at w = 0
-        return (_sigmoid(self.steepness * (w - self.midpoint)) - base) / (1.0 - base)
+        # At w = 0, steepness * (0 - midpoint) is the argument of base, bit for bit.
+        return (logistic(self.steepness * (w - self.midpoint)) - base) / (1.0 - base)
 
 
 @dataclass(frozen=True)
 class TabulatedCurve(RecognitionCurve):
     """User-supplied monotone samples with linear interpolation.
 
-    The first sample must be (0, 0); the last value is held for larger w.
+    The end values are held beyond the first and last samples.  F is linear
+    between samples, so F(0) and the sample values at w > 0 decide the
+    contract on all of [0, inf); the constructor checks exactly those, to
+    1e-12: F(0) = 0 first, then nondecreasing, then the range [0, 1].
     """
 
     points: tuple[tuple[float, float], ...]
@@ -334,6 +322,13 @@ class TabulatedCurve(RecognitionCurve):
         if any(b <= a for a, b in zip(ws, ws[1:])):
             raise ValueError("tabulated curve samples must have strictly ascending w")
         object.__setattr__(self, "_ws", ws)
+        values = [self.at(0.0)] + [f for w, f in pts if w > 0]
+        if abs(values[0]) > 1e-12:
+            raise CurveError("recognition curve must satisfy F(0) = 0")
+        if any(b - a < -1e-12 for a, b in zip(values, values[1:])):
+            raise CurveError("recognition curve must be nondecreasing")
+        if any(v < -1e-12 or v > 1.0 + 1e-12 for v in values):
+            raise CurveError("recognition curve values must lie in [0, 1]")
 
     def at(self, w: float) -> float:
         # np.interp's rule: the end values are held, a sample's own w gives its value.
@@ -350,24 +345,16 @@ class TabulatedCurve(RecognitionCurve):
         return (f1 - f0) / (w1 - w0) * (w - w0) + f0
 
 
-def _sigmoid(z: float) -> float:
-    e = math.exp(-abs(z))
-    return (1.0 if z >= 0 else e) / (1.0 + e)
-
-
 def classify_phase_nonlinear(pd: PayoffMatrix, w, curve: RecognitionCurve):
     """Phase classification with effective weight F(w) in place of w.
 
-    The curve is checked against its contract by dense sampling before use;
-    a violating curve raises :class:`CurveError`.  For a sequence ``w`` (a
-    sweep) the curve is validated once, on every ratio's own grid, and a
-    list returned.
+    The curve met its contract when it was built, so it is not checked
+    here.  For a sequence ``w`` (a sweep) a list of labels is returned.
     """
     ws = _floats(w)
     values = [float(w)] if ws is None else ws
     if not all(v >= 0 for v in values):
         raise ValueError("w must satisfy w >= 0")
-    curve.validate(upper=values)
     fb = band(pd)
     labels = [_label_from_thresholds(f, fb) for f in curve(values)]
     return labels if ws is not None else labels[0]

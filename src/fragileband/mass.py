@@ -166,10 +166,21 @@ def jacobian(gain: float, rho: float) -> float:
     return 1.0 + gain - rho
 
 
-def classify_stability(j: float, tol: float = 1e-9) -> StabilityLabel:
-    """Stable if |J| < 1, Buzz if J > 1, Backlash if J < -1, else Boundary."""
-    if not tol >= 0:
-        raise ValueError("tol must satisfy tol >= 0")
+# Half-width of the |J| = 1 boundary band of classify_stability (not a user option).
+STABILITY_TOLERANCE = 1e-9
+# The fixed-point search: residual tolerance, iteration budget and damping
+# (not user options).
+FIXED_POINT_TOLERANCE = 1e-10
+FIXED_POINT_MAX_ITERATIONS = 10_000
+FIXED_POINT_DAMPING = 0.5
+
+
+def classify_stability(j: float) -> StabilityLabel:
+    """Stable if |J| < 1, Buzz if J > 1, Backlash if J < -1, else Boundary.
+
+    J within STABILITY_TOLERANCE of +1 or -1 is Boundary.
+    """
+    tol = STABILITY_TOLERANCE
     if abs(j) < 1.0 - tol:
         return StabilityLabel.STABLE
     if j > 1.0 + tol:
@@ -179,35 +190,28 @@ def classify_stability(j: float, tol: float = 1e-9) -> StabilityLabel:
     return StabilityLabel.BOUNDARY
 
 
-def find_fixed_point(
-    params: MassParams,
-    forecast: float,
-    reference: float,
-    start: float,
-    tolerance: float = 1e-10,
-    max_iterations: int = 10_000,
-    damping: float = 0.5,
-) -> float:
+def find_fixed_point(params: MassParams, forecast: float, reference: float, start: float) -> float:
     """Damped iteration on the drift, seeded at ``start``.
 
     The damped map is contracting near stable and backlash fixed points;
     monotone-unstable (buzz) fixed points are found only when the seed is
-    already at or extremely close to them.
+    already at or extremely close to them.  The tolerance, budget and
+    damping are the FIXED_POINT_* constants.
 
     ``start``, ``forecast`` and ``reference`` are validated once, on entry
     (a non-finite one raises ``ValueError``); the loop then runs on floats.
     """
     x = float(start)
     MassState(x=x, forecast=forecast, reference=reference)  # the one finiteness check
-    for _ in range(max_iterations):
+    for _ in range(FIXED_POINT_MAX_ITERATIONS):
         residual = _next_x(params, x, forecast, reference) - x
-        if abs(residual) < tolerance:
+        if abs(residual) < FIXED_POINT_TOLERANCE:
             return x
-        x += damping * residual
+        x += FIXED_POINT_DAMPING * residual
         if not math.isfinite(x) or abs(x) > 1e12:
             raise NoFixedPointFound("fixed-point search diverged")
     raise NoFixedPointFound(
-        f"fixed-point search did not converge within {max_iterations} iterations"
+        f"fixed-point search did not converge within {FIXED_POINT_MAX_ITERATIONS} iterations"
     )
 
 

@@ -62,8 +62,10 @@ class ShapeFn:
     their magnitudes.  Calling the shape extends it oddly, sign(z)·g(|z|),
     which only the signed change term g1(dx) needs; it stays well defined
     without breaking continuity at zero.  ``lipschitz(bound)`` reports a
-    declared Lipschitz constant valid on [0, bound]; the constant is
-    declared from the shape's closed form, not estimated numerically.
+    Lipschitz constant valid on [0, bound]: the larger of the closed-form
+    slopes at 0 and at ``bound``, not a numerical estimate.  That is exact
+    because every shape's slope is monotone on z >= 0; a new shape must keep
+    that condition.  A magnitude or slope beyond the float range is inf.
     """
 
     def magnitude(self, z):
@@ -82,7 +84,9 @@ class ShapeFn:
         return self._slope(abs(float(z)))
 
     def lipschitz(self, bound: float) -> float:
-        raise NotImplementedError
+        if not bound >= 0:
+            raise ValueError("lipschitz domain bound must satisfy bound >= 0")
+        return max(self._slope(0.0), self._slope(bound))
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,6 @@ class Identity(ShapeFn):
         return z
 
     def _slope(self, z: float) -> float:
-        return 1.0
-
-    def lipschitz(self, bound: float) -> float:
         return 1.0
 
 
@@ -108,19 +109,16 @@ class Power(ShapeFn):
             raise ValueError("power exponent must satisfy p >= 1")
 
     def magnitude(self, z):
-        return z**self.exponent
+        try:
+            return z**self.exponent
+        except OverflowError:  # a float power beyond the range; an array gives inf
+            return math.inf
 
     def _slope(self, z: float) -> float:
-        if self.exponent == 1:
-            return 1.0
-        return self.exponent * z ** (self.exponent - 1.0)
-
-    def lipschitz(self, bound: float) -> float:
-        if not bound >= 0:
-            raise ValueError("lipschitz domain bound must satisfy bound >= 0")
-        if self.exponent == 1:
-            return 1.0
-        return self.exponent * bound ** (self.exponent - 1.0)
+        try:
+            return self.exponent * z ** (self.exponent - 1.0)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -142,9 +140,6 @@ class Saturating(ShapeFn):
 
     def _slope(self, z: float) -> float:
         return math.exp(-z / self.scale)
-
-    def lipschitz(self, bound: float) -> float:
-        return 1.0
 
 
 class LevelFn:
@@ -406,10 +401,7 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
                 f"shifted reference must be finite, got {reference!r} + {kappa!r}"
             )
         domain = float(max(base_domain, np.max(np.abs(grid - reference - kappa))))
-        try:
-            lipschitz = params.g3.lipschitz(domain)
-        except OverflowError:
-            lipschitz = math.inf
+        lipschitz = params.g3.lipschitz(domain)
         if not math.isfinite(lipschitz):
             raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
         constants.append(lipschitz)

@@ -69,13 +69,11 @@ from .reference import (
     Identity,
     IdentityLevel,
     LevelFn,
-    Observation,
     Power,
     ReferenceParams,
     Saturating,
     ShapeFn,
     ShiftCheckSetup,
-    differences,
     verify_shift_section,
     verify_shift_stability,  # not called here; perfbench/tracing.py patches this name
 )
@@ -1025,13 +1023,7 @@ def cmd_mass_sim(scenario: Scenario) -> ResultTable:
     params = section.params
     rows = []
     for t, x in enumerate(result.trajectory):
-        obs = Observation(
-            x=x,
-            x_prev=x,
-            forecast=section.state.forecast,
-            reference=section.state.reference,
-        )
-        _, eps, xi = differences(obs)
+        eps, xi = x - section.state.forecast, x - section.state.reference
         praise, attack = response_rates(params, eps, xi)
         gain = local_gain(params, eps, xi)
         j = jacobian(gain, params.rho)

@@ -633,8 +633,6 @@ class ValueSolution:
     residuals: tuple[float, ...]
     delta: float
     initial_index: int
-    process: SurplusProcess
-    costs: CostSchedule
     _continuation: tuple[np.ndarray, ...]
     _collapse: np.ndarray
 
@@ -708,8 +706,6 @@ def value_iteration(
         residuals=tuple(residuals),
         delta=config.delta,
         initial_index=initial_index,
-        process=process,
-        costs=costs,
         _continuation=tuple(row[0] for row in block.continuation),
         _collapse=collapse,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -411,6 +412,61 @@ def test_bound_holds_up_to_rounding_at_large_scale(tmp_path):
     [[kappa, gap, bound, holds]] = table.rows
     assert (kappa, holds) == (1e306, True)
     assert bound < gap <= bound * (1 + 1e-9)
+
+
+def _power_g2_far_out(doc):
+    # g2(1e200) = 1e400 overflows the float power.
+    doc["mass"]["params"]["g2"] = {"kind": "power", "exponent": 2}
+    doc["mass"]["perturbation"] = 1e200
+
+
+def _trajectory_to_minus_inf(doc):
+    # Over-damping doubles the deviation with a sign flip: 1e308 -> -inf.
+    params = doc["mass"]["params"]
+    params["beta_plus"] = params["gamma_plus"] = 0
+    params["rho"] = 3
+    doc["mass"]["state"]["x"] = params["x_bar"]
+    doc["mass"]["perturbation"] = 1e308
+
+
+@pytest.mark.parametrize(
+    "edit, last_x",
+    [(_power_g2_far_out, None), (_trajectory_to_minus_inf, -math.inf)],
+    ids=["power-g2-overflow", "trajectory-to-minus-inf"],
+)
+def test_mass_sim_overflow_exits_0_without_traceback(tmp_path, edit, last_x):
+    doc = json.loads(Path(SNS).read_text())
+    edit(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    done = _python(["-m", "fragileband.cli", "mass-sim", "--scenario", str(path)])
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    xs = [row[1] for row in ResultTable.from_csv(done.stdout).rows]
+    # The trajectory ends at its first non-finite x.
+    assert all(math.isfinite(x) for x in xs[:-1])
+    if last_x is not None:
+        assert xs[-1] == last_x
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[0, 0], [0.5, 0.8], [1, 0.3]], "recognition curve must be nondecreasing"),
+        ([[0, 0], [1, 1.5]], "recognition curve values must lie in [0, 1]"),
+        ([[0, 0.2], [1, 1]], "recognition curve must satisfy F(0) = 0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["band", "phase-sweep", "regime-map", "simulate",
+                                     "mass-sim", "ref-shift-check"])
+def test_bad_tabulated_curve_fails_at_load_for_every_command(tmp_path, capsys, command, points,
+                                                           message):
+    doc = json.loads(Path(SNS).read_text())
+    doc["recognition"]["curve"] = {"kind": "tabulated", "points": points}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _missing_file(tmp_path):

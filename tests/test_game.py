@@ -36,6 +36,7 @@ from fragileband.game import (
     tipping_band_probability,
     transform_utilities,
 )
+from fragileband.mass import logistic
 
 PD = PayoffMatrix(T=5, R=4, P=2, S=0)
 PD_NOBAND = PayoffMatrix(T=5, R=3, P=1, S=0)
@@ -302,15 +303,13 @@ class TestNonlinearClassification:
         assert all(0 <= v <= 1 for v in values)
 
     def test_bad_tabulated_curve_rejected(self):
-        decreasing = TabulatedCurve(points=((0.0, 0.0), (0.5, 0.8), (1.0, 0.3)))
+        # Each curve fails when it is built, before any classification.
         with pytest.raises(CurveError, match="nondecreasing"):
-            classify_phase_nonlinear(PD, 0.5, decreasing)
-        out_of_range = TabulatedCurve(points=((0.0, 0.0), (1.0, 1.5)))
+            TabulatedCurve(points=((0.0, 0.0), (0.5, 0.8), (1.0, 0.3)))
         with pytest.raises(CurveError, match=r"\[0, 1\]"):
-            classify_phase_nonlinear(PD, 0.5, out_of_range)
-        nonzero_origin = TabulatedCurve(points=((0.0, 0.2), (1.0, 1.0)))
+            TabulatedCurve(points=((0.0, 0.0), (1.0, 1.5)))
         with pytest.raises(CurveError, match=r"F\(0\) = 0"):
-            classify_phase_nonlinear(PD, 0.5, nonzero_origin)
+            TabulatedCurve(points=((0.0, 0.2), (1.0, 1.0)))
 
     def test_logistic_that_cannot_be_rescaled_rejected(self):
         # The logistic at w = 0 rounds to 1, so F = (raw - base) / (1 - base) has no value.
@@ -339,17 +338,108 @@ class TestNonlinearClassification:
             classify_phase_nonlinear(PD, np.array([0.2, -0.1]), LinearClamped())
 
     def test_validate_checks_f0_first_then_monotonicity_then_range(self):
-        # The w = 1 grid leaves [0, 1]; only the w = 3 grid reaches the dip at 2.5.
-        dip_and_high = TabulatedCurve(
-            points=((0.0, 0.0), (1.0, 1.2), (2.49, 1.2), (2.5, 0.5), (3.0, 0.6))
-        )
+        # The dip at 2.5 is found whatever sweep the curve is used on, and it
+        # is reported before the values above 1.
         with pytest.raises(CurveError, match="nondecreasing"):
-            dip_and_high.validate(upper=[0.5, 3.0])
+            TabulatedCurve(points=((0.0, 0.0), (1.0, 1.2), (2.49, 1.2), (2.5, 0.5), (3.0, 0.6)))
         with pytest.raises(CurveError, match=r"\[0, 1\]"):
-            dip_and_high.validate(upper=[0.5, 2.0])
-        shifted = TabulatedCurve(points=((0.0, 0.5), (1.0, 0.2), (2.0, 1.5)))
+            TabulatedCurve(points=((0.0, 0.0), (1.0, 1.2), (2.49, 1.2)))
         with pytest.raises(CurveError, match=r"F\(0\) = 0"):
-            shifted.validate(upper=[1.0, 2.0])
+            TabulatedCurve(points=((0.0, 0.5), (1.0, 0.2), (2.0, 1.5)))
+        # F(0) is read where the curve is: a first sample beyond 0 is held back to it.
+        with pytest.raises(CurveError, match=r"F\(0\) = 0"):
+            TabulatedCurve(points=((0.5, 0.1), (1.0, 0.2)))
+        assert TabulatedCurve(points=((-1.0, -1.0), (1.0, 1.0)))(0.0) == 0.0
+        # Samples at w < 0 lie outside the contract's domain.
+        TabulatedCurve(points=((-2.0, 5.0), (-1.0, -1.0), (1.0, 1.0)))
+
+
+def _oracle_validate(curve, upper, points: int = 257) -> None:
+    """The former sampling check of a curve, at ``points`` evenly spaced w.
+
+    ``curve`` maps an array of w to its values.  Each distinct max(u, 1) of
+    ``upper`` gives one grid on [0, max(u, 1)]; F(0) is checked first, then
+    monotonicity on every grid, then the range on every grid.
+    """
+    if abs(curve(np.array([0.0]))[0]) > 1e-12:
+        raise CurveError("recognition curve must satisfy F(0) = 0")
+    out_of_range = False
+    for stop in sorted({max(float(u), 1.0) for u in np.atleast_1d(upper)}):
+        values = curve(np.linspace(0.0, stop, points)).tolist()
+        if any(b - a < -1e-12 for a, b in zip(values, values[1:])):
+            raise CurveError("recognition curve must be nondecreasing")
+        out_of_range = out_of_range or any(v < -1e-12 or v > 1.0 + 1e-12 for v in values)
+    if out_of_range:
+        raise CurveError("recognition curve values must lie in [0, 1]")
+
+
+def _verdict(check) -> str | None:
+    try:
+        check()
+    except CurveError as exc:
+        return str(exc)
+    return None
+
+
+def test_parametric_curves_meet_the_contract_by_their_formulas():
+    rng = np.random.default_rng(15)
+    extremes = [1e-300, 1e-12, 1e-3, 1.0, 1e3, 1e12, 1e300]
+    midpoints = [-1e300, -30.0, -1.0, 0.0, 1e-300, 0.5, 1e300]
+    logistic_params = [(k, m) for k in extremes for m in midpoints] + [
+        (float(10.0 ** rng.uniform(-3, 3)), float(rng.uniform(-0.5, 5.0))) for _ in range(300)
+    ]
+    curves = [LinearClamped()]
+    curves += [SaturatingExponential(rate=r) for r in extremes]
+    curves += [SaturatingExponential(rate=float(10.0 ** rng.uniform(-6, 6))) for _ in range(300)]
+    for steepness, midpoint in logistic_params:
+        try:
+            curves.append(LogisticShifted(steepness=steepness, midpoint=midpoint))
+        except ValueError:  # the logistic at w = 0 rounds to 1: not a valid curve
+            pass
+    uppers = [1.0, 3.0, 1e3, 1e300]
+    for curve in curves:
+        assert curve(0.0) == 0.0, curve
+        _oracle_validate(lambda ws, c=curve: np.array(c(ws)), uppers)
+        _oracle_validate(lambda ws, c=curve: np.array(c(ws)), rng.uniform(0.0, 50.0, 3))
+
+
+def test_tabulated_check_agrees_with_the_sampler_on_grid_knots():
+    # Knots on the 257-point grid of [0, 1] and no sample step within 1e-9 of
+    # zero: there the sampler sees every knot, and the two checks must agree.
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for _ in range(2000):
+        k = np.sort(rng.choice(257, size=int(rng.integers(2, 9)), replace=False))
+        if rng.random() < 0.7:
+            k[0] = 0
+        ws = k / 256.0
+        fs = rng.uniform(-0.2, 1.2, ws.size)
+        if rng.random() < 0.6:
+            fs = np.sort(rng.uniform(0.0, 1.0, ws.size))
+        if rng.random() < 0.8:
+            fs[0] = 0.0
+        if np.any(np.abs(np.diff(fs)) <= 1e-9) or 0.0 < abs(fs[0]) <= 1e-9:
+            continue
+        points = tuple(zip(ws.tolist(), fs.tolist()))
+        want = _verdict(lambda: _oracle_validate(lambda w: np.interp(w, ws, fs), upper=1.0))
+        assert _verdict(lambda: TabulatedCurve(points=points)) == want, points
+        verdicts.add(want)
+    assert len(verdicts) == 4  # each of the three messages, and valid curves
+
+
+def test_logistic_is_the_former_sigmoid_bit_for_bit():
+    def sigmoid(z):
+        e = math.exp(-abs(z))
+        return (1.0 if z >= 0 else e) / (1.0 + e)
+
+    def same(a, b):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+    rng = np.random.default_rng(17)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 709.8, -745.2]
+    zs = special + rng.normal(0.0, 5.0, 500).tolist() + (10.0 ** rng.uniform(-300, 300, 200)).tolist()
+    for z in zs + [-z for z in zs]:
+        assert same(logistic(z), sigmoid(z)), z
 
 
 def _numpy_sigmoid(z):

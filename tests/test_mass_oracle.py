@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from _bench_inputs import inputs
+from fragileband import mass
 from fragileband.mass import (
     MassParams,
     MassState,
@@ -180,15 +181,16 @@ def test_non_finite_perturbation_raises(perturbation):
     )
 
 
-def test_divergence_and_budget_raise_as_before():
+def test_divergence_and_budget_raise_as_before(monkeypatch):
     # rho > 4 makes the damped map expand by |1 - rho/2| > 1 per step.
     params = MassParams(eta=1.0, c_bar=0.0, kappa=1.0, rho=10.0, x_bar=0.0)
     with pytest.raises(NoFixedPointFound, match="diverged"):
         find_fixed_point(params, forecast=0.0, reference=0.0, start=5.0)
     state = MassState(x=5.0, forecast=0.0, reference=0.0)
     assert _assert_same(state, params, 10, 1e-4)[0] is NoFixedPointFound
+    monkeypatch.setattr(mass, "FIXED_POINT_MAX_ITERATIONS", 3)
     with pytest.raises(NoFixedPointFound, match="within 3 iterations"):
-        find_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0, max_iterations=3)
+        find_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0)
     with pytest.raises(NoFixedPointFound, match="within 3 iterations"):
         _oracle_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0, max_iterations=3)
 

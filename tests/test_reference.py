@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -101,6 +103,44 @@ class TestShapes:
             scalar = np.array([fn(float(z)) for z in zs])
             # numpy's exp and pow may round differently from libm's: 4 ulp of the largest value.
             np.testing.assert_allclose(fn(zs), scalar, rtol=0, atol=4 * EPS * np.abs(scalar).max())
+
+
+def _oracle_lipschitz(shape, bound: float) -> float:
+    """The former per-class constants, an overflowing power read as inf."""
+    if isinstance(shape, Power):
+        if not bound >= 0:
+            raise ValueError("lipschitz domain bound must satisfy bound >= 0")
+        if shape.exponent == 1:
+            return 1.0
+        try:
+            return shape.exponent * bound ** (shape.exponent - 1.0)
+        except OverflowError:
+            return math.inf
+    return 1.0  # Identity and Saturating: slope at most 1 everywhere
+
+
+def test_lipschitz_base_rule_matches_the_per_class_formulas_bit_for_bit():
+    rng = np.random.default_rng(18)
+    shapes = [Identity(), Power(1.0), Power(1.5), Power(2.0), Power(400.0), Saturating(1e-300)]
+    shapes += [Power(float(rng.uniform(1.0, 50.0))) for _ in range(100)]
+    shapes += [Saturating(float(10.0 ** rng.uniform(-6, 6))) for _ in range(50)]
+    bounds = [0.0, 5e-324, 1e-300, 0.5, 1.0, 8.0, 1e10, 1e300, 1.7e308]
+    bounds += (10.0 ** rng.uniform(-20, 20, 30)).tolist()
+    for shape in shapes:
+        for bound in bounds:
+            got, want = shape.lipschitz(bound), _oracle_lipschitz(shape, bound)
+            assert got == want and math.copysign(1, got) == math.copysign(1, want), (shape, bound)
+        with pytest.raises(ValueError, match="bound >= 0"):
+            shape.lipschitz(-1.0)
+    assert Power(400.0).lipschitz(8.0) == math.inf
+
+
+def test_power_maps_an_overflowing_float_power_to_inf():
+    shape = Power(3.0)
+    assert shape.magnitude(1e200) == math.inf
+    assert shape.derivative(-1e200) == math.inf  # (1e200)**2 overflows
+    with np.errstate(over="ignore"):
+        assert shape.magnitude(np.array([1e200]))[0] == math.inf
 
 
 class TestEvalReferencePayoff:

@@ -14,7 +14,7 @@ import pytest
 
 import fragileband.scenario as scenario_module
 from fragileband.cli import run
-from fragileband.game import CurveError, PhaseLabel, TabulatedCurve, classify_phase_nonlinear
+from fragileband.game import CurveError, PhaseLabel, TabulatedCurve
 from fragileband.scenario import (
     COMMANDS,
     ParseError,
@@ -422,17 +422,17 @@ class TestCmdPhaseSweep:
             assert sum(row[i] for i in idx) == pytest.approx(1.0, abs=1e-12)
 
     def test_sweep_rejects_curve_a_row_rejects(self, sns):
-        # The dip at w = 0.5 lies on the grid of the w = 1 row only (k / 256).
-        dip = TabulatedCurve(
-            points=((0.0, 0.0), (0.499, 0.499), (0.5, 0.3), (0.501, 0.501), (1.0, 1.0))
-        )
-        sweep = dataclasses.replace(sns.recognition.sweep, start=1.0, stop=1.7, steps=8)
-        rec = dataclasses.replace(sns.recognition, curve=dip, sweep=sweep)
-        dip.validate(upper=1.7)
+        # The dip at w = 0.5 lies off a 257-point grid of [0, 1.7] (k * 1.7 / 256).
+        # The exact check of the samples finds it, so no sweep can use the curve.
+        points = ((0.0, 0.0), (0.499, 0.499), (0.5, 0.3), (0.501, 0.501), (1.0, 1.0))
         with pytest.raises(CurveError, match="nondecreasing"):
-            classify_phase_nonlinear(sns.payoff_matrix, 1.0, dip)
-        with pytest.raises(CurveError, match="nondecreasing"):
-            cmd_phase_sweep(dataclasses.replace(sns, recognition=rec))
+            TabulatedCurve(points=points)
+        for start, stop in ((1.0, 1.7), (0.0, 1.0), (0.0, 0.4)):
+            doc = scenario_to_dict(sns)
+            doc["recognition"]["curve"] = {"kind": "tabulated", "points": [list(p) for p in points]}
+            doc["recognition"]["sweep"] = {"start": start, "stop": stop, "steps": 8}
+            with pytest.raises(ValidationError, match="^recognition curve must be nondecreasing$"):
+                scenario_from_dict(doc)
 
     def test_optional_columns_absent_without_specs(self, sns):
         bare = dataclasses.replace(
