@@ -78,7 +78,6 @@ from .reference import (
     positive_part,
     ref_shift_bound,
     verify_shift_section,
-    verify_shift_stability,
 )
 from .scenario import (
     ParseError,

@@ -6,18 +6,30 @@ mass-sim commands do no array work, so ``np`` is a module object that
 loads numpy on its first attribute access (``importlib.util.LazyLoader``).
 From then on it is the numpy module itself, and ``np.x`` costs what it
 always did.  If numpy was imported before this module, ``np`` is that module.
+If numpy is not installed, ``np`` is a stand-in whose first attribute use
+raises ImportError, so the commands that do no array work still run.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+import types
+
+
+class _Missing(types.ModuleType):
+    """A module that is not installed: its first attribute use raises ImportError."""
+
+    def __getattr__(self, attr: str):
+        raise ImportError(f"this command needs {self.__name__}, which is not installed")
 
 
 def _lazy_module(name: str):
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:
+        return _Missing(name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)

@@ -6,8 +6,10 @@ resolved against $FRAGILEBAND_OUT_DIR when set), otherwise to stdout;
 diagnostics go to stderr unless --quiet.
 
 Exit codes: 0 success (also --help and --version), 1 usage, validation,
-parse or file error, 2 numerical non-convergence, 3 property-check failure
-(a ref-shift row with holds=false).
+parse or file error, or a command that needs numpy where it is not
+installed (regime-map, simulate, ref-shift-check), 2 numerical
+non-convergence, 3 property-check failure (a ref-shift row with
+holds=false).
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def run(argv=None) -> int:
         fmt = args.format or scenario.output.format
         _emit(table, _resolve_out(args.out, scenario), fmt, quiet)
     except (ParseError, ValidationError, HypothesisViolation, InvalidProcess) as exc:
+        return _fail(1, str(exc), quiet)
+    except ImportError as exc:  # numpy is not installed
         return _fail(1, str(exc), quiet)
     except UnicodeDecodeError as exc:  # only the scenario file is decoded
         return _fail(1, f"{args.scenario}: {exc}", quiet)

@@ -308,7 +308,8 @@ class TabulatedCurve(RecognitionCurve):
     The end values are held beyond the first and last samples.  F is linear
     between samples, so F(0) and the sample values at w > 0 decide the
     contract on all of [0, inf); the constructor checks exactly those, to
-    1e-12: F(0) = 0 first, then nondecreasing, then the range [0, 1].
+    1e-12: F(0) = 0 first, then nondecreasing, then the range [0, 1].  A
+    sample that is not finite is rejected before any of them.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -318,6 +319,10 @@ class TabulatedCurve(RecognitionCurve):
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("tabulated curves need at least two samples")
+        bad = [pt for pt in pts if not (math.isfinite(pt[0]) and math.isfinite(pt[1]))]
+        if bad:
+            named = ", ".join(map(str, bad))
+            raise CurveError(f"tabulated curve samples must be finite, got {named}")
         ws = tuple(w for w, _ in pts)
         if any(b <= a for a, b in zip(ws, ws[1:])):
             raise ValueError("tabulated curve samples must have strictly ascending w")

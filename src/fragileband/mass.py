@@ -13,7 +13,9 @@ J > 1 diverges monotonically (buzz), J < -1 diverges with alternating sign
 one-sided contributions are taken to be zero, which makes the gain a total
 deterministic function.  The one-sided signals pass through the shapes on
 their magnitudes (``ShapeFn.magnitude``), +0.0 at a kink; the shapes' odd
-extension is not used here.
+extension is not used here.  A zero weight contributes +0.0 whatever its
+shape or slope returns, so a shape that overflows to inf under a zero
+weight gives no NaN (0 * inf).
 
 Inputs are validated once, where they enter (a :class:`MassState` is
 built for each start); the fixed-point search and the trajectory then loop
@@ -112,7 +114,18 @@ def _signals(params: MassParams, epsilon: float, xi: float) -> tuple[float, floa
         params.eta * (params.beta_minus * g2(eps_down) + params.gamma_minus * g3(xi_down))
         - params.c_bar
     )
+    if s_plus != s_plus or s_minus != s_minus:  # NaN: maybe a zero weight on an infinite shape
+        up = _weighted(params.beta_plus, g2, eps_up) + _weighted(params.gamma_plus, g3, xi_up)
+        down = _weighted(params.beta_minus, g2, eps_down) + _weighted(
+            params.gamma_minus, g3, xi_down
+        )
+        s_plus, s_minus = params.eta * up - params.c_bar, params.eta * down - params.c_bar
     return s_plus, s_minus
+
+
+def _weighted(weight: float, shape, z: float) -> float:
+    """weight * shape(z), but +0.0 for a zero weight, where 0 * inf would be NaN."""
+    return weight * shape(z) if weight else 0.0
 
 
 def response_rates(params: MassParams, epsilon: float, xi: float) -> tuple[float, float]:
@@ -147,16 +160,17 @@ def local_gain(params: MassParams, epsilon: float, xi: float) -> float:
     kink contributes zero.
     """
     s_plus, s_minus = _signals(params, epsilon, xi)
+    g2, g3 = params.g2.derivative, params.g3.derivative
     up = 0.0
     if epsilon > 0:
-        up += params.beta_plus * params.g2.derivative(epsilon)
+        up += _weighted(params.beta_plus, g2, epsilon)
     if xi > 0:
-        up += params.gamma_plus * params.g3.derivative(xi)
+        up += _weighted(params.gamma_plus, g3, xi)
     down = 0.0
     if epsilon < 0:
-        down += params.beta_minus * params.g2.derivative(epsilon)
+        down += _weighted(params.beta_minus, g2, epsilon)
     if xi < 0:
-        down += params.gamma_minus * params.g3.derivative(xi)
+        down += _weighted(params.gamma_minus, g3, xi)
     return params.kappa * params.eta * (
         _logistic_slope(s_plus) * up + _logistic_slope(s_minus) * down
     )

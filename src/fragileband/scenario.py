@@ -75,7 +75,6 @@ from .reference import (
     ShapeFn,
     ShiftCheckSetup,
     verify_shift_section,
-    verify_shift_stability,  # not called here; perfbench/tracing.py patches this name
 )
 from .stopping import (
     CostSchedule,
@@ -87,13 +86,9 @@ from .stopping import (
     NonConvergence,
     SurplusProcess,
     classify_regime,
-    cost_width,
     non_convergence_message,
     simulate_path,
-    simulated_on_chain,
     solve_cells,
-    state_grid,
-    transition_kernel,
     value_iteration,
 )
 
@@ -166,25 +161,15 @@ DEFAULT_REGIME_SWEEP = {"delta": SweepRange(0.5, 0.99, 20), "growth": SweepRange
 
 
 def _check_dp(process: SurplusProcess, config: DPConfig, costs: CostSchedule) -> None:
-    """Check the r_cap rules and the cost tables' widths; builds no grid.
-
-    A period x state cost table needs a chain, and must be as wide as its grid.
-    """
+    """Check the process's r_cap and cost-table rules, under their key paths; builds no grid."""
     try:
         process.phi_cap(config.r_cap)
     except ValueError as exc:  # the r_cap rules
         raise ValidationError(f"dp.config.{exc}") from None
     try:
-        chain = simulated_on_chain(process, costs)
-    except ValueError as exc:
+        process.simulated_on_chain(costs)
+    except ValueError as exc:  # the cost-table rule
         raise ValidationError(f"dp.costs.{exc}") from None
-    for name in ("collapse", "maintain"):
-        width = cost_width(getattr(costs, name))
-        if chain and width not in (1, len(process.r_grid)):
-            raise ValidationError(
-                f"dp.costs.{name}: a period x state table must be {len(process.r_grid)} wide, "
-                f"not {width}"
-            )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -873,7 +858,7 @@ def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
         if growth is not None:
             process = dataclasses.replace(process, growth=float(growth[group[0]]))
         _check_dp(process, dp.config, dp.costs)
-        grid, index = state_grid(process, dp.config.r_cap, dp.config.grid_points)
+        grid, index = process.state_grid(dp.config.r_cap, dp.config.grid_points)
         size = max(1, REGIME_BLOCK_VALUES // grid.size)
         blocks += [
             (group[start : start + size], process, grid, index)
@@ -920,7 +905,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
             if "maintain_cost" in cells
             else dp.costs.maintain_rows(n)
         )
-        kernel = transition_kernel(process, grid, None if growth is None else growth[rows])
+        kernel = process.kernel(grid) if growth is None else process.kernel(grid, growth[rows])
         block = solve_cells(
             grid, kernel, delta[rows], collapse, maintain, config.tolerance, config.max_iterations
         )

@@ -14,15 +14,19 @@ and i.i.d. discrete growth shocks give a ``support`` of :class:`Shock` entries
 (unpacking as (g, p)) that multiply phi by 1 + g on a log-spaced grid
 truncated at a cap; their mean growth follows from it.  A Markov chain on an
 R grid gives its read-only transition ``matrix``, built on first use (mean
-growth NaN).  Each process also states the top of its surplus grid,
-``phi_cap``, with the r_cap rules, and builds no grid to do so.  Costs
-are constants, per-period tables (last entry held forever) or period x state
+growth NaN).  Each process also owns every rule the solver needs of it:
+the top of its surplus grid, ``phi_cap``, with the r_cap rules (building no
+grid); its ``state_grid``; its ``kernel`` on that grid; and
+``simulated_on_chain(costs)``.  The solver and the scenario layer call
+these methods and never ask which class a process is.  Costs are
+constants, per-period tables (last entry held forever) or period x state
 tables, and every reader looks up ``rows[min(t, last)][state]`` in
-``collapse_rows`` / ``maintain_rows``.  A period x state table is as wide as a
-chain's grid; the other processes leave the solver's grid when simulated, so
-the scenario loader accepts wide tables only on a chain.  Processes, costs
-and settings are validated in plain Python, so loading a scenario does not
-load numpy; the solvers do.
+``collapse_rows`` / ``maintain_rows``.  A period x state table has a column
+per state of a chain's grid; the other processes leave the solver's grid
+when simulated, so ``simulated_on_chain`` accepts wide tables only on a
+chain, and only as wide as its grid.  Processes, costs and settings are
+validated in plain Python, so loading a scenario does not load numpy; the
+solvers do.
 
 :class:`Transition` is the kernel on a grid: one linear-interpolation piece
 per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
@@ -33,11 +37,12 @@ fixed-point loop: single solves, regime maps and the reference-shift check
 (``reference._solve_values``, one block for the base and every shifted
 reference of a section) all run through it.  It returns the
 continuation value delta * E[V_{t+1}] - C_m(t) of every period, and the
-greedy lookup of :class:`ValueSolution` interpolates that row over phi, so
-the successor law is stated once, in the kernel.  :func:`simulate_path`
-draws each step's outcome k from a cumulative row, a chain's current row or
-a shock law's one row (a one-outcome row takes no draw), then moves the
-chain to state k or multiplies phi by 1 + g_k.
+greedy lookup of :class:`ValueSolution` interpolates that row, and the
+period's collapse row, over phi, so the successor law is stated once, in
+the kernel.  :func:`simulate_path` draws each step's outcome k from a
+cumulative row, a chain's current row or a shock law's one row (a
+one-outcome row takes no draw), then moves the chain to state k or
+multiplies phi by 1 + g_k.
 
 The per-state diagnostics
 
@@ -137,6 +142,38 @@ class _ShockLaw:
             raise ValueError(f"r_cap must give a finite surplus cap 2*(r_cap - P), got {r_cap:g}")
         return phi_hi
 
+    def state_grid(self, r_cap: float | None, grid_points: int) -> tuple[np.ndarray, int]:
+        """Log grid to ``phi_cap``, from phi0 (phi0 * 1e-4 if phi can shrink), and phi0's index."""
+        phi0 = initial_phi(self)
+        phi_hi = self.phi_cap(r_cap)
+        phi_lo = phi0 * 1e-4 if min(g for g, _ in self.support) < 0 else phi0
+        if phi_hi <= phi_lo * (1.0 + 1e-12):
+            return np.array([phi0]), 0
+        base = np.geomspace(phi_lo, phi_hi, grid_points)
+        base = base[np.abs(base - phi0) > 1e-9 * phi0]
+        grid = np.sort(np.concatenate([base, [phi0]]))
+        index = int(np.nonzero(grid == phi0)[0][0])
+        return grid, index
+
+    def kernel(self, grid: np.ndarray, growth: np.ndarray | None = None) -> Transition:
+        """One interpolation piece per shock; ``growth`` gives each cell of a block its own rate."""
+        support = self.support if growth is None else ((growth[:, None], 1.0),)
+        pieces = []
+        for g, p in support:
+            lo, hi, w_lo, w_hi = _interp_weights(grid, grid * (1.0 + g))
+            if lo.ndim == 2:
+                offsets = (np.arange(lo.shape[0]) * grid.size)[:, None]
+                lo, hi = lo + offsets, hi + offsets
+            pieces.append((p, lo, hi, w_lo, w_hi))
+        return Transition(tuple(pieces))
+
+    def simulated_on_chain(self, costs: CostSchedule) -> bool:
+        """False: phi leaves the grid, so a cost table wider than 1 raises a ValueError."""
+        for name in ("collapse", "maintain"):
+            if _cost_width(getattr(costs, name)) > 1:
+                raise ValueError(f"{name}: state-dependent costs require a MarkovGrid process")
+        return False
+
 
 @dataclass(frozen=True)
 class Deterministic(_ShockLaw):
@@ -229,6 +266,23 @@ class MarkovGrid:
         """The top of the chain's own surplus grid; ``r_cap`` is not read."""
         return 2.0 * (self.r_grid[-1] - self.defection_payoff)
 
+    def state_grid(self, r_cap: float | None, grid_points: int) -> tuple[np.ndarray, int]:
+        """The chain's own phi grid and ``initial_index``; the arguments are not read."""
+        return 2.0 * (np.array(self.r_grid) - self.defection_payoff), self.initial_index
+
+    def kernel(self, grid: np.ndarray) -> Transition:
+        """The transition matrix, on the chain's own grid."""
+        return Transition(matrix=self.matrix)
+
+    def simulated_on_chain(self, costs: CostSchedule) -> bool:
+        """True: a cost table must be 1 or ``len(r_grid)`` wide, else a ValueError is raised."""
+        n = len(self.r_grid)
+        for name in ("collapse", "maintain"):
+            width = _cost_width(getattr(costs, name))
+            if width not in (1, n):
+                raise ValueError(f"{name}: a period x state table must be {n} wide, not {width}")
+        return True
+
     def mean_growth(self) -> float:
         """NaN: a chain has no single growth rate."""
         return float("nan")
@@ -264,7 +318,7 @@ def _canonical_cost(value: CostValue):
     return cost
 
 
-def cost_width(cost: CostValue) -> int:
+def _cost_width(cost: CostValue) -> int:
     """The row width of a canonical period x state table; 1 for any other cost."""
     return len(cost[0]) if isinstance(cost, tuple) and isinstance(cost[0], tuple) else 1
 
@@ -362,36 +416,6 @@ def classify_regime(delta_gain: float, cost_differential: float) -> RegimeLabel:
     return RegimeLabel.IMMEDIATE_DESTRUCTION
 
 
-def state_grid(
-    process: SurplusProcess, r_cap: float | None, grid_points: int
-) -> tuple[np.ndarray, int]:
-    """Phi grid and the index of the initial state (an exact grid point)."""
-    p = process.defection_payoff
-    phi0 = initial_phi(process)
-    if isinstance(process, MarkovGrid):
-        grid = 2.0 * (np.array(process.r_grid) - p)
-        return grid, process.initial_index
-    phi_hi = process.phi_cap(r_cap)
-    phi_lo = phi0 * 1e-4 if min(g for g, _ in process.support) < 0 else phi0
-    if phi_hi <= phi_lo * (1.0 + 1e-12):
-        return np.array([phi0]), 0
-    base = np.geomspace(phi_lo, phi_hi, grid_points)
-    base = base[np.abs(base - phi0) > 1e-9 * phi0]
-    grid = np.sort(np.concatenate([base, [phi0]]))
-    index = int(np.nonzero(grid == phi0)[0][0])
-    return grid, index
-
-
-def _nearest_index(grid: np.ndarray, phi: float) -> int:
-    """Index of the grid point nearest phi (ties go to the lower point)."""
-    pos = int(np.searchsorted(grid, phi))
-    if pos <= 0:
-        return 0
-    if pos >= grid.size:
-        return grid.size - 1
-    return pos if grid[pos] - phi < phi - grid[pos - 1] else pos - 1
-
-
 def _interp_weights(grid: np.ndarray, targets: np.ndarray):
     """Linear-interpolation indices/weights with clamping at both grid ends."""
     n = grid.size
@@ -456,27 +480,6 @@ class Transition:
                 for p, lo, hi, w_lo, w_hi in self.pieces
             )
         )
-
-
-def transition_kernel(
-    process: SurplusProcess, grid: np.ndarray, growth: np.ndarray | None = None
-) -> Transition:
-    """The transition kernel of ``process`` on ``grid``.
-
-    ``growth`` gives a Deterministic process one growth rate per cell, for
-    a block of cells that differ in growth but share the grid.
-    """
-    if isinstance(process, MarkovGrid):
-        return Transition(matrix=process.matrix)
-    support = process.support if growth is None else ((growth[:, None], 1.0),)
-    pieces = []
-    for g, p in support:
-        lo, hi, w_lo, w_hi = _interp_weights(grid, grid * (1.0 + g))
-        if lo.ndim == 2:
-            offsets = (np.arange(lo.shape[0]) * grid.size)[:, None]
-            lo, hi = lo + offsets, hi + offsets
-        pieces.append((p, lo, hi, w_lo, w_hi))
-    return Transition(tuple(pieces))
 
 
 def _period(rows: Sequence[np.ndarray], t: int) -> np.ndarray:
@@ -618,8 +621,8 @@ class ValueSolution:
     backward-inducts the finite prefix.  ``values`` satisfies the max
     structure, and ``policy`` is Stop exactly where the stop value is at
     least the continuation value (ties stop).  The greedy lookup at period t
-    interpolates the solver's own continuation row of period t, so it needs
-    no successor law of its own.
+    interpolates the solver's own continuation and collapse rows of period
+    t, so it needs no successor law of its own.
     """
 
     phi_grid: np.ndarray
@@ -645,9 +648,6 @@ class ValueSolution:
             float(self.delta_gain[index]), float(self.cost_differential[index])
         )
 
-    def regimes(self) -> tuple[RegimeLabel, ...]:
-        return tuple(self.regime_at(i) for i in range(self.phi_grid.size))
-
     def continuation_value_at(self, phi: float, t: int = 0) -> float:
         """Greedy continuation estimate at an arbitrary surplus level.
 
@@ -657,7 +657,8 @@ class ValueSolution:
         return float(np.interp(phi, self.phi_grid, _period(self._continuation, t)))
 
     def stop_value_at(self, phi: float, t: int = 0) -> float:
-        return phi - float(_period(self._collapse, t)[_nearest_index(self.phi_grid, phi)])
+        """phi - C_c(t), the collapse row of period t interpolated like the continuation."""
+        return phi - float(np.interp(phi, self.phi_grid, _period(self._collapse, t)))
 
     def decision_at(self, phi: float, t: int = 0) -> Decision:
         if self.stop_value_at(phi, t) >= self.continuation_value_at(phi, t):
@@ -675,12 +676,12 @@ def value_iteration(
     discounts too close to 1 for the tolerance.  This is the one-cell call
     of :func:`solve_cells`.
     """
-    grid, initial_index = state_grid(process, config.r_cap, config.grid_points)
+    grid, initial_index = process.state_grid(config.r_cap, config.grid_points)
     collapse, maintain = costs.collapse_rows(grid.size), costs.maintain_rows(grid.size)
     residuals: list[float] = []
     block = solve_cells(
         grid,
-        transition_kernel(process, grid),
+        process.kernel(grid),
         np.array([config.delta]),
         collapse,
         maintain,
@@ -728,8 +729,8 @@ def finite_horizon_oracle(
         raise ValueError("horizon must satisfy horizon >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")
-    grid, _ = state_grid(process, r_cap, grid_points)
-    kernel = transition_kernel(process, grid)
+    grid, _ = process.state_grid(r_cap, grid_points)
+    kernel = process.kernel(grid)
     collapse, maintain = costs.collapse_rows(grid.size), costs.maintain_rows(grid.size)
     values = np.zeros(grid.size)
     for t in range(horizon - 1, -1, -1):
@@ -774,21 +775,6 @@ def _resolve_decision(policy: PolicyRule, t: int, phi: float) -> Decision:
     return policy(t, phi)
 
 
-def simulated_on_chain(process: SurplusProcess, costs: CostSchedule) -> bool:
-    """True if the simulator moves on a chain's states, False if it multiplies phi.
-
-    Off a chain the simulated surplus leaves the solver's grid, where a
-    period x state cost table has no column: that raises a ValueError that
-    starts with the cost's name.
-    """
-    if isinstance(process, MarkovGrid):
-        return True
-    for name in ("collapse", "maintain"):
-        if cost_width(getattr(costs, name)) > 1:
-            raise ValueError(f"{name}: state-dependent costs require a MarkovGrid process")
-    return False
-
-
 def simulate_path(
     process: SurplusProcess,
     costs: CostSchedule,
@@ -811,7 +797,7 @@ def simulate_path(
     p = process.defection_payoff
     # Each outcome row is cumulative: a chain has one per state, a shock
     # law one row over its shocks.
-    chain = simulated_on_chain(process, costs)
+    chain = process.simulated_on_chain(costs)
     if chain:
         outcomes = np.cumsum(process.matrix, axis=1).tolist()
         state = process.initial_index

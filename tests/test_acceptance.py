@@ -35,7 +35,7 @@ from fragileband.reference import (
     ReferenceParams,
     Saturating,
     ShiftCheckSetup,
-    verify_shift_stability,
+    verify_shift_section,
 )
 from fragileband.scenario import cmd_regime_map, load_scenario, preset_path
 from fragileband.stopping import (
@@ -277,7 +277,7 @@ def test_criterion_7_reference_shift_bound():
             delta=float(rng.uniform(0.5, 0.95)),
             optimize=bool(trial % 2),
         )
-        if not verify_shift_stability(setup, float(rng.uniform(-1, 1))).holds:
+        if not verify_shift_section(setup, [float(rng.uniform(-1, 1))])[0].holds:
             failures += 1
 
     # Constructed tight case: states all below both references, identity g3,
@@ -296,7 +296,7 @@ def test_criterion_7_reference_shift_bound():
         reference=8.0,
         delta=0.9,
     )
-    tight = verify_shift_stability(tight_setup, 0.1)
+    tight = verify_shift_section(tight_setup, [0.1])[0]
     exact = 0.1 / (1.0 - 0.9)
     tight_ok = tight.holds and abs(tight.empirical_gap - exact) <= 1e-6 * exact
     ok = failures == 0 and tight_ok

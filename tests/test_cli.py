@@ -13,7 +13,6 @@ import pytest
 
 from fragileband.cli import run
 from fragileband.scenario import ResultTable, preset_path, scenario_from_dict
-from fragileband.stopping import state_grid
 
 SNS = str(preset_path("sns"))
 METAGAME = str(preset_path("metagame"))
@@ -150,6 +149,49 @@ def test_only_the_solving_commands_load_numpy(tmp_path, commands, loads_numpy):
     assert done.stdout.strip() == f"{[0] * runs} {loads_numpy}"
 
 
+_RUN_WITHOUT_NUMPY = """
+import importlib.machinery, sys
+
+
+class HideNumpy(importlib.machinery.PathFinder):
+    # No finder returns a spec for numpy, as if it were not installed.
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            return None
+        return super().find_spec(name, path, target)
+
+
+sys.meta_path[:] = [HideNumpy if f is importlib.machinery.PathFinder else f for f in sys.meta_path]
+try:
+    import numpy
+except ModuleNotFoundError:
+    pass
+else:
+    raise SystemExit("numpy is not hidden")
+from fragileband import cli
+
+raise SystemExit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("scenario", [SNS, METAGAME], ids=["sns", "metagame"])
+@pytest.mark.parametrize("command", ["band", "phase-sweep", "mass-sim"])
+def test_light_commands_write_the_same_bytes_without_numpy(capsys, command, scenario):
+    done = _python(["-c", _RUN_WITHOUT_NUMPY, command, "--scenario", scenario])
+    assert done.returncode == 0, done.stderr
+    assert run([command, "--scenario", scenario]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["regime-map", "simulate", "ref-shift-check"])
+def test_solving_commands_exit_1_without_numpy(command):
+    done = _python(["-c", _RUN_WITHOUT_NUMPY, command, "--scenario", SNS])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: this command needs numpy, which is not installed\n"
+
+
 def _delta_axis_to_one(doc):
     doc["dp"]["sweep"]["delta"]["stop"] = 1.0
 
@@ -191,7 +233,7 @@ def _state_cost_table_on_growth_axis(doc):
     # As wide as the preset's grid; the growth = 0 cells of the map have a
     # one-state grid, and a growth process takes no such table at all.
     dp = scenario_from_dict(doc).dp
-    width = state_grid(dp.process, dp.config.r_cap, dp.config.grid_points)[0].size
+    width = dp.process.state_grid(dp.config.r_cap, dp.config.grid_points)[0].size
     doc["dp"]["costs"]["collapse"] = [[0.1] * width]
 
 
@@ -199,7 +241,7 @@ def _state_cost_table_off_chain(doc):
     # As wide as the preset's grid; the simulator multiplies a shock
     # process's surplus off that grid, so the loader rejects the table.
     dp = scenario_from_dict(doc).dp
-    width = state_grid(dp.process, dp.config.r_cap, dp.config.grid_points)[0].size
+    width = dp.process.state_grid(dp.config.r_cap, dp.config.grid_points)[0].size
     doc["dp"]["costs"]["maintain"] = [[0.1] * width]
 
 
@@ -447,6 +489,36 @@ def test_mass_sim_overflow_exits_0_without_traceback(tmp_path, edit, last_x):
     assert all(math.isfinite(x) for x in xs[:-1])
     if last_x is not None:
         assert xs[-1] == last_x
+
+
+@pytest.mark.parametrize("exponent", [2, 3])
+def test_zero_weight_on_an_overflowing_shape_contributes_zero(tmp_path, capsys, exponent):
+    # g2(1e200) overflows to inf under beta_plus = 0 (0 * inf is NaN); with
+    # exponent 3 the slope g2'(1e200) overflows too.
+    doc = json.loads(Path(SNS).read_text())
+    doc["mass"]["params"]["g2"] = {"kind": "power", "exponent": exponent}
+    doc["mass"]["params"]["beta_plus"] = 0
+    doc["mass"]["perturbation"] = 1e200
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["mass-sim", "--scenario", str(path)]) == 0
+    table = ResultTable.from_csv(capsys.readouterr().out)
+    assert not any(math.isnan(cell) for row in table.rows for cell in row[1:8])
+    xs = [row[1] for row in table.rows]
+    assert len(xs) == doc["mass"]["steps"] + 1 and all(b < a for a, b in zip(xs, xs[1:]))
+    assert table.metadata["empirical_label"] == "Stable"
+
+
+def test_zero_weights_at_minus_inf_give_finite_rates(tmp_path, capsys):
+    # The attack weights are zero, so the last row (x = -inf) reads sigma(-c_bar).
+    doc = json.loads(Path(SNS).read_text())
+    _trajectory_to_minus_inf(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["mass-sim", "--scenario", str(path)]) == 0
+    last = ResultTable.from_csv(capsys.readouterr().out).rows[-1]
+    assert last[1] == -math.inf
+    assert (last[4], last[5], last[6]) == (0.2689414213699951, 0.2689414213699951, 0.0)
 
 
 @pytest.mark.parametrize(

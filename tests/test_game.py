@@ -311,6 +311,13 @@ class TestNonlinearClassification:
         with pytest.raises(CurveError, match=r"F\(0\) = 0"):
             TabulatedCurve(points=((0.0, 0.2), (1.0, 1.0)))
 
+    def test_nonfinite_tabulated_samples_rejected(self):
+        # A NaN sample passes every tolerance comparison, so it is named first.
+        with pytest.raises(CurveError, match=r"must be finite, got \(1.0, nan\)$"):
+            TabulatedCurve(points=((0.0, 0.0), (1.0, math.nan)))
+        with pytest.raises(CurveError, match=r"got \(nan, 0.5\), \(inf, 1.0\)$"):
+            TabulatedCurve(points=((0.0, 0.0), (math.nan, 0.5), (math.inf, 1.0)))
+
     def test_logistic_that_cannot_be_rescaled_rejected(self):
         # The logistic at w = 0 rounds to 1, so F = (raw - base) / (1 - base) has no value.
         with pytest.raises(ValueError, match="rounds to 1, got -50"):

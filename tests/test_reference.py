@@ -29,7 +29,6 @@ from fragileband.reference import (
     positive_part,
     ref_shift_bound,
     verify_shift_section,
-    verify_shift_stability,
 )
 from fragileband.scenario import cmd_ref_shift_check, load_scenario, preset_path, scenario_from_dict
 from fragileband.stopping import Transition, solve_cells
@@ -256,7 +255,7 @@ class TestVerifyShiftStability:
             reference=8.0,
             delta=0.9,
         )
-        result = verify_shift_stability(setup, 0.0)
+        result = verify_shift_section(setup, [0.0])[0]
         assert result.empirical_gap == 0.0
         assert result.holds
 
@@ -269,7 +268,7 @@ class TestVerifyShiftStability:
             reference=8.0,
             delta=0.9,
         )
-        result = verify_shift_stability(setup, 0.1)
+        result = verify_shift_section(setup, [0.1])[0]
         exact = 0.1 / (1.0 - 0.9)
         assert result.empirical_gap == pytest.approx(exact, rel=1e-9)
         assert result.holds
@@ -277,19 +276,19 @@ class TestVerifyShiftStability:
 
     def test_saturating_shape_shrinks_gap(self):
         grid = np.linspace(0, 6, 31)
-        identity = verify_shift_stability(
+        identity = verify_shift_section(
             _setup(grid, ReferenceParams(gamma_plus=1.0, gamma_minus=1.0), 8.0, 0.9),
-            0.2,
-        )
-        saturating = verify_shift_stability(
+            [0.2],
+        )[0]
+        saturating = verify_shift_section(
             _setup(
                 grid,
                 ReferenceParams(gamma_plus=1.0, gamma_minus=1.0, g3=Saturating(2.0)),
                 8.0,
                 0.9,
             ),
-            0.2,
-        )
+            [0.2],
+        )[0]
         assert saturating.empirical_gap < identity.empirical_gap
         assert saturating.holds
 
@@ -301,19 +300,8 @@ class TestVerifyShiftStability:
             delta=0.85,
             optimize=True,
         )
-        result = verify_shift_stability(setup, 0.3)
+        result = verify_shift_section(setup, [0.3])[0]
         assert result.holds
-
-    def test_declared_reference_dependence_rejected(self):
-        setup = _setup(
-            np.linspace(0, 5, 11),
-            ReferenceParams(gamma_plus=1.0),
-            reference=6.0,
-            delta=0.9,
-        )
-        setup.dynamics_depend_on_reference = True
-        with pytest.raises(HypothesisViolation):
-            verify_shift_stability(setup, 0.1)
 
     @pytest.mark.parametrize("optimize", [False, True])
     def test_overflowing_g3_rejected_before_the_solve(self, optimize, monkeypatch):
@@ -331,7 +319,7 @@ class TestVerifyShiftStability:
 
         monkeypatch.setattr(reference_module, "_solve_values", no_solve)
         with pytest.raises(HypothesisViolation, match=r"g3 has no finite Lipschitz constant"):
-            verify_shift_stability(setup, 0.1)
+            verify_shift_section(setup, [0.1])[0]
 
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("weight", [0.0, 1.0])
@@ -346,7 +334,7 @@ class TestVerifyShiftStability:
             transition=np.full((31, 31), 1.0 / 31),
         )
         with pytest.raises(HypothesisViolation, match="stage payoffs must be finite"):
-            verify_shift_stability(setup, 0.1)
+            verify_shift_section(setup, [0.1])[0]
 
     def test_non_stochastic_transition_rejected(self):
         grid = np.linspace(0, 5, 4)
@@ -364,7 +352,7 @@ class TestVerifyShiftStability:
     def test_random_draws_satisfying_hypotheses(self):
         rng = np.random.default_rng(19)
         for trial, setup in enumerate(_random_setups(rng, 30)):
-            result = verify_shift_stability(setup, float(rng.uniform(-1, 1)))
+            result = verify_shift_section(setup, [float(rng.uniform(-1, 1))])[0]
             assert result.holds, trial
 
     def test_one_block_matches_one_reference_calls(self):
@@ -672,4 +660,4 @@ class TestBroadcastStageMatrix:
             with pytest.raises(ValueError, match="finite"):
                 ShiftCheckSetup(**{**good, field: bad})
         with pytest.raises(ValueError, match="finite"):
-            verify_shift_stability(ShiftCheckSetup(**good), float("inf"))
+            verify_shift_section(ShiftCheckSetup(**good), [float("inf")])[0]

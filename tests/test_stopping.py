@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -38,9 +39,7 @@ from fragileband.stopping import (
     simulate_path,
     solve_cells,
     stagnation_sufficient,
-    state_grid,
     stop_value,
-    transition_kernel,
     value_iteration,
 )
 
@@ -92,13 +91,13 @@ class TestBellmanBackup:
     def test_identity_value_flat_growth(self):
         # V = phi on successors: backup = max(phi, delta*phi) = phi
         grid = np.array([4.0])
-        expected = transition_kernel(FLAT, grid).expect(grid)
+        expected = FLAT.kernel(grid).expect(grid)
         assert expected.tolist() == [4.0]
         assert max(4.0, 0.9 * expected[0]) == 4.0
 
     def test_shock_expectation_by_hand(self):
         grid = 4.0 * (1.0 + np.array([-0.2, 0.0, 0.2]))  # phi = 4 and both successors
-        expected = transition_kernel(SHOCKS, grid).expect(grid)
+        expected = SHOCKS.kernel(grid).expect(grid)
         # E[V'] = 0.5*4.8 + 0.5*3.2 = 4; continue = 3.6 < stop = 4
         assert expected[1] == 4.0
         assert max(4.0, 0.9 * expected[1]) == 4.0
@@ -110,9 +109,9 @@ class TestBellmanBackup:
             defection_payoff=2.0,
             initial_r=3.0,
         )
-        grid, _ = state_grid(chain, None, 2)
+        grid, _ = chain.state_grid(None, 2)
         values = np.array([2.0, 4.0])
-        expected = transition_kernel(chain, grid).expect(values)
+        expected = chain.kernel(grid).expect(values)
         assert expected[0] == 0.5 * 2.0 + 0.5 * 4.0
         assert 0.9 * expected[0] > 2.0  # continuing beats stopping at phi = 2
 
@@ -211,6 +210,83 @@ class TestOracle:
             if previous is not None:
                 assert np.all(values >= previous - 1e-12)
             previous = values
+
+
+def deterministic_scan(process, costs, delta: float, r_cap: float) -> tuple[float, int]:
+    """Exact V0 of deterministic growth under constant costs, and its stopping time.
+
+    The oracle for the grid DP, sharing no code with its grid or kernel:
+    phi_t = phi0 * (1 + g)**t is known in advance, so a policy is a stopping
+    time tau, scanned until phi reaches the cap 2 * (r_cap - P).  There the
+    grid holds phi, and the tail value is max(phi_cap - C_c, -C_m / (1 - delta)),
+    stopping at once or never; never stopping from t = 0 is in that tail too.
+    """
+    c_c, c_m = float(costs.collapse), float(costs.maintain)
+    assert process.growth > 0
+    phi = 2.0 * (process.initial_r - process.defection_payoff)
+    phi_cap = 2.0 * (r_cap - process.defection_payoff)
+    best, paid, discount, t = (-math.inf, 0), 0.0, 1.0, 0
+    while phi < phi_cap:
+        best = max(best, (paid + discount * (phi - c_c), t))
+        paid -= discount * c_m
+        discount *= delta
+        phi *= 1.0 + process.growth
+        t += 1
+    return max(best, (paid + discount * max(phi_cap - c_c, -c_m / (1.0 - delta)), t))
+
+
+def _scan_cells(seed: int, count: int):
+    """Seeded (process, costs, delta, r_cap) cells, alternately below and above delta*(1+g) = 1.
+
+    A collapse cost near phi0 and a small maintenance cost make waiting pay,
+    so the optimal stopping time is interior.
+    """
+    rng = random.Random(seed)
+    cells = []
+    for k in range(count):
+        g = rng.uniform(0.02, 0.2)
+        delta = min(0.995, rng.uniform(*((0.97, 0.995) if k % 2 else (1.005, 1.03))) / (1 + g))
+        p = rng.uniform(0.5, 2.0)
+        r0 = p + rng.uniform(0.5, 2.0)
+        phi0 = 2.0 * (r0 - p)
+        costs = CostSchedule(collapse=rng.uniform(0.5, 0.9) * phi0, maintain=rng.uniform(0, 0.05))
+        r_cap = p + (r0 - p) * rng.uniform(3, 10)
+        process = Deterministic(growth=g, defection_payoff=p, initial_r=r0)
+        cells.append((process, costs, delta, r_cap))
+    return cells
+
+
+class TestDeterministicScan:
+    """The grid DP converges to the exact stopping-time scan as the grid is refined."""
+
+    GRID_POINTS = (160, 640, 2560)
+
+    def _errors(self, process, costs, config):
+        exact, tau = deterministic_scan(process, costs, config.delta, config.r_cap)
+        errors = []
+        for n in self.GRID_POINTS:
+            solution = value_iteration(process, costs, dataclasses.replace(config, grid_points=n))
+            errors.append(abs(solution.initial_value - exact))
+        return exact, tau, errors
+
+    def test_sns(self):
+        dp = scenario_from_dict(json.loads(preset_path("sns").read_text())).dp
+        exact, tau, errors = self._errors(dp.process, dp.costs, dp.config)
+        assert exact == pytest.approx(6.167893022702705, abs=1e-14)
+        assert tau == 34  # the last period below the cap, which phi reaches at t = 35
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[0] > 1e-2 and errors[2] < 1e-13
+
+    @pytest.mark.parametrize("cell", range(6))
+    def test_seeded_cells_on_both_sides_of_the_frontier(self, cell):
+        process, costs, delta, r_cap = _scan_cells(11, 6)[cell]
+        assert (delta * (1 + process.growth) < 1) == bool(cell % 2)
+        config = DPConfig(delta=delta, r_cap=r_cap)
+        exact, tau, errors = self._errors(process, costs, config)
+        assert tau > 0
+        # Nonincreasing up to rounding, and at least ten times smaller at the end.
+        assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] <= 0.1 * errors[0] + 1e-12, errors
 
 
 class TestClassifyRegime:
@@ -349,13 +425,13 @@ class TestProcessValidation:
     def test_phi_cap_states_the_r_cap_rules_without_a_grid(self):
         assert FLAT.phi_cap(None) == initial_phi(FLAT)
         assert GROWING.phi_cap(30.0) == 2.0 * (30.0 - 2.0)
-        assert state_grid(GROWING, 30.0, 40)[0][-1] == GROWING.phi_cap(30.0)
+        assert GROWING.state_grid(30.0, 40)[0][-1] == GROWING.phi_cap(30.0)
         for r_cap, message in [(None, "must be set"), (3.0, "must be at least initial_r"),
                                (1e308, "must give a finite surplus cap")]:
             with pytest.raises(ValueError, match=f"^r_cap {message}"):
                 GROWING.phi_cap(r_cap)
             with pytest.raises(ValueError, match=f"^r_cap {message}"):
-                state_grid(GROWING, r_cap, 40)
+                GROWING.state_grid(r_cap, 40)
 
     def test_markov_matrix_is_built_on_first_use(self):
         chain = MarkovGrid((3.0, 4.0), ((0.5, 0.5), (0.25, 0.75)), 2.0, 3.0)
@@ -422,6 +498,9 @@ class TestSimulatePath:
             simulate_path(
                 FLAT, CostSchedule(maintain=[[0.1, 0.2]]), "never_stop", 0.9, 5, seed=0
             )
+        # On a chain the process's own rule names the width it needs.
+        with pytest.raises(ValueError, match=r"^collapse: a period x state table must be 4 wide"):
+            simulate_path(CHAIN, CostSchedule(collapse=[[0.1, 0.2]]), "never_stop", 0.9, 5, seed=0)
 
 
 def _reference_cost(value, t: int, state: int) -> float:
@@ -590,7 +669,7 @@ class TestGreedyLookup:
         sol = value_iteration(process, costs, config)
         grid, collapse, maintain, block = _dp_block(process, costs, config)
         # delta * E[V_{t+1}] - C_m(t) by hand, with V_2 the stationary fixed point.
-        kernel, delta = transition_kernel(process, grid), config.delta
+        kernel, delta = process.kernel(grid), config.delta
         expected_tail = kernel.expect(block.fixed_point[0])
         middle = delta * expected_tail - maintain[1]
         first = delta * kernel.expect(np.maximum(grid - collapse[0], middle)) - maintain[0]
@@ -656,11 +735,11 @@ def test_an_overflowed_cell_leaves_the_block_at_once():
 
 def _dp_block(process, costs, config):
     """(grid, collapse rows, maintain rows, one-cell block) of the solve behind value_iteration."""
-    grid, _ = state_grid(process, config.r_cap, config.grid_points)
+    grid, _ = process.state_grid(config.r_cap, config.grid_points)
     collapse, maintain = costs.collapse_rows(grid.size), costs.maintain_rows(grid.size)
     block = solve_cells(
         grid,
-        transition_kernel(process, grid),
+        process.kernel(grid),
         np.array([config.delta]),
         collapse,
         maintain,
