@@ -13,16 +13,15 @@ J > 1 diverges monotonically (buzz), J < -1 diverges with alternating sign
 one-sided contributions are taken to be zero, which makes the gain a total
 deterministic function.  The one-sided signals pass through the shapes on
 their magnitudes (``ShapeFn.magnitude``), +0.0 at a kink; the shapes' odd
-extension is not used here.  A zero weight contributes +0.0 whatever its
-shape or slope returns, so a shape that overflows to inf under a zero
-weight gives no NaN (0 * inf).
+extension is not used here.  Every weight, and the local gain's sigma'(s),
+meets its term by the zero-weight rule of ``reference._weighted``.
 
 Inputs are validated once, where they enter (a :class:`MassState` is
 built for each start); the fixed-point search and the trajectory then loop
 on plain floats through one update function, the same one :func:`step`
 runs.  A :class:`MassSimResult` keeps its trajectory as floats, so the
-layer and the mass-sim command never load numpy; only the ``xs`` and
-``deviations`` arrays it hands to library callers do.
+layer and the mass-sim command never load numpy; only the ``xs`` array it
+hands to library callers does.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._lazy import np
-from .reference import Identity, ShapeFn
+from .reference import Identity, ShapeFn, _weighted
 
 
 class NoFixedPointFound(RuntimeError):
@@ -106,26 +105,13 @@ def _signals(params: MassParams, epsilon: float, xi: float) -> tuple[float, floa
     xi_up = 0.0 if xi <= 0.0 else xi
     xi_down = 0.0 if xi >= 0.0 else -xi
     g2, g3 = params.g2.magnitude, params.g3.magnitude
-    s_plus = (
-        params.eta * (params.beta_plus * g2(eps_up) + params.gamma_plus * g3(xi_up))
-        - params.c_bar
-    )
-    s_minus = (
-        params.eta * (params.beta_minus * g2(eps_down) + params.gamma_minus * g3(xi_down))
-        - params.c_bar
-    )
-    if s_plus != s_plus or s_minus != s_minus:  # NaN: maybe a zero weight on an infinite shape
-        up = _weighted(params.beta_plus, g2, eps_up) + _weighted(params.gamma_plus, g3, xi_up)
-        down = _weighted(params.beta_minus, g2, eps_down) + _weighted(
-            params.gamma_minus, g3, xi_down
-        )
-        s_plus, s_minus = params.eta * up - params.c_bar, params.eta * down - params.c_bar
-    return s_plus, s_minus
-
-
-def _weighted(weight: float, shape, z: float) -> float:
-    """weight * shape(z), but +0.0 for a zero weight, where 0 * inf would be NaN."""
-    return weight * shape(z) if weight else 0.0
+    # Each term is _weighted(weight, shape, magnitude), written inline because
+    # this is the hot loop of every fixed-point search and trajectory.
+    w2, w3 = params.beta_plus, params.gamma_plus
+    up = (w2 * g2(eps_up) if w2 else w2) + (w3 * g3(xi_up) if w3 else w3)
+    w2, w3 = params.beta_minus, params.gamma_minus
+    down = (w2 * g2(eps_down) if w2 else w2) + (w3 * g3(xi_down) if w3 else w3)
+    return params.eta * up - params.c_bar, params.eta * down - params.c_bar
 
 
 def response_rates(params: MassParams, epsilon: float, xi: float) -> tuple[float, float]:
@@ -157,7 +143,8 @@ def local_gain(params: MassParams, epsilon: float, xi: float) -> float:
 
     and alternating escape (J < -1) can only come from over-damping
     (rho > 2).  Indicators are strict, so a signal sitting exactly at its
-    kink contributes zero.
+    kink contributes zero, and so does a saturated side (sigma'(s) = 0),
+    even where its slopes overflow to inf: the gain's limit.
     """
     s_plus, s_minus = _signals(params, epsilon, xi)
     g2, g3 = params.g2.derivative, params.g3.derivative
@@ -171,8 +158,10 @@ def local_gain(params: MassParams, epsilon: float, xi: float) -> float:
         down += _weighted(params.beta_minus, g2, epsilon)
     if xi < 0:
         down += _weighted(params.gamma_minus, g3, xi)
+    # float: the side is already a number, so only the weight is tested.
     return params.kappa * params.eta * (
-        _logistic_slope(s_plus) * up + _logistic_slope(s_minus) * down
+        _weighted(_logistic_slope(s_plus), float, up)
+        + _weighted(_logistic_slope(s_minus), float, down)
     )
 
 
@@ -244,11 +233,6 @@ class MassSimResult:
     def xs(self) -> np.ndarray:
         """The trajectory as an array."""
         return np.array(self.trajectory)
-
-    @property
-    def deviations(self) -> np.ndarray:
-        """x_t - fixed_point along the trajectory, as an array."""
-        return self.xs - self.fixed_point
 
 
 def _empirical_label(deviations) -> StabilityLabel:

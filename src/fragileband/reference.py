@@ -12,15 +12,16 @@ be felt asymmetrically:
 
 Only the signed change term g1(dx) uses a shape's odd extension
 sign(z)·g(|z|); the four one-sided terms evaluate g on their magnitudes
-(``ShapeFn.magnitude``), each +0.0 where its difference is zero.
+(``ShapeFn.magnitude``), each +0.0 where its difference is zero, and
+weighted by ``_weighted``; g1 and h, which can be negative, by plain products.
 
 With only the deviation terms active (gamma_plus = gamma_minus > 0, identity
 g3) and the state below the reference, U reduces to a multiple of the
 potential-loss utility reference - x.
 
 Shifting the reference by a constant kappa at every date perturbs each stage
-payoff by at most max(gamma_plus, gamma_minus) * L * |kappa|, where L is the
-Lipschitz constant of g3 on the visited domain.  Summing the discounted
+payoff by at most max(|gamma_plus|, |gamma_minus|) * L * |kappa|, where L is
+the Lipschitz constant of g3 on the visited domain.  Summing the discounted
 series bounds the value-function displacement by that amount over (1 -
 delta); ``verify_shift_section`` checks the bound empirically for every
 kappa of a section by solving the same discounted problem under the base
@@ -221,16 +222,25 @@ def _one_sided(z):
     return abs(np.maximum(z, 0.0))  # np.maximum(-0.0, 0.0) may be either zero
 
 
+def _weighted(weight, fn, z):
+    """weight * fn(z), but a zero weight returns itself and fn is not evaluated.
+
+    The one zero-weight rule: for fn(z) >= 0 it is weight * fn(z) bit for bit
+    where fn(z) is finite, and a signed zero, not NaN, where fn(z) is inf.
+    """
+    return weight * fn(z) if weight else weight
+
+
 def eval_reference_payoff(params: ReferenceParams, obs: Observation):
     """Stage payoff at one observation, or at a grid whose fields are arrays that broadcast."""
     dx, eps, xi = differences(obs)
     g2, g3 = params.g2.magnitude, params.g3.magnitude
     return (
         params.alpha * params.g1(dx)
-        + params.beta_plus * g2(_one_sided(eps))
-        + params.beta_minus * g2(_one_sided(-eps))
-        + params.gamma_plus * g3(_one_sided(xi))
-        + params.gamma_minus * g3(_one_sided(-xi))
+        + _weighted(params.beta_plus, g2, _one_sided(eps))
+        + _weighted(params.beta_minus, g2, _one_sided(-eps))
+        + _weighted(params.gamma_plus, g3, _one_sided(xi))
+        + _weighted(params.gamma_minus, g3, _one_sided(-xi))
         + params.delta_weight * params.h(obs.x)
         - params.cost
     )
@@ -245,14 +255,14 @@ def ref_shift_bound(
 ) -> float:
     """Worst-case value displacement from shifting the reference by kappa_ref.
 
-    Equals max(gamma_plus, gamma_minus) * L * |kappa_ref| / (1 - delta): the
-    per-period payoff perturbation, summed over the discounted horizon.
+    Equals max(|gamma_plus|, |gamma_minus|) * L * |kappa_ref| / (1 - delta):
+    the per-period payoff perturbation, summed over the discounted horizon.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")
     if not lipschitz >= 0:
         raise ValueError("lipschitz constant must satisfy L >= 0")
-    return max(gamma_plus, gamma_minus) * lipschitz * abs(kappa_ref) / (1.0 - delta)
+    return max(abs(gamma_plus), abs(gamma_minus)) * lipschitz * abs(kappa_ref) / (1.0 - delta)
 
 
 @dataclass(eq=False)
@@ -322,13 +332,15 @@ def _stage_matrix(setup: ShiftCheckSetup, reference) -> np.ndarray:
 
     A float reference gives the (n, n) matrix.  References shaped (refs, 1, 1)
     give one matrix per reference, and the terms that do not read the
-    reference are computed once.
+    reference are computed once (all of them, when both gamma weights are 0).
     """
     grid = setup.x_grid
     obs = SimpleNamespace(
         x=grid, x_prev=grid[:, None], forecast=setup.forecasts[:, None], reference=reference
     )
-    return eval_reference_payoff(setup.params, obs)
+    # With both gamma weights 0 no term reads the reference: one matrix serves every one.
+    shape = np.broadcast_shapes(np.shape(reference), (grid.size, grid.size))
+    return np.broadcast_to(eval_reference_payoff(setup.params, obs), shape)
 
 
 def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
@@ -379,11 +391,12 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
 
     The Lipschitz constant of a kappa is declared by g3 on the widest
     norm-deviation magnitude reachable on the grid under either reference,
-    so the analytical bound is sound for the states actually visited.
+    so the analytical bound is sound for the states actually visited; with
+    both gamma weights 0 it is neither computed nor required, and is 0.
     Every kappa is checked in order before the one solve: a shifted
-    reference that is not finite, or a g3 with no finite constant, raises
-    HypothesisViolation, as does a stage payoff or an optimize-mode value
-    that is not finite.  The references are solved in blocks of at most
+    reference that is not finite, or a weighted g3 with no finite constant,
+    raises HypothesisViolation, as does a stage payoff or an optimize-mode
+    value that is not finite.  The references are solved in blocks of at most
     max(2, SHIFT_BLOCK_VALUES // n**2), the base in the first only.  A gap
     or bound that overflows raises HypothesisViolation naming its kappa;
     otherwise the bound holds when the gap exceeds it by at most 1e-9 of
@@ -397,10 +410,12 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
             raise HypothesisViolation(
                 f"shifted reference must be finite, got {reference!r} + {kappa!r}"
             )
-        domain = float(max(base_domain, np.max(np.abs(grid - reference - kappa))))
-        lipschitz = params.g3.lipschitz(domain)
-        if not math.isfinite(lipschitz):
-            raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
+        lipschitz = 0.0  # without a gamma weight no payoff reads g3, and the bound is 0
+        if params.gamma_plus or params.gamma_minus:
+            domain = float(max(base_domain, np.max(np.abs(grid - reference - kappa))))
+            lipschitz = params.g3.lipschitz(domain)
+            if not math.isfinite(lipschitz):
+                raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
         constants.append(lipschitz)
     shifted = [reference + kappa for kappa in kappas]
     size = max(2, SHIFT_BLOCK_VALUES // grid.size**2)

@@ -626,7 +626,6 @@ class ValueSolution:
     """
 
     phi_grid: np.ndarray
-    r_grid: np.ndarray
     values: np.ndarray
     policy: tuple[Decision, ...]
     delta_gain: np.ndarray
@@ -634,7 +633,6 @@ class ValueSolution:
     iterations: int
     residual: float
     residuals: tuple[float, ...]
-    delta: float
     initial_index: int
     _continuation: tuple[np.ndarray, ...]
     _collapse: np.ndarray
@@ -697,7 +695,6 @@ def value_iteration(
         )
     return ValueSolution(
         phi_grid=grid,
-        r_grid=process.defection_payoff + grid / 2.0,
         values=block.values[0],
         policy=tuple(Decision.STOP if m else Decision.CONTINUE for m in block.stop[0]),
         delta_gain=block.delta_gain[0],
@@ -705,7 +702,6 @@ def value_iteration(
         iterations=len(residuals),
         residual=residuals[-1],
         residuals=tuple(residuals),
-        delta=config.delta,
         initial_index=initial_index,
         _continuation=tuple(row[0] for row in block.continuation),
         _collapse=collapse,

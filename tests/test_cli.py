@@ -279,7 +279,9 @@ def _overflowing_g3(doc):
 
 
 def _overflowing_g2(doc):
-    # g3 keeps a finite Lipschitz constant; the stage payoffs overflow.
+    # g3 keeps a finite Lipschitz constant; the stage payoffs overflow under a
+    # nonzero weight (a zero weight never evaluates g2).
+    doc["reference"]["params"]["beta_plus"] = 1
     doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
 
 
@@ -519,6 +521,59 @@ def test_zero_weights_at_minus_inf_give_finite_rates(tmp_path, capsys):
     last = ResultTable.from_csv(capsys.readouterr().out).rows[-1]
     assert last[1] == -math.inf
     assert (last[4], last[5], last[6]) == (0.2689414213699951, 0.2689414213699951, 0.0)
+
+
+def test_saturated_side_with_an_overflowing_slope_has_gain_zero(tmp_path, capsys):
+    # beta_plus = 1: g2(1e200) and g2'(1e200) overflow, the praise signal is
+    # +inf and sigma'(s+) is exactly 0, so the side contributes 0, not 0 * inf.
+    doc = json.loads(Path(SNS).read_text())
+    doc["mass"]["params"]["g2"] = {"kind": "power", "exponent": 3}
+    doc["mass"]["perturbation"] = 1e200
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["mass-sim", "--scenario", str(path)]) == 0
+    rows = ResultTable.from_csv(capsys.readouterr().out).rows
+    assert len(rows) == doc["mass"]["steps"] + 1
+    assert {tuple(row[6:]) for row in rows} == {(0.0, 0.80000000000000004, "Stable")}
+
+
+def _ref_rows(capsys, doc, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code = run(["ref-shift-check", "--scenario", str(path)])
+    return code, ResultTable.from_csv(capsys.readouterr().out).rows
+
+
+def test_ref_shift_check_skips_an_unweighted_g2(tmp_path, capsys):
+    # beta_plus = beta_minus = 0 on sns: g2 is never evaluated.
+    doc = json.loads(Path(SNS).read_text())
+    preset = _ref_rows(capsys, doc, tmp_path)
+    doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
+    assert _ref_rows(capsys, doc, tmp_path) == preset
+    assert preset[0] == 0
+
+
+def test_ref_shift_check_without_gamma_needs_no_g3_constant(tmp_path, capsys):
+    # No weight reads g3 or the reference: every gap and bound is 0.
+    doc = json.loads(Path(SNS).read_text())
+    params = doc["reference"]["params"]
+    params["gamma_plus"] = params["gamma_minus"] = 0
+    params["beta_plus"] = 1
+    params["g3"] = {"kind": "power", "exponent": 400}
+    code, rows = _ref_rows(capsys, doc, tmp_path)
+    assert code == 0
+    assert [(gap, bound, holds) for _, gap, bound, holds in rows] == [(0.0, 0.0, True)] * 3
+
+
+def test_ref_shift_bound_reads_weight_magnitudes(tmp_path, capsys):
+    # gamma_plus = gamma_minus = -1 perturbs payoffs by |kappa|, as +1 does.
+    doc = json.loads(Path(SNS).read_text())
+    params = doc["reference"]["params"]
+    params["gamma_plus"] = params["gamma_minus"] = -1
+    code, rows = _ref_rows(capsys, doc, tmp_path)
+    assert code == 0
+    assert [row[2] for row in rows] == [0.0, 0.50000000000000011, 1.0000000000000002]
+    assert all(row[3] for row in rows)
 
 
 @pytest.mark.parametrize(

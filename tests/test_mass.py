@@ -225,7 +225,8 @@ class TestSimulateMass:
         state = MassState(x=1.2, forecast=1.2, reference=1.2)
         result = simulate_mass(state, params, steps=30, perturbation=1e-3)
         assert result.empirical_label is StabilityLabel.STABLE
-        ratios = np.abs(result.deviations[1:6]) / np.abs(result.deviations[:5])
+        deviations = result.xs - result.fixed_point
+        ratios = np.abs(deviations[1:6]) / np.abs(deviations[:5])
         assert np.all(ratios < 1.0)
 
     def test_buzz_example_matches_analytic(self):
@@ -234,7 +235,7 @@ class TestSimulateMass:
         assert result.jacobian == pytest.approx(1.3)
         assert result.analytic_label is StabilityLabel.BUZZ
         assert result.empirical_label is StabilityLabel.BUZZ
-        deviations = result.deviations
+        deviations = result.xs - result.fixed_point
         growing = deviations[1:8] / deviations[:7]
         assert np.all(growing > 1.0)
 
@@ -246,7 +247,7 @@ class TestSimulateMass:
         result = simulate_mass(state, params, steps=50, perturbation=1e-4)
         assert result.analytic_label is StabilityLabel.BACKLASH
         assert result.empirical_label is StabilityLabel.BACKLASH
-        signs = np.sign(result.deviations[:8])
+        signs = np.sign((result.xs - result.fixed_point)[:8])
         assert np.all(signs[1:] == -signs[:-1])
 
     def test_boundary_case(self):

@@ -324,17 +324,24 @@ class TestVerifyShiftStability:
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_nonfinite_stage_payoffs_rejected(self, optimize, weight):
-        # g2(eps) overflows on the grid's widest step; a zero weight makes it NaN.
-        setup = _setup(
-            np.linspace(0, 6, 31),
-            ReferenceParams(gamma_plus=1.0, beta_plus=weight, g2=Power(400.0)),
-            reference=8.0,
-            delta=0.9,
-            optimize=optimize,
-            transition=np.full((31, 31), 1.0 / 31),
-        )
-        with pytest.raises(HypothesisViolation, match="stage payoffs must be finite"):
-            verify_shift_section(setup, [0.1])[0]
+        # g2(eps) overflows on the grid's widest step.  Under a zero weight g2
+        # is never evaluated, so the check runs as it does with g2 = Identity.
+        def setup(g2):
+            return _setup(
+                np.linspace(0, 6, 31),
+                ReferenceParams(gamma_plus=1.0, beta_plus=weight, g2=g2),
+                reference=8.0,
+                delta=0.9,
+                optimize=optimize,
+                transition=np.full((31, 31), 1.0 / 31),
+            )
+
+        if weight:
+            with pytest.raises(HypothesisViolation, match="stage payoffs must be finite"):
+                verify_shift_section(setup(Power(400.0)), [0.1])[0]
+        else:
+            got = verify_shift_section(setup(Power(400.0)), [0.1])
+            assert got == verify_shift_section(setup(Identity()), [0.1])
 
     def test_non_stochastic_transition_rejected(self):
         grid = np.linspace(0, 5, 4)

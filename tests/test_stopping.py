@@ -217,22 +217,25 @@ def deterministic_scan(process, costs, delta: float, r_cap: float) -> tuple[floa
 
     The oracle for the grid DP, sharing no code with its grid or kernel:
     phi_t = phi0 * (1 + g)**t is known in advance, so a policy is a stopping
-    time tau, scanned until phi reaches the cap 2 * (r_cap - P).  There the
-    grid holds phi, and the tail value is max(phi_cap - C_c, -C_m / (1 - delta)),
-    stopping at once or never; never stopping from t = 0 is in that tail too.
+    time tau, scanned until the grid holds phi: at the cap 2 * (r_cap - P)
+    when g > 0, at phi0 at once when g = 0, and at the grid's floor
+    phi0 * 1e-4, where it clamps, when g < 0.  The tail value there is
+    max(phi_held - C_c, -C_m / (1 - delta)), stopping at once or never;
+    never stopping from t = 0 is in that tail too.
     """
-    c_c, c_m = float(costs.collapse), float(costs.maintain)
-    assert process.growth > 0
+    c_c, c_m, g = float(costs.collapse), float(costs.maintain), process.growth
     phi = 2.0 * (process.initial_r - process.defection_payoff)
     phi_cap = 2.0 * (r_cap - process.defection_payoff)
+    phi_floor = phi * 1e-4
     best, paid, discount, t = (-math.inf, 0), 0.0, 1.0, 0
-    while phi < phi_cap:
+    while g != 0 and phi_floor < phi < phi_cap:
         best = max(best, (paid + discount * (phi - c_c), t))
         paid -= discount * c_m
         discount *= delta
-        phi *= 1.0 + process.growth
+        phi *= 1.0 + g
         t += 1
-    return max(best, (paid + discount * max(phi_cap - c_c, -c_m / (1.0 - delta)), t))
+    held = min(max(phi, phi_floor), phi_cap)
+    return max(best, (paid + discount * max(held - c_c, -c_m / (1.0 - delta)), t))
 
 
 def _scan_cells(seed: int, count: int):
@@ -250,6 +253,27 @@ def _scan_cells(seed: int, count: int):
         r0 = p + rng.uniform(0.5, 2.0)
         phi0 = 2.0 * (r0 - p)
         costs = CostSchedule(collapse=rng.uniform(0.5, 0.9) * phi0, maintain=rng.uniform(0, 0.05))
+        r_cap = p + (r0 - p) * rng.uniform(3, 10)
+        process = Deterministic(growth=g, defection_payoff=p, initial_r=r0)
+        cells.append((process, costs, delta, r_cap))
+    return cells
+
+
+def _flat_cells(seed: int, count: int):
+    """Seeded (process, costs, delta, r_cap) cells that do not grow: g = 0 and g < 0 alternately.
+
+    A collapse cost on either side of phi0 makes stopping at once optimal in
+    some cells and never stopping in others.
+    """
+    rng = random.Random(seed)
+    cells = []
+    for k in range(count):
+        g = rng.uniform(-0.3, -0.01) if k % 2 else 0.0
+        delta = rng.uniform(0.5, 0.99)
+        p = rng.uniform(0.5, 2.0)
+        r0 = p + rng.uniform(0.5, 2.0)
+        phi0 = 2.0 * (r0 - p)
+        costs = CostSchedule(collapse=rng.uniform(0.5, 1.5) * phi0, maintain=rng.uniform(0, 0.05))
         r_cap = p + (r0 - p) * rng.uniform(3, 10)
         process = Deterministic(growth=g, defection_payoff=p, initial_r=r0)
         cells.append((process, costs, delta, r_cap))
@@ -285,6 +309,22 @@ class TestDeterministicScan:
         exact, tau, errors = self._errors(process, costs, config)
         assert tau > 0
         # Nonincreasing up to rounding, and at least ten times smaller at the end.
+        assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] <= 0.1 * errors[0] + 1e-12, errors
+
+    @pytest.mark.parametrize("cell", range(6))
+    def test_seeded_cells_without_growth(self, cell):
+        process, costs, delta, r_cap = _flat_cells(5, 6)[cell]
+        # A tolerance below the checks' 1e-12, so the errors are the grid's alone.
+        config = DPConfig(delta=delta, r_cap=r_cap, tolerance=1e-13)
+        exact, tau, errors = self._errors(process, costs, config)
+        # phi never rises, so stopping at once or never is optimal; at g = 0
+        # the scan ends at once, at g < 0 it runs to the grid's floor.
+        phi0 = 2.0 * (process.initial_r - process.defection_payoff)
+        assert exact == max(phi0 - costs.collapse, -costs.maintain / (1.0 - delta))
+        assert (tau == 0) == (process.growth == 0 or exact == phi0 - costs.collapse)
+        # The grid is exact here: what is left is the value iteration's stopping rule.
+        assert max(errors) <= config.tolerance / (1.0 - delta), errors
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:])), errors
         assert errors[-1] <= 0.1 * errors[0] + 1e-12, errors
 
