@@ -39,10 +39,12 @@ from .game import (
     band,
     classify_phase,
     classify_phase_nonlinear,
+    equilibrium_names,
     min_total_payoff_profile,
     nash_equilibria,
     objective_payoffs,
     tipping_band_probability,
+    tipping_masses,
     transform_utilities,
 )
 from .mass import (

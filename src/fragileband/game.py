@@ -21,6 +21,10 @@ recognition curve is one scalar formula, mapped over a sweep as a list.  A
 curve meets its contract (F(0) = 0, nondecreasing, values in [0, 1]) from
 the moment it is built: the parametric kinds by their formulas, a tabulated
 curve by an exact check of its samples.  No sweep re-checks it.
+
+A w sweep is one call of each column: the band and the objective payoffs
+are computed once, then the loops run on floats and tuples in ``PROFILES``
+and ``PhaseLabel`` order.  A scalar call runs the same code on one w.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .mass import logistic
 
@@ -137,12 +142,19 @@ def objective_payoffs(pd: PayoffMatrix, profile: Profile) -> tuple[float, float]
     return (pd.T, pd.S) if profile.action_b is Action.C else (pd.P, pd.P)
 
 
+def _utilities(pairs, a: float, bs) -> list[tuple[list[float], list[float]]]:
+    """u'_i = a*u_i + b*u_j of each objective pair (u_A, u_B), as A's and B's lists over ``bs``."""
+    return [
+        ([a * u_a + b * u_b for b in bs], [a * u_b + b * u_a for b in bs]) for u_a, u_b in pairs
+    ]
+
+
 def transform_utilities(
     pd: PayoffMatrix, rec: Recognition, profile: Profile
 ) -> tuple[float, float]:
     """Subjective utilities u'_i = a*u_i + b*u_j for both players."""
-    u_a, u_b = objective_payoffs(pd, profile)
-    return rec.a * u_a + rec.b * u_b, rec.a * u_b + rec.b * u_a
+    [([u_a], [u_b])] = _utilities([objective_payoffs(pd, profile)], rec.a, [rec.b])
+    return u_a, u_b
 
 
 def adversary_utility(pd: PayoffMatrix, profile: Profile) -> float:
@@ -182,6 +194,29 @@ _DEVIATIONS = tuple(
 )
 
 
+_NAMES = tuple(profile.name for profile in PROFILES)
+
+
+def _equilibria(pd: PayoffMatrix, a: float, bs) -> list[tuple[bool, ...]]:
+    """For each b of ``bs``, whether each profile of PROFILES is an equilibrium under (a, b).
+
+    A non-finite utility raises ``ValueError`` at the first w = b/a that has
+    one: inf > inf is false, so an overflow would pass for an equilibrium.
+    """
+    utilities = _utilities([objective_payoffs(pd, profile) for profile in PROFILES], a, bs)
+    columns = [column for pair in utilities for column in pair]
+    if not all(all(map(math.isfinite, column)) for column in columns):
+        for b, *values in zip(bs, *columns):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"the transformed utilities at w = {b / a:g} are not finite")
+    stable = []
+    for (own_a, own_b), (to_a, to_b) in zip(utilities, _DEVIATIONS):
+        dev_a, dev_b = utilities[to_a][0], utilities[to_b][1]
+        rows = zip(own_a, dev_a, own_b, dev_b)
+        stable.append([not (d_a > o_a or d_b > o_b) for o_a, d_a, o_b, d_b in rows])
+    return list(zip(*stable))
+
+
 def nash_equilibria(pd: PayoffMatrix, rec: Recognition) -> set[Profile]:
     """Brute-force pure Nash equilibria of the transformed game.
 
@@ -190,29 +225,44 @@ def nash_equilibria(pd: PayoffMatrix, rec: Recognition) -> set[Profile]:
     indifferent deviations do not break an equilibrium).  Each profile is
     checked against its deviations' utilities directly, never against the
     thresholds, so this stays the independent oracle of
-    :func:`classify_phase`.
+    :func:`classify_phase`.  A transformed utility that is not finite
+    raises ``ValueError``.
     """
-    utilities = [transform_utilities(pd, rec, profile) for profile in PROFILES]
-    return {
-        profile
-        for profile, own, deviations in zip(PROFILES, utilities, _DEVIATIONS)
-        if not any(utilities[d][player] > own[player] for player, d in enumerate(deviations))
-    }
+    [stable] = _equilibria(pd, rec.a, [rec.b])
+    return set(compress(PROFILES, stable))
 
 
-def _label_from_thresholds(effective_w: float, fb: FragileBand) -> PhaseLabel:
-    cc_stable = effective_w >= fb.w_min
-    dd_stable = effective_w <= fb.w_max
-    if cc_stable and dd_stable:
-        return PhaseLabel.FRAGILE_BAND
-    if cc_stable:
-        return PhaseLabel.COOPERATION
-    if dd_stable:
-        return PhaseLabel.DISTRUST
-    return PhaseLabel.ASYMMETRIC_ONLY
+def equilibrium_names(pd: PayoffMatrix, ws) -> list[str]:
+    """:func:`nash_equilibria` at weights (1, w) for each w of a sweep, as "|"-joined names.
+
+    The names come in PROFILES order, which is name order.
+    """
+    return ["|".join(compress(_NAMES, stable)) for stable in _equilibria(pd, 1.0, ws)]
 
 
-def classify_phase(pd: PayoffMatrix, w: float) -> PhaseLabel:
+# The phase by whether (C,C) and (D,D) are stable: _PHASES[cc_stable][dd_stable].
+_PHASES = (
+    (PhaseLabel.ASYMMETRIC_ONLY, PhaseLabel.DISTRUST),
+    (PhaseLabel.COOPERATION, PhaseLabel.FRAGILE_BAND),
+)
+
+
+def _labels(effective, fb: FragileBand) -> list[PhaseLabel]:
+    """The phase at each effective weight of ``effective`` against fb's thresholds."""
+    w_min, w_max = float(fb.w_min), float(fb.w_max)  # so that each comparison is a bool
+    return [_PHASES[w >= w_min][w <= w_max] for w in effective]
+
+
+def _sweep(w) -> tuple[list[float], bool]:
+    """The floats of ``w`` (a number or a sequence, each >= 0), and whether it is a sequence."""
+    ws = _floats(w)
+    values = [float(w)] if ws is None else ws
+    if not all(v >= 0 for v in values):
+        raise ValueError("w must satisfy w >= 0")
+    return values, ws is not None
+
+
+def classify_phase(pd: PayoffMatrix, w):
     """Closed-form phase of the transformed game at recognition ratio w.
 
     Labels follow membership of (C,C) and (D,D) in the equilibrium set:
@@ -221,11 +271,12 @@ def classify_phase(pd: PayoffMatrix, w: float) -> PhaseLabel:
     (w = w_min or w = w_max count as FragileBand when the band exists),
     matching the weak best-response inequalities used by nash_equilibria.
     Comparisons are exact; callers wanting fuzzy thresholds should use
-    tipping_band_probability.
+    tipping_band_probability.  For a sequence ``w`` (a sweep) a list of
+    labels is returned.
     """
-    if not w >= 0:
-        raise ValueError("w must satisfy w >= 0")
-    return _label_from_thresholds(w, band(pd))
+    values, is_sweep = _sweep(w)
+    labels = _labels(values, band(pd))
+    return labels if is_sweep else labels[0]
 
 
 class RecognitionCurve:
@@ -356,13 +407,9 @@ def classify_phase_nonlinear(pd: PayoffMatrix, w, curve: RecognitionCurve):
     The curve met its contract when it was built, so it is not checked
     here.  For a sequence ``w`` (a sweep) a list of labels is returned.
     """
-    ws = _floats(w)
-    values = [float(w)] if ws is None else ws
-    if not all(v >= 0 for v in values):
-        raise ValueError("w must satisfy w >= 0")
-    fb = band(pd)
-    labels = [_label_from_thresholds(f, fb) for f in curve(values)]
-    return labels if ws is not None else labels[0]
+    values, is_sweep = _sweep(w)
+    labels = _labels(curve(values), band(pd))
+    return labels if is_sweep else labels[0]
 
 
 def _floats(w) -> list[float] | None:
@@ -386,6 +433,9 @@ def min_total_payoff_profile(pd: PayoffMatrix) -> tuple[Profile, float]:
     return CD, pd.T + pd.S
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _normal_mass(lo: float, hi: float) -> float:
     """P(lo <= Z <= hi) for a standard Normal Z and lo <= hi, as an erfc difference.
 
@@ -394,7 +444,26 @@ def _normal_mass(lo: float, hi: float) -> float:
     """
     if lo + hi < 0.0:
         lo, hi = -hi, -lo
-    return 0.5 * (math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0)))
+    return 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
+
+
+def tipping_masses(pd: PayoffMatrix, w_means, w_sd: float) -> list[tuple[float, ...]]:
+    """:func:`tipping_band_probability` for each mean of a sweep, in ``PhaseLabel`` order."""
+    if not w_sd > 0:
+        raise ValueError("w_sd must satisfy w_sd > 0")
+    fb = band(pd)
+    edges, exists = (0.0, *sorted((fb.w_min, fb.w_max))), fb.exists
+    rows = []
+    for w_mean in w_means:
+        z0, z1, z2 = [(edge - w_mean) / w_sd for edge in edges]
+        total = _normal_mass(z0, math.inf)
+        if total == 0.0:
+            raise ValueError("w_mean lies too far below 0 for w_sd: the truncated mass underflows")
+        distrust = _normal_mass(z0, z1) / total
+        middle = _normal_mass(z1, z2) / total
+        cooperation = _normal_mass(z2, math.inf) / total
+        rows.append((distrust, middle if exists else 0.0, cooperation, 0.0 if exists else middle))
+    return rows
 
 
 def tipping_band_probability(
@@ -409,15 +478,4 @@ def tipping_band_probability(
     band; the truncated Normal is one configurable choice of noise, not a
     canonical one.  Returned probabilities cover every label and sum to 1.
     """
-    if not w_sd > 0:
-        raise ValueError("w_sd must satisfy w_sd > 0")
-    fb = band(pd)
-    middle = PhaseLabel.FRAGILE_BAND if fb.exists else PhaseLabel.ASYMMETRIC_ONLY
-    z = [(edge - w_mean) / w_sd for edge in (0.0, *sorted((fb.w_min, fb.w_max)))] + [math.inf]
-    total = _normal_mass(z[0], math.inf)
-    if total == 0.0:
-        raise ValueError("w_mean lies too far below 0 for w_sd: the truncated mass underflows")
-    probs = dict.fromkeys(PhaseLabel, 0.0)
-    for label, lo, hi in zip((PhaseLabel.DISTRUST, middle, PhaseLabel.COOPERATION), z, z[1:]):
-        probs[label] = _normal_mass(lo, hi) / total
-    return probs
+    return dict(zip(PhaseLabel, tipping_masses(pd, [w_mean], w_sd)[0]))

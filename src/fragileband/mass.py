@@ -17,17 +17,20 @@ extension is not used here.  Every weight, and the local gain's sigma'(s),
 meets its term by the zero-weight rule of ``reference._weighted``.
 
 Inputs are validated once, where they enter (a :class:`MassState` is
-built for each start); the fixed-point search and the trajectory then loop
-on plain floats through one update function, the same one :func:`step`
-runs.  A :class:`MassSimResult` keeps its trajectory as floats, so the
-layer and the mass-sim command never load numpy; only the ``xs`` array it
-hands to library callers does.
+built for each start).  The fixed-point search, the trajectory and
+:func:`step` then run one update closure on plain floats, built once per
+loop from (params, forecast, reference) with the constants bound.  It
+calls the signal function each :class:`MassParams` binds once, which
+:func:`response_rates` and :func:`local_gain` read too.  A
+:class:`MassSimResult` keeps its trajectory as floats, so the layer and the
+mass-sim command never load numpy; only the ``xs`` array it hands to
+library callers does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from ._lazy import np
@@ -71,6 +74,12 @@ class MassParams:
         weights = (self.beta_plus, self.beta_minus, self.gamma_plus, self.gamma_minus)
         if any(w < 0 for w in weights):
             raise ValueError("population weights must satisfy weight >= 0")
+        # The signal function with these weights and shapes bound, built once.
+        object.__setattr__(self, "_signals", _signal_fn(self))
+
+    def __reduce__(self):
+        # Rebuilt from the fields: the bound signal function is not pickled.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -80,9 +89,8 @@ class MassState:
     reference: float
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(v) for v in (self.x, self.forecast, self.reference)
-        ):
+        isfinite = math.isfinite
+        if not (isfinite(self.x) and isfinite(self.forecast) and isfinite(self.reference)):
             raise ValueError("mass state fields must be finite")
 
 
@@ -98,20 +106,32 @@ def _logistic_slope(z: float) -> float:
     return s * (1.0 - s)
 
 
-def _signals(params: MassParams, epsilon: float, xi: float) -> tuple[float, float]:
-    # One-sided magnitudes, +0.0 (never -0.0) at a kink; a NaN stays NaN.
-    eps_up = 0.0 if epsilon <= 0.0 else epsilon
-    eps_down = 0.0 if epsilon >= 0.0 else -epsilon
-    xi_up = 0.0 if xi <= 0.0 else xi
-    xi_down = 0.0 if xi >= 0.0 else -xi
+def _signal_fn(params: MassParams):
+    """(epsilon, xi) -> (s+, s-), the net praise and attack signals, with ``params`` bound."""
     g2, g3 = params.g2.magnitude, params.g3.magnitude
-    # Each term is _weighted(weight, shape, magnitude), written inline because
-    # this is the hot loop of every fixed-point search and trajectory.
-    w2, w3 = params.beta_plus, params.gamma_plus
-    up = (w2 * g2(eps_up) if w2 else w2) + (w3 * g3(xi_up) if w3 else w3)
-    w2, w3 = params.beta_minus, params.gamma_minus
-    down = (w2 * g2(eps_down) if w2 else w2) + (w3 * g3(xi_down) if w3 else w3)
-    return params.eta * up - params.c_bar, params.eta * down - params.c_bar
+    w2_up, w2_down = params.beta_plus, params.beta_minus
+    w3_up, w3_down = params.gamma_plus, params.gamma_minus
+    eta, c_bar = params.eta, params.c_bar
+
+    def signals(epsilon: float, xi: float) -> tuple[float, float]:
+        # One-sided magnitudes, +0.0 (never -0.0) at a kink; a NaN stays NaN.
+        eps_up = 0.0 if epsilon <= 0.0 else epsilon
+        eps_down = 0.0 if epsilon >= 0.0 else -epsilon
+        xi_up = 0.0 if xi <= 0.0 else xi
+        xi_down = 0.0 if xi >= 0.0 else -xi
+        # Each term is _weighted(weight, shape, magnitude), written inline because
+        # this is the hot loop of every fixed-point search and trajectory.
+        up = (w2_up * g2(eps_up) if w2_up else w2_up) + (w3_up * g3(xi_up) if w3_up else w3_up)
+        down = (w2_down * g2(eps_down) if w2_down else w2_down) + (
+            w3_down * g3(xi_down) if w3_down else w3_down
+        )
+        return eta * up - c_bar, eta * down - c_bar
+
+    return signals
+
+
+def _signals(params: MassParams, epsilon: float, xi: float) -> tuple[float, float]:
+    return params._signals(epsilon, xi)
 
 
 def response_rates(params: MassParams, epsilon: float, xi: float) -> tuple[float, float]:
@@ -120,15 +140,21 @@ def response_rates(params: MassParams, epsilon: float, xi: float) -> tuple[float
     return logistic(s_plus), logistic(s_minus)
 
 
-def _next_x(params: MassParams, x: float, forecast: float, reference: float) -> float:
-    """One macro update of x on plain floats; the caller has validated them."""
-    praise, attack = response_rates(params, x - forecast, x - reference)
-    return x + params.kappa * (praise - attack) - params.rho * (x - params.x_bar)
+def _update_fn(params: MassParams, forecast: float, reference: float):
+    """x -> x', one macro update on floats the caller has validated, forecast and reference held."""
+    signals = params._signals
+    kappa, rho, x_bar = params.kappa, params.rho, params.x_bar
+
+    def update(x: float) -> float:
+        s_plus, s_minus = signals(x - forecast, x - reference)
+        return x + kappa * (logistic(s_plus) - logistic(s_minus)) - rho * (x - x_bar)
+
+    return update
 
 
 def step(state: MassState, params: MassParams) -> float:
     """One macro update of x (forecast and reference held exogenous)."""
-    return _next_x(params, state.x, state.forecast, state.reference)
+    return _update_fn(params, state.forecast, state.reference)(state.x)
 
 
 def local_gain(params: MassParams, epsilon: float, xi: float) -> float:
@@ -206,8 +232,9 @@ def find_fixed_point(params: MassParams, forecast: float, reference: float, star
     """
     x = float(start)
     MassState(x=x, forecast=forecast, reference=reference)  # the one finiteness check
+    update = _update_fn(params, forecast, reference)
     for _ in range(FIXED_POINT_MAX_ITERATIONS):
-        residual = _next_x(params, x, forecast, reference) - x
+        residual = update(x) - x
         if abs(residual) < FIXED_POINT_TOLERANCE:
             return x
         x += FIXED_POINT_DAMPING * residual
@@ -283,8 +310,9 @@ def simulate_mass(
 
     xs = [MassState(x=fp + perturbation, forecast=forecast, reference=reference).x]
     guard = 1e9 * max(abs(perturbation), 1e-12)
+    update = _update_fn(params, forecast, reference)
     for _ in range(steps):
-        nxt = _next_x(params, xs[-1], forecast, reference)
+        nxt = update(xs[-1])
         xs.append(nxt)
         if not math.isfinite(nxt) or abs(nxt - fp) > guard:
             break

@@ -44,15 +44,14 @@ from .game import (
     LogisticShifted,
     PayoffMatrix,
     PhaseLabel,
-    Recognition,
     RecognitionCurve,
     SaturatingExponential,
     TabulatedCurve,
     band,
     classify_phase,
     classify_phase_nonlinear,
-    nash_equilibria,
-    tipping_band_probability,
+    equilibrium_names,
+    tipping_masses,
 )
 from .mass import (
     MassParams,
@@ -300,6 +299,13 @@ class Scenario:
             raise ValidationError(f"name must not contain a line break, got {self.name!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must satisfy seed >= 0, got {self.seed}")
+        rec = self.recognition
+        if rec is not None and rec.sweep is not None:
+            # The equilibria oracle compares transformed utilities: an overflow would read as a tie.
+            try:
+                equilibrium_names(self.payoff_matrix, rec.sweep.values())
+            except ValueError as exc:
+                raise ValidationError(f"recognition.sweep: {exc}") from None
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
@@ -793,35 +799,29 @@ def cmd_band(scenario: Scenario) -> ResultTable:
     )
 
 
-def _eq_names(pd: PayoffMatrix, w: float) -> str:
-    eqs = nash_equilibria(pd, Recognition(a=1.0, b=w))
-    return "|".join(sorted(p.name for p in eqs))
-
-
 def cmd_phase_sweep(scenario: Scenario) -> ResultTable:
-    """Phase, oracle equilibrium set and optional smoothing along a w sweep."""
+    """Phase, oracle equilibrium set and optional smoothing along a w sweep.
+
+    Each column is one call over the whole sweep.  The loader has checked
+    every w of the sweep (finite, w >= 0, finite transformed utilities), so
+    none of these calls raises on a loaded scenario.
+    """
     if scenario.recognition is None or scenario.recognition.sweep is None:
         raise ValidationError("recognition.sweep is required for phase-sweep")
     rec = scenario.recognition
     pd = scenario.payoff_matrix
-    columns = ["w", "phase", "equilibria"]
-    if rec.curve is not None:
-        columns.append("phase_nonlinear")
-    if rec.noise is not None:
-        columns += [f"p_{label.value}" for label in PhaseLabel]
     ws = rec.sweep.values()
+    names = ["w", "phase", "equilibria"]
+    columns = [ws, [label.value for label in classify_phase(pd, ws)], equilibrium_names(pd, ws)]
     if rec.curve is not None:
-        nonlinear = classify_phase_nonlinear(pd, ws, rec.curve)
-    rows = []
-    for i, w in enumerate(ws):
-        row: list = [w, classify_phase(pd, w).value, _eq_names(pd, w)]
-        if rec.curve is not None:
-            row.append(nonlinear[i].value)
-        if rec.noise is not None:
-            probs = tipping_band_probability(pd, w, rec.noise.sd)
-            row += [probs[label] for label in PhaseLabel]
-        rows.append(row)
-    return ResultTable(columns=columns, rows=rows, metadata=_metadata(scenario, "phase-sweep"))
+        names.append("phase_nonlinear")
+        columns.append([label.value for label in classify_phase_nonlinear(pd, ws, rec.curve)])
+    rows = [list(row) for row in zip(*columns)]
+    if rec.noise is not None:
+        names += [f"p_{label.value}" for label in PhaseLabel]
+        for row, masses in zip(rows, tipping_masses(pd, ws, rec.noise.sd)):
+            row += masses
+    return ResultTable(columns=names, rows=rows, metadata=_metadata(scenario, "phase-sweep"))
 
 
 def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.ndarray:

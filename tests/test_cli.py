@@ -304,6 +304,11 @@ def _overflowing_payoff_products(doc):
     doc["payoff_matrix"] = {"T": 1.5e308, "R": 1e308, "P": 0.9e308, "S": 0.0}
 
 
+def _overflowing_recognition_sweep(doc):
+    # S + w*T overflows from w = 4e307 on; the equilibria oracle would read inf > inf as a tie.
+    doc["recognition"]["sweep"] = {"start": 0.0, "stop": 1e308, "steps": 21}
+
+
 def _unscalable_logistic_curve(doc):
     # The logistic at w = 0 rounds to 1: F would divide by zero.
     doc["recognition"]["curve"] = {"kind": "logistic_shifted", "steepness": 50.0, "midpoint": -1.0}
@@ -410,6 +415,11 @@ def _two_line_name(doc):
             "error: curve steepness * midpoint is too far below 0",
         ),
         (
+            "phase-sweep",
+            _overflowing_recognition_sweep,
+            "error: recognition.sweep: the transformed utilities at w = 4e+307 are not finite",
+        ),
+        (
             "ref-shift-check",
             _on_metagame(_overflowing_optimized_values(1e308)),
             "error: the shift-check values under reference 1e+308 are not finite",
@@ -428,7 +438,7 @@ def _two_line_name(doc):
          "infinite-tolerance", "infinite-growth", "integer-beyond-floats",
          "overflowing-g3-sns", "overflowing-g3-metagame", "overflowing-g2-stage-payoff",
          "overflowing-kappa", "overflowing-shifted-reference", "overflowing-payoff-differences",
-         "overflowing-payoff-products", "unscalable-logistic-curve",
+         "overflowing-payoff-products", "unscalable-logistic-curve", "overflowing-w-sweep",
          "overflowing-optimized-values-1e308",
          "overflowing-optimized-values-minus-1e308"],
 )

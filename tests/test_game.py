@@ -30,10 +30,12 @@ from fragileband.game import (
     band,
     classify_phase,
     classify_phase_nonlinear,
+    equilibrium_names,
     min_total_payoff_profile,
     nash_equilibria,
     objective_payoffs,
     tipping_band_probability,
+    tipping_masses,
     transform_utilities,
 )
 from fragileband.mass import logistic
@@ -197,6 +199,20 @@ class TestNashEquilibria:
             )
 
 
+    def test_non_finite_utility_raises(self):
+        # S + b*T overflows: inf > inf is false, so (C,D) would pass for an equilibrium.
+        with pytest.raises(ValueError, match=r"^the transformed utilities at w = 1e\+308 are not"):
+            nash_equilibria(PD, Recognition(1.0, 1e308))
+        with pytest.raises(ValueError, match=r"at w = 5e\+307 are not finite"):
+            nash_equilibria(PD, Recognition(2.0, 1e308))
+
+    def test_names_name_the_first_overflowing_w(self):
+        assert equilibrium_names(PD, [0.1, 0.5, 0.9]) == ["DD", "CC|DD", "CC"]
+        assert equilibrium_names(PD_NOBAND, [0.5]) == ["CD|DC"]
+        with pytest.raises(ValueError, match=r"at w = 4e\+307 are not finite"):
+            equilibrium_names(PD, [0.5, 4e307, 1e308])
+
+
 def _oracle_nash(pd, rec):
     """The brute force as first written: a payoff dict per call, 12 utility pairs per w."""
 
@@ -259,6 +275,13 @@ class TestClassifyPhase:
     def test_rejects_negative_w(self):
         with pytest.raises(ValueError, match="w >= 0"):
             classify_phase(PD, -0.1)
+        with pytest.raises(ValueError, match="w >= 0"):
+            classify_phase(PD, [0.2, -0.1])
+
+    def test_sweep_matches_rows(self):
+        ws = np.linspace(0.0, 1.5, 61).tolist() + [band(PD).w_min, band(PD).w_max]
+        for pd in (PD, PD_NOBAND):
+            assert classify_phase(pd, ws) == [classify_phase(pd, w) for w in ws]
 
     def test_matches_oracle_on_random_draws(self):
         rng = np.random.default_rng(23)
@@ -620,6 +643,17 @@ class TestTippingBand:
             tipping_band_probability(PD, 0.3, -0.1)
         with pytest.raises(ValueError, match="underflows"):
             tipping_band_probability(PD, -3.0, 1e-3)
+
+    def test_sweep_rows_match_the_scalar_dicts(self):
+        means = [-0.5, 0.0, 0.2, band(PD).w_min, band(PD).w_max, 0.9, 4.0]
+        for pd in (PD, PD_NOBAND):
+            rows = tipping_masses(pd, means, 0.15)
+            assert rows == [
+                tuple(tipping_band_probability(pd, mean, 0.15)[label] for label in PhaseLabel)
+                for mean in means
+            ]
+        with pytest.raises(ValueError, match="underflows"):
+            tipping_masses(PD, [0.3, -3.0], 1e-3)
 
 
 @given(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from fragileband.mass import (
     simulate_mass,
     step,
 )
+from fragileband.reference import Power
+
 BUZZ = MassParams(
     eta=1.0,
     c_bar=1.0,
@@ -279,6 +283,15 @@ class TestSimulateMass:
         a = simulate_mass(BUZZ_STATE, BUZZ, steps=40, perturbation=1e-4)
         b = simulate_mass(BUZZ_STATE, BUZZ, steps=40, perturbation=1e-4)
         assert np.array_equal(a.xs, b.xs)
+
+    def test_params_survive_pickle_and_copy(self):
+        # A worker process receives its params pickled; the bound signal function is rebuilt.
+        params = dataclasses.replace(BUZZ, beta_minus=0.4, g2=Power(1.5))
+        a = simulate_mass(BUZZ_STATE, params, steps=40, perturbation=1e-4)
+        for other in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            assert other == params
+            b = simulate_mass(BUZZ_STATE, other, steps=40, perturbation=1e-4)
+            assert (b.fixed_point, b.trajectory) == (a.fixed_point, a.trajectory)
 
     def test_sweep_agreement_small(self):
         rng = np.random.default_rng(12)
