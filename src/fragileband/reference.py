@@ -24,12 +24,12 @@ payoff by at most max(|gamma_plus|, |gamma_minus|) * L * |kappa|, where L is
 the Lipschitz constant of g3 on the visited domain.  Summing the discounted
 series bounds the value-function displacement by that amount over (1 -
 delta); ``verify_shift_section`` checks the bound empirically for every
-kappa of a section by solving the same discounted problem under the base
-reference and each shifted one.  All references are solved together: one
-dense solve per reference without a stop option, and with one the
-adversary's stop/continue fixed point, one ``stopping.solve_cells`` block in
-which each reference is its own cell.  Either way a reference's values do
-not depend on which others share the block.
+kappa of a section by solving a reflecting random walk under the base
+reference and each shifted one, all together: one tridiagonal elimination
+without a stop option, and with one the adversary's stop/continue fixed
+point, one ``stopping.solve_cells`` block in which each reference is its own
+cell.  Either way a reference's values do not depend on which others share
+the solve.
 """
 
 from __future__ import annotations
@@ -267,26 +267,23 @@ def ref_shift_bound(
 
 @dataclass(eq=False)
 class ShiftCheckSetup:
-    """Finite-state discounted problem used by :func:`verify_shift_section`.
+    """Reflecting random walk on a grid, the problem :func:`verify_shift_section` solves.
 
-    ``reference`` is the base reference that every kappa shifts.  The state
-    x moves on ``x_grid`` with the given row-stochastic ``transition``
-    matrix; ``forecasts[i]`` is the forecast held while in state i.  Stage
-    payoff on a step i -> j is the reference payoff at
-    Observation(x=grid[j], x_prev=grid[i], forecast=forecasts[i]).  With
-    ``optimize`` False the value of the always-continue policy is computed
-    by a direct linear solve per reference; with ``optimize`` True a stop
-    option (collect the current state's payoff once, then nothing) is added
-    and the optimal value is found by value iteration in
-    :func:`stopping.solve_cells`, one cell per reference.  The shift
-    argument needs dynamics and forecasts independent of the reference; it
-    holds by construction, because ``transition`` and ``forecasts`` are
-    fixed arrays and only ``reference`` is shifted.
+    ``reference`` is the base reference that every kappa shifts.  From state
+    i the walk moves one point of ``x_grid`` up with probability ``p_up``,
+    down with ``p_down``, and otherwise stays, as it does at either end.
+    The forecast is the previous state, so a step i -> j pays the reference
+    payoff at Observation(x=grid[j], x_prev=grid[i], forecast=grid[i]).
+    With ``optimize`` False the value is that of always continuing; with
+    ``optimize`` True a stop option (collect the current state's payoff
+    once, then nothing) is added.  The shift argument needs dynamics and
+    forecasts independent of the reference; they are, because only
+    ``reference`` is shifted.
     """
 
     x_grid: np.ndarray
-    transition: np.ndarray
-    forecasts: np.ndarray
+    p_up: float
+    p_down: float
     params: ReferenceParams
     reference: float
     delta: float
@@ -294,22 +291,21 @@ class ShiftCheckSetup:
 
     def __post_init__(self) -> None:
         self.x_grid = np.asarray(self.x_grid, dtype=float)
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.forecasts = np.asarray(self.forecasts, dtype=float)
-        n = self.x_grid.size
-        if self.transition.shape != (n, n):
-            raise ValueError("transition matrix must be square over the state grid")
-        if np.any(self.transition < 0) or np.any(
-            np.abs(self.transition.sum(axis=1) - 1.0) > 1e-9
-        ):
-            raise ValueError("transition rows not stochastic")
-        if self.forecasts.shape != (n,):
-            raise ValueError("forecasts must provide one value per state")
+        if self.x_grid.ndim != 1 or self.x_grid.size < 2:
+            raise ValueError("shift-check grid must be one-dimensional with at least two points")
+        if not (self.p_up >= 0 and self.p_down >= 0 and self.p_up + self.p_down <= 1):
+            raise ValueError(
+                "walk probabilities must satisfy p_up >= 0, p_down >= 0 and p_up + p_down <= 1"
+            )
         if not 0 < self.delta < 1:
             raise ValueError("delta must satisfy 0 < delta < 1")
-        finite = np.isfinite(self.x_grid).all() and np.isfinite(self.forecasts).all()
-        if not (finite and math.isfinite(self.reference)):
-            raise ValueError("shift-check grid, forecasts and reference must be finite")
+        if not (np.isfinite(self.x_grid).all() and math.isfinite(self.reference)):
+            raise ValueError("shift-check grid and reference must be finite")
+
+    @property
+    def p_stay(self) -> float:
+        """1 - (p_up + p_down), never below 0 for a valid walk."""
+        return 1.0 - (self.p_up + self.p_down)
 
 
 @dataclass(frozen=True)
@@ -322,53 +318,79 @@ class ShiftCheckResult:
 
 # Iteration budget of the optimize-mode value iteration (not a user option).
 SHIFT_CHECK_MAX_ITERATIONS = 1_000_000
-# Stage payoffs held per solve block: max(2, SHIFT_BLOCK_VALUES // n**2)
-# references of an n-state grid, about 1 MiB per temporary (not a user option).
-SHIFT_BLOCK_VALUES = 2**17
 
 
-def _stage_matrix(setup: ShiftCheckSetup, reference) -> np.ndarray:
-    """Stage payoff of every step i -> j, in one broadcast payoff call.
-
-    A float reference gives the (n, n) matrix.  References shaped (refs, 1, 1)
-    give one matrix per reference, and the terms that do not read the
-    reference are computed once (all of them, when both gamma weights are 0).
-    """
+def _stage_payoffs(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
+    """Stage payoffs (references, n, 3) of i -> max(i - 1, 0), i -> i, i -> min(i + 1, n - 1)."""
     grid = setup.x_grid
-    obs = SimpleNamespace(
-        x=grid, x_prev=grid[:, None], forecast=setup.forecasts[:, None], reference=reference
-    )
-    # With both gamma weights 0 no term reads the reference: one matrix serves every one.
-    shape = np.broadcast_shapes(np.shape(reference), (grid.size, grid.size))
-    return np.broadcast_to(eval_reference_payoff(setup.params, obs), shape)
+    successors = np.lib.stride_tricks.sliding_window_view(np.pad(grid, 1, mode="edge"), 3)
+    reference = np.asarray(references, dtype=float)[:, None, None]
+    previous = grid[:, None]  # and the forecast
+    obs = SimpleNamespace(x=successors, x_prev=previous, forecast=previous, reference=reference)
+    # With both gamma weights 0 no term reads the reference: one array serves every one.
+    return np.broadcast_to(eval_reference_payoff(setup.params, obs), (reference.size, grid.size, 3))
+
+
+def _walk_diagonal(setup: ShiftCheckSetup) -> np.ndarray:
+    """P[i, i]: the stay probability, plus the move past the grid's end at either end."""
+    diagonal = np.full(setup.x_grid.size, setup.p_stay)
+    diagonal[0] += setup.p_down
+    diagonal[-1] += setup.p_up
+    return diagonal
+
+
+def _walk_solve(setup: ShiftCheckSetup, rhs: np.ndarray) -> np.ndarray:
+    """V with (I - delta P) V = rhs for each row of rhs, by tridiagonal elimination.
+
+    For delta < 1 no pivoting is needed: the system is strictly diagonally
+    dominant.  A sweep step acts on one state of every row, so a row gets the
+    bits of a one-row solve.
+    """
+    lower, upper = -setup.delta * setup.p_down, -setup.delta * setup.p_up
+    pivots = (1.0 - setup.delta * _walk_diagonal(setup)).tolist()
+    values = rhs.T.copy()  # one state per row: each sweep step reads a row
+    for i in range(1, len(pivots)):
+        multiplier = lower / pivots[i - 1]
+        pivots[i] -= multiplier * upper
+        values[i] -= multiplier * values[i - 1]
+    values[-1] /= pivots[-1]
+    for i in range(len(pivots) - 2, -1, -1):
+        values[i] = (values[i] - upper * values[i + 1]) / pivots[i]
+    return values.T
 
 
 def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
     """The value over the grid under each reference, one row per reference.
 
-    Every stage payoff enters its state's expected stage payoff (a zero
-    transition weight times inf or NaN is NaN), so testing those sums also
-    tests the stop payoffs, the matrix diagonals.  Finite stage payoffs can
-    still give values that overflow in the value iteration; that raises
+    Only the walk's three steps from each state are evaluated, and one it
+    takes with probability 0 does not enter its state's expected stage
+    payoff (``_weighted``): only the payoffs of steps the walk can take, and
+    in optimize mode the stop payoffs, must be finite.  Finite stage payoffs
+    can still give values that overflow in the value iteration; that raises
     HypothesisViolation naming the first such reference.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        stages = _stage_matrix(setup, np.asarray(references, dtype=float)[:, None, None])
-        expected_stage = (setup.transition * stages).sum(axis=2)
-    if not np.isfinite(expected_stage).all():
+        down, stop, up = np.moveaxis(_stage_payoffs(setup, references), 2, 0)
+        expected_stage = (
+            _weighted(setup.p_down, np.asarray, down)
+            + _weighted(setup.p_stay, np.asarray, stop)
+            + _weighted(setup.p_up, np.asarray, up)
+        )
+    if not (np.isfinite(expected_stage).all() and (not setup.optimize or np.isfinite(stop).all())):
         raise HypothesisViolation(
             "stage payoffs must be finite on the shift-check grid; g1, g2, g3 or a weight overflows"
         )
-    n = setup.x_grid.size
     if not setup.optimize:
-        # One solve per reference: a multi-column solve rounds differently.
-        system = np.eye(n) - setup.delta * setup.transition
-        return np.array([np.linalg.solve(system, rhs) for rhs in expected_stage])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by the caller
+            return _walk_solve(setup, expected_stage)
     # V = max(stop, expected_stage + delta * P V) is the stop/continue problem on
     # a zero grid with collapse cost -stop and maintenance cost -expected_stage;
-    # stopping in state i collects the payoff of the step i -> i once.
-    stop = np.diagonal(stages, axis1=1, axis2=2)
-    kernel, deltas = Transition(matrix=setup.transition), np.full(len(stages), setup.delta)
+    # stopping in state i collects the payoff of the step i -> i once.  The
+    # expectation reads P as a dense n x n matrix.
+    n = setup.x_grid.size
+    walk = np.diag(_walk_diagonal(setup))
+    walk += np.diag(np.full(n - 1, setup.p_up), 1) + np.diag(np.full(n - 1, setup.p_down), -1)
+    kernel, deltas = Transition(matrix=walk), np.full(len(stop), setup.delta)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         block = solve_cells(
             np.zeros(n), kernel, deltas, [-stop], [-expected_stage], 1e-12, SHIFT_CHECK_MAX_ITERATIONS
@@ -396,11 +418,11 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
     Every kappa is checked in order before the one solve: a shifted
     reference that is not finite, or a weighted g3 with no finite constant,
     raises HypothesisViolation, as does a stage payoff or an optimize-mode
-    value that is not finite.  The references are solved in blocks of at most
-    max(2, SHIFT_BLOCK_VALUES // n**2), the base in the first only.  A gap
-    or bound that overflows raises HypothesisViolation naming its kappa;
-    otherwise the bound holds when the gap exceeds it by at most 1e-9 of
-    max(1, bound), a slack for rounding at any scale.
+    value that is not finite.  The base and every shifted reference are
+    solved together.  A gap or bound that overflows raises
+    HypothesisViolation naming its kappa; otherwise the bound holds when the
+    gap exceeds it by at most 1e-9 of max(1, bound), a slack for rounding at
+    any scale.
     """
     grid, reference, params = setup.x_grid, setup.reference, setup.params
     base_domain = np.max(np.abs(grid - reference))
@@ -417,11 +439,7 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
             if not math.isfinite(lipschitz):
                 raise HypothesisViolation(f"g3 has no finite Lipschitz constant on [0, {domain:g}]")
         constants.append(lipschitz)
-    shifted = [reference + kappa for kappa in kappas]
-    size = max(2, SHIFT_BLOCK_VALUES // grid.size**2)
-    base, *rows = _solve_values(setup, [reference, *shifted[: size - 1]])
-    for start in range(size - 1, len(shifted), size):
-        rows.extend(_solve_values(setup, shifted[start : start + size]))
+    base, *rows = _solve_values(setup, [reference, *(reference + kappa for kappa in kappas)])
     results = []
     for kappa, lipschitz, row in zip(kappas, constants, rows):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned

@@ -227,15 +227,10 @@ class ShiftSetupSpec:
     def build(
         self, params: ReferenceParams, reference_level: float, delta: float
     ) -> ShiftCheckSetup:
-        """Reflecting random walk on a uniform grid with martingale forecasts."""
-        grid = np.linspace(self.grid.lo, self.grid.hi, self.grid.points)
-        p_up, p_down, ones = self.walk.p_up, self.walk.p_down, np.ones(grid.size - 1)
-        transition = np.diag(p_up * ones, 1) + np.diag(p_down * ones, -1)
-        transition += np.diag(np.full(grid.size, 1.0 - p_up - p_down))
-        transition[0, 0] += p_down  # the walk reflects at both ends
-        transition[-1, -1] += p_up
+        """Reflecting random walk on a uniform grid, the forecast the previous state."""
         return ShiftCheckSetup(
-            x_grid=grid, transition=transition, forecasts=grid.copy(), params=params,
+            x_grid=np.linspace(self.grid.lo, self.grid.hi, self.grid.points),
+            p_up=self.walk.p_up, p_down=self.walk.p_down, params=params,
             reference=reference_level, delta=delta, optimize=self.optimize,
         )
 
@@ -306,6 +301,11 @@ class Scenario:
                 equilibrium_names(self.payoff_matrix, rec.sweep.values())
             except ValueError as exc:
                 raise ValidationError(f"recognition.sweep: {exc}") from None
+
+    @functools.cached_property
+    def sha256(self) -> str:
+        """:func:`scenario_hash` of this scenario, computed on first use."""
+        return scenario_hash(self)
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
@@ -770,7 +770,7 @@ def _metadata(scenario: Scenario, command: str, extra: dict[str, str] | None = N
         "version": TOOL_VERSION,
         "command": command,
         "scenario": scenario.name,
-        "scenario_sha256": scenario_hash(scenario),
+        "scenario_sha256": scenario.sha256,
         "seed": str(scenario.seed),
     }
     if extra:

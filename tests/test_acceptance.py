@@ -257,13 +257,13 @@ def test_criterion_7_reference_shift_bound():
         lo = float(rng.uniform(-3, 0))
         hi = lo + float(rng.uniform(1, 6))
         grid = np.linspace(lo, hi, n)
-        raw = rng.uniform(0.01, 1.0, size=(n, n))
-        transition = raw / raw.sum(axis=1, keepdims=True)
+        raw = rng.uniform(0.01, 1.0, size=3)
+        p_down, _, p_up = raw / raw.sum()
         shapes = (Identity(), Power(float(rng.uniform(1, 2))), Saturating(float(rng.uniform(0.5, 3))))
         setup = ShiftCheckSetup(
             x_grid=grid,
-            transition=transition,
-            forecasts=grid.copy(),
+            p_up=float(p_up),
+            p_down=float(p_down),
             params=ReferenceParams(
                 alpha=float(rng.uniform(-0.5, 0.5)),
                 beta_plus=float(rng.uniform(0, 1)),
@@ -282,16 +282,10 @@ def test_criterion_7_reference_shift_bound():
 
     # Constructed tight case: states all below both references, identity g3,
     # fixed always-continue policy; the gap is exactly kappa / (1 - delta).
-    grid = np.linspace(0.0, 6.0, 31)
-    walk = np.zeros((31, 31))
-    for i in range(31):
-        walk[i, i] = 0.4
-        walk[i, min(i + 1, 30)] += 0.3
-        walk[i, max(i - 1, 0)] += 0.3
     tight_setup = ShiftCheckSetup(
-        x_grid=grid,
-        transition=walk,
-        forecasts=grid.copy(),
+        x_grid=np.linspace(0.0, 6.0, 31),
+        p_up=0.3,
+        p_down=0.3,
         params=ReferenceParams(gamma_plus=1.0, gamma_minus=1.0),
         reference=8.0,
         delta=0.9,

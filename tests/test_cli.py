@@ -279,14 +279,16 @@ def _overflowing_g3(doc):
 
 
 def _overflowing_g2(doc):
-    # g3 keeps a finite Lipschitz constant; the stage payoffs overflow under a
-    # nonzero weight (a zero weight never evaluates g2).
+    # g3 keeps a finite Lipschitz constant; on a two-point grid the walk's one
+    # step is 6 wide, and its stage payoff overflows under a nonzero weight
+    # (a zero weight never evaluates g2).
     doc["reference"]["params"]["beta_plus"] = 1
     doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
+    doc["reference"]["setup"]["grid"]["points"] = 2
 
 
 def _overflowing_kappa(doc):
-    # The linear solve overflows: the gap is NaN and the bound inf.
+    # The linear solve overflows: the gap and the bound are inf.
     doc["reference"]["kappas"] = [1e308]
 
 
@@ -392,7 +394,7 @@ def _two_line_name(doc):
         (
             "ref-shift-check",
             _overflowing_kappa,
-            "error: kappa 1e+308: the empirical gap (nan) or the bound (inf) is not finite",
+            "error: kappa 1e+308: the empirical gap (inf) or the bound (inf) is not finite",
         ),
         (
             "ref-shift-check",
@@ -561,6 +563,19 @@ def test_ref_shift_check_skips_an_unweighted_g2(tmp_path, capsys):
     doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
     assert _ref_rows(capsys, doc, tmp_path) == preset
     assert preset[0] == 0
+
+
+def test_ref_shift_check_skips_a_step_the_walk_cannot_take(tmp_path, capsys):
+    # g2 = z**400 under beta_plus = 1 overflows on the 6.0-wide step 0 -> 30,
+    # which the walk cannot take.  Its one-step surprise of 0.2 gives
+    # 0.2**400, about 2.6e-280: below the last bit of every payoff.
+    doc = json.loads(Path(SNS).read_text())
+    preset = _ref_rows(capsys, doc, tmp_path)
+    doc["reference"]["params"]["beta_plus"] = 1
+    doc["reference"]["params"]["g2"] = {"kind": "power", "exponent": 400}
+    code, rows = _ref_rows(capsys, doc, tmp_path)
+    assert code == 0
+    assert rows == preset[1]
 
 
 def test_ref_shift_check_without_gamma_needs_no_g3_constant(tmp_path, capsys):

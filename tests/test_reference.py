@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fragileband.reference import (
     Saturating,
     ShiftCheckSetup,
     _solve_values,
-    _stage_matrix,
+    _stage_payoffs,
     differences,
     eval_reference_payoff,
     negative_part,
@@ -211,6 +212,7 @@ class TestRefShiftBound:
 
 
 def _walk(n: int, p_up: float, p_down: float) -> np.ndarray:
+    """The reflecting walk's dense n x n matrix, built one state at a time."""
     transition = np.zeros((n, n))
     for i in range(n):
         stay = 1.0 - p_up - p_down
@@ -226,20 +228,110 @@ def _walk(n: int, p_up: float, p_down: float) -> np.ndarray:
     return transition
 
 
+# ---------------------------------------------------------------------------
+# The dense oracle: a chain given as an n x n matrix, with a forecast per
+# state, solved as the library did before it solved the walk on its support.
+# Every one of the n**2 stage payoffs enters a sum, the linear mode is a
+# LAPACK solve and the optimize mode one solve_cells block on the matrix.
+
+
+def _dense(setup: ShiftCheckSetup) -> SimpleNamespace:
+    """A walk setup as the dense chain it describes, the forecast the previous state."""
+    return SimpleNamespace(
+        x_grid=setup.x_grid,
+        transition=_walk(setup.x_grid.size, setup.p_up, setup.p_down),
+        forecasts=setup.x_grid.copy(),
+        params=setup.params,
+        reference=setup.reference,
+        delta=setup.delta,
+        optimize=setup.optimize,
+    )
+
+
+def _stage_matrix(setup, reference) -> np.ndarray:
+    """Stage payoff of every step i -> j of a dense setup, in one broadcast call."""
+    grid = setup.x_grid
+    obs = SimpleNamespace(
+        x=grid, x_prev=grid[:, None], forecast=setup.forecasts[:, None], reference=reference
+    )
+    return np.broadcast_to(eval_reference_payoff(setup.params, obs), (grid.size, grid.size))
+
+
+def _dense_values(setup, references) -> np.ndarray:
+    """The value over the grid under each reference, one row per reference."""
+    stages = np.array([_stage_matrix(setup, reference) for reference in references])
+    expected_stage = (setup.transition * stages).sum(axis=2)
+    n = setup.x_grid.size
+    if not setup.optimize:
+        system = np.eye(n) - setup.delta * setup.transition
+        return np.array([np.linalg.solve(system, rhs) for rhs in expected_stage])
+    stop = np.diagonal(stages, axis1=1, axis2=2)
+    block = solve_cells(
+        np.zeros(n), Transition(matrix=setup.transition), np.full(len(stages), setup.delta),
+        [-stop], [-expected_stage], 1e-12, reference_module.SHIFT_CHECK_MAX_ITERATIONS,
+    )
+    assert block.converged.all()
+    return block.fixed_point
+
+
+def _per_kappa_oracle(setup, kappa: float) -> tuple:
+    """The check of one kappa on a dense setup: (empirical_gap, bound, holds, lipschitz).
+
+    It solves the base and the shifted reference as one two-reference
+    problem.  ``holds`` keeps the absolute 1e-9 slack, which on every input
+    here decides as the relative one does.
+    """
+    domain = float(
+        max(
+            np.max(np.abs(setup.x_grid - setup.reference)),
+            np.max(np.abs(setup.x_grid - setup.reference - kappa)),
+        )
+    )
+    lipschitz = setup.params.g3.lipschitz(domain)
+    base, shifted = _dense_values(setup, [setup.reference, setup.reference + kappa])
+    gap = float(np.max(np.abs(shifted - base)))
+    bound = ref_shift_bound(
+        setup.params.gamma_plus, setup.params.gamma_minus, lipschitz, kappa, setup.delta
+    )
+    return gap, bound, gap <= bound + 1e-9, lipschitz
+
+
+def _tolerance(setup, values: np.ndarray) -> float:
+    """How far the walk solve may be from the dense oracle on these values.
+
+    Rounding: 1e-12 of the payoff scale, max(1, |V|·(1 - delta)), over
+    (1 - delta).  In optimize mode each solve also stops within the value
+    iteration's 1e-12 sup-norm tolerance, times delta / (1 - delta), of the
+    fixed point: twice that, bounded by 2e-12 / (1 - delta), is added.
+    """
+    scale = max(1.0, float(np.max(np.abs(values))) * (1.0 - setup.delta))
+    return (1e-12 * scale + (2e-12 if setup.optimize else 0.0)) / (1.0 - setup.delta)
+
+
+def _assert_walk_matches_dense_oracle(setup: ShiftCheckSetup, kappas) -> None:
+    references = [setup.reference + kappa for kappa in (0.0, *kappas)]
+    expected = _dense_values(_dense(setup), references)
+    tol = _tolerance(setup, expected)
+    np.testing.assert_allclose(_solve_values(setup, references), expected, rtol=0, atol=tol)
+    for kappa, result in zip(kappas, verify_shift_section(setup, kappas)):
+        gap, bound, holds, lipschitz = _per_kappa_oracle(_dense(setup), kappa)
+        assert abs(result.empirical_gap - gap) <= 2 * tol, (kappa, result.empirical_gap, gap)
+        assert (result.bound, result.holds, result.lipschitz) == (bound, holds, lipschitz)
+
+
 def _setup(
     grid: np.ndarray,
     params: ReferenceParams,
     reference: float,
     delta: float,
     optimize: bool = False,
-    transition: np.ndarray | None = None,
+    p_up: float = 0.3,
+    p_down: float = 0.3,
 ) -> ShiftCheckSetup:
-    if transition is None:
-        transition = _walk(grid.size, 0.3, 0.3)
     return ShiftCheckSetup(
         x_grid=grid,
-        transition=transition,
-        forecasts=grid.copy(),
+        p_up=p_up,
+        p_down=p_down,
         params=params,
         reference=reference,
         delta=delta,
@@ -324,16 +416,16 @@ class TestVerifyShiftStability:
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_nonfinite_stage_payoffs_rejected(self, optimize, weight):
-        # g2(eps) overflows on the grid's widest step.  Under a zero weight g2
-        # is never evaluated, so the check runs as it does with g2 = Identity.
+        # One step of the walk is 6 wide and g2(6) = 6**400 overflows.  Under a
+        # zero weight g2 is never evaluated, so the check runs as it does with
+        # g2 = Identity.
         def setup(g2):
             return _setup(
-                np.linspace(0, 6, 31),
+                np.linspace(0, 30, 6),
                 ReferenceParams(gamma_plus=1.0, beta_plus=weight, g2=g2),
-                reference=8.0,
+                reference=32.0,
                 delta=0.9,
                 optimize=optimize,
-                transition=np.full((31, 31), 1.0 / 31),
             )
 
         if weight:
@@ -343,83 +435,60 @@ class TestVerifyShiftStability:
             got = verify_shift_section(setup(Power(400.0)), [0.1])
             assert got == verify_shift_section(setup(Identity()), [0.1])
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_unreachable_steps_are_not_evaluated(self, optimize):
+        # The grid is 6 wide, so the dense chain's step 0 -> 30 overflowed g2 = z**400
+        # although the walk cannot take it.  A step of the walk is 0.2 wide, and
+        # 0.2**400 is below the last bit of every payoff: the gaps do not move.
+        def setup(params):
+            return _setup(np.linspace(0, 6, 31), params, 8.0, 0.9, optimize=optimize)
+
+        base = ReferenceParams(gamma_plus=1.0, gamma_minus=1.0)
+        steep = ReferenceParams(gamma_plus=1.0, gamma_minus=1.0, beta_plus=1.0, g2=Power(400.0))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(_stage_matrix(_dense(setup(steep)), 8.0)).all()
+        assert verify_shift_section(setup(steep), [0.05, 0.1]) == verify_shift_section(
+            setup(base), [0.05, 0.1]
+        )
+
+    def test_stop_payoffs_checked_in_optimize_mode_only(self):
+        # The walk always moves up (p_up = 1), so it never stays in state 0: the
+        # payoff of 0 -> 0, the stop payoff there, enters no expected stage
+        # payoff.  Its level term 2 * -1.7e308 overflows; the steps up do not.
+        params = ReferenceParams(delta_weight=2.0)
+
+        def setup(optimize):
+            return _setup(np.array([-1.7e308, 0.0, 1.0]), params, 0.0, 0.5, optimize, 1.0, 0.0)
+
+        with np.errstate(over="ignore"):
+            stages = _stage_payoffs(setup(False), [0.0])[0]
+        assert np.isneginf(stages[0, 1]) and np.isfinite(stages[:, 2]).all()
+        assert verify_shift_section(setup(False), [0.0])[0].holds
+        with pytest.raises(HypothesisViolation, match="stage payoffs must be finite"):
+            verify_shift_section(setup(True), [0.0])
+
     def test_non_stochastic_transition_rejected(self):
         grid = np.linspace(0, 5, 4)
-        bad = np.full((4, 4), 0.3)
-        with pytest.raises(ValueError, match="not stochastic"):
-            ShiftCheckSetup(
-                x_grid=grid,
-                transition=bad,
-                forecasts=grid,
-                params=ReferenceParams(),
-                reference=1.0,
-                delta=0.9,
-            )
+        for p_up, p_down in [(0.6, 0.5), (-0.1, 0.3), (0.3, -0.0001), (np.nan, 0.3), (0.3, np.nan)]:
+            with pytest.raises(ValueError, match="walk probabilities"):
+                _setup(grid, ReferenceParams(), 1.0, 0.9, p_up=p_up, p_down=p_down)
 
     def test_random_draws_satisfying_hypotheses(self):
+        # The theorem, gap <= bound, on dense random chains through the oracle.
         rng = np.random.default_rng(19)
         for trial, setup in enumerate(_random_setups(rng, 30)):
-            result = verify_shift_section(setup, [float(rng.uniform(-1, 1))])[0]
-            assert result.holds, trial
+            assert _per_kappa_oracle(setup, float(rng.uniform(-1, 1)))[2], trial
 
     def test_one_block_matches_one_reference_calls(self):
         """A multi-reference solve returns, row for row, the bits of one-reference solves."""
         rng = np.random.default_rng(19)
-        for setup in _random_setups(rng, 30):
-            setup.optimize = True
-            references = setup.reference + np.concatenate([[0.0], rng.uniform(-1, 1, size=3)])
-            block = _solve_values(setup, references)
-            for row, reference in zip(block, references):
-                np.testing.assert_array_equal(row, _solve_values(setup, [reference])[0])
-
-
-def _per_kappa_oracle(setup: ShiftCheckSetup, kappa: float) -> tuple:
-    """The per-kappa check that the section solve replaced, written out here.
-
-    Each kappa solves the base and the shifted reference again, as one
-    two-reference problem whose stage matrices are built one reference at a
-    time; it returns (empirical_gap, bound, holds, lipschitz).  ``holds``
-    keeps the absolute 1e-9 slack, which on every input here decides as the
-    relative one does.
-    """
-    references = [setup.reference, setup.reference + kappa]
-    domain = float(
-        max(
-            np.max(np.abs(setup.x_grid - setup.reference)),
-            np.max(np.abs(setup.x_grid - setup.reference - kappa)),
-        )
-    )
-    lipschitz = setup.params.g3.lipschitz(domain)
-    stages = [_stage_matrix(setup, r) for r in references]
-    expected_stage = np.array([(setup.transition * stage).sum(axis=1) for stage in stages])
-    n = setup.x_grid.size
-    if setup.optimize:
-        stop = np.array([stage.diagonal() for stage in stages])
-        block = solve_cells(
-            np.zeros(n), Transition(matrix=setup.transition), np.full(2, setup.delta),
-            [-stop], [-expected_stage], 1e-12, reference_module.SHIFT_CHECK_MAX_ITERATIONS,
-        )
-        assert block.converged.all()
-        base, shifted = block.fixed_point
-    else:
-        system = np.eye(n) - setup.delta * setup.transition
-        base, shifted = (np.linalg.solve(system, rhs) for rhs in expected_stage)
-    gap = float(np.max(np.abs(shifted - base)))
-    bound = ref_shift_bound(
-        setup.params.gamma_plus, setup.params.gamma_minus, lipschitz, kappa, setup.delta
-    )
-    return gap, bound, gap <= bound + 1e-9, lipschitz
-
-
-def _fields(result) -> tuple:
-    return result.empirical_gap, result.bound, result.holds, result.lipschitz
-
-
-def _assert_section_matches_oracle(setup: ShiftCheckSetup, kappas) -> None:
-    got = [_fields(result) for result in verify_shift_section(setup, kappas)]
-    expected = [_per_kappa_oracle(setup, kappa) for kappa in kappas]
-    # Tuples of floats compare by value; repr compares the bits (and -0.0).
-    assert list(map(repr, got)) == list(map(repr, expected))
+        for setup in _random_walks(rng, 30):
+            for optimize in (False, True):
+                setup.optimize = optimize
+                references = setup.reference + np.concatenate([[0.0], rng.uniform(-1, 1, size=3)])
+                block = _solve_values(setup, references)
+                for row, reference in zip(block, references):
+                    np.testing.assert_array_equal(row, _solve_values(setup, [reference])[0])
 
 
 def _section_setups():
@@ -435,47 +504,45 @@ def _section_setups():
 
 
 class TestVerifyShiftSection:
-    """One solve per section, against the per-kappa checks it replaced, bit for bit."""
+    """The walk solve against the dense oracle, within ``_tolerance``."""
 
     def test_presets_and_fine_grids_match_per_kappa_checks(self):
         checked = set()
         for name, setup, kappas in _section_setups():
-            _assert_section_matches_oracle(setup, kappas)
             checked.add(setup.optimize)
+            for optimize in (False, True):
+                setup.optimize = optimize
+                _assert_walk_matches_dense_oracle(setup, kappas)
         assert checked == {False, True}
 
     @pytest.mark.parametrize("optimize", [False, True])
     def test_random_setups_match_per_kappa_checks(self, optimize):
         rng = np.random.default_rng(23)
-        for setup in _random_setups(rng, 20):
+        for setup in _random_walks(rng, 20):
             setup.optimize = optimize
-            _assert_section_matches_oracle(setup, [0.0, *rng.uniform(-1, 1, size=4)])
+            _assert_walk_matches_dense_oracle(setup, [0.0, *rng.uniform(-1, 1, size=4)])
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize(
+        "points, p_up, p_down",
+        [(2, 0.3, 0.3), (2, 0.7, 0.3), (17, 0.7, 0.3), (17, 1.0, 0.0), (17, 0.0, 0.45),
+         (17, 0.0, 1.0), (17, 0.0, 0.0)],
+        ids=["two-points", "two-points-no-stay", "no-stay", "up-only", "no-up", "down-only",
+             "stay-only"],
+    )
+    def test_edge_walks_match_the_dense_oracle(self, optimize, points, p_up, p_down):
+        params = ReferenceParams(alpha=0.2, beta_plus=0.5, beta_minus=0.3, gamma_plus=0.9,
+                                 gamma_minus=1.1, cost=0.1, g3=Saturating(1.5))
+        setup = _setup(np.linspace(-1.0, 3.0, points), params, 2.0, 0.8, optimize, p_up, p_down)
+        _assert_walk_matches_dense_oracle(setup, [0.0, 0.4, -1.3])
 
     def test_broadcast_stage_matrices_match_one_reference_calls(self):
         for name, setup, kappas in _section_setups():
             references = np.array([setup.reference + kappa for kappa in (0.0, *kappas)])
-            stages = _stage_matrix(setup, references[:, None, None])
+            stages = _stage_payoffs(setup, references)
+            assert stages.shape == (references.size, setup.x_grid.size, 3)
             for stage, reference in zip(stages, references):
-                assert stage.tobytes() == _stage_matrix(setup, reference).tobytes(), name
-
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_small_blocks_give_the_same_results(self, optimize, monkeypatch):
-        rng = np.random.default_rng(29)
-        setup = next(_random_setups(rng, 1))
-        setup.optimize = optimize
-        kappas = [0.0, *rng.uniform(-1, 1, size=5)]
-        whole = verify_shift_section(setup, kappas)
-        blocks = []
-
-        def counted(setup, references):
-            blocks.append(len(references))
-            return _solve_values(setup, references)
-
-        monkeypatch.setattr(reference_module, "_solve_values", counted)
-        monkeypatch.setattr(reference_module, "SHIFT_BLOCK_VALUES", 1)
-        # Two references a block; the base is solved in the first one only.
-        assert verify_shift_section(setup, kappas) == whole
-        assert blocks == [2, 2, 2, 1]
+                assert stage.tobytes() == _stage_payoffs(setup, [reference])[0].tobytes(), name
 
     def test_one_solve_block_per_section(self, monkeypatch):
         # The fine-grids metagame section: 121 states, 4 kappas, optimize mode.
@@ -529,142 +596,153 @@ class TestVerifyShiftSection:
             reference=8.0,
             delta=0.9,
         )
-        # The gap exceeds the bound by 1.5e-5, 1.7e-15 of it: rounding at this scale.
+        # The gap exceeds the bound by 1.4e-4, 1.4e-15 of it: rounding at this scale.
         [result] = verify_shift_section(setup, [1e10])
         assert result.empirical_gap > result.bound + 1e-9
         assert result.holds
 
 
+def _random_params(rng, trial: int) -> ReferenceParams:
+    shapes = [Identity(), Power(float(rng.uniform(1, 2))), Saturating(float(rng.uniform(0.5, 3)))]
+    return ReferenceParams(
+        alpha=float(rng.uniform(-0.5, 0.5)),
+        beta_plus=float(rng.uniform(0, 1)),
+        beta_minus=float(rng.uniform(0, 1)),
+        gamma_plus=float(rng.uniform(0, 2)),
+        gamma_minus=float(rng.uniform(0, 2)),
+        cost=float(rng.uniform(0, 1)),
+        g3=shapes[trial % 3],
+    )
+
+
 def _random_setups(rng, trials: int):
-    """Dense random transitions and payoffs; every other setup has the stop option."""
+    """Dense random chains and payoffs for the oracle; every other setup has the stop option."""
     for trial in range(trials):
         n = int(rng.integers(8, 25))
         lo = rng.uniform(-3, 0)
         hi = lo + rng.uniform(1, 6)
         grid = np.linspace(lo, hi, n)
         raw = rng.uniform(0.01, 1.0, size=(n, n))
-        transition = raw / raw.sum(axis=1, keepdims=True)
-        shape = [Identity(), Power(float(rng.uniform(1, 2))), Saturating(float(rng.uniform(0.5, 3)))][trial % 3]
-        params = ReferenceParams(
-            alpha=float(rng.uniform(-0.5, 0.5)),
-            beta_plus=float(rng.uniform(0, 1)),
-            beta_minus=float(rng.uniform(0, 1)),
-            gamma_plus=float(rng.uniform(0, 2)),
-            gamma_minus=float(rng.uniform(0, 2)),
-            cost=float(rng.uniform(0, 1)),
-            g3=shape,
-        )
-        yield ShiftCheckSetup(
+        yield SimpleNamespace(
             x_grid=grid,
-            transition=transition,
+            transition=raw / raw.sum(axis=1, keepdims=True),
             forecasts=grid.copy(),
-            params=params,
+            params=_random_params(rng, trial),
             reference=float(rng.uniform(lo - 2, hi + 2)),
             delta=float(rng.uniform(0.5, 0.95)),
             optimize=bool(trial % 2),
         )
 
 
-def _stage_matrix_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
-    """Reference for the broadcast stage matrix: one checked Observation per step i -> j."""
+def _random_walks(rng, trials: int):
+    """Seeded walk setups, from two states up; every other setup has the stop option."""
+    for trial in range(trials):
+        n = int(rng.integers(2, 25))
+        lo = float(rng.uniform(-3, 0))
+        hi = lo + float(rng.uniform(1, 6))
+        raw = rng.uniform(0.01, 1.0, size=3)
+        p_down, _, p_up = raw / raw.sum()
+        yield ShiftCheckSetup(
+            x_grid=np.linspace(lo, hi, n),
+            p_up=float(p_up),
+            p_down=float(p_down),
+            params=_random_params(rng, trial),
+            reference=float(rng.uniform(lo - 2, hi + 2)),
+            delta=float(rng.uniform(0.5, 0.95)),
+            optimize=bool(trial % 2),
+        )
+
+
+def _stage_payoffs_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
+    """Reference for the broadcast stage payoffs: one checked Observation per step."""
     n = setup.x_grid.size
-    stage = np.empty((n, n))
+    stage = np.empty((n, 3))
     for i in range(n):
-        for j in range(n):
+        for k, j in enumerate((max(i - 1, 0), i, min(i + 1, n - 1))):
             obs = Observation(
                 x=float(setup.x_grid[j]),
                 x_prev=float(setup.x_grid[i]),
-                forecast=float(setup.forecasts[i]),
+                forecast=float(setup.x_grid[i]),
                 reference=reference,
             )
-            stage[i, j] = eval_reference_payoff(setup.params, obs)
+            stage[i, k] = eval_reference_payoff(setup.params, obs)
     return stage
 
 
 def _solve_values_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
-    """Reference for _solve_values, with the stop vector built one state at a time."""
-    stage = _stage_matrix_loop(setup, reference)
-    expected_stage = (setup.transition * stage).sum(axis=1)
+    """Reference for _solve_values: the dense matrix, and value iteration in a plain loop."""
     n = setup.x_grid.size
-    if not setup.optimize:
-        return np.linalg.solve(np.eye(n) - setup.delta * setup.transition, expected_stage)
-    stop = np.array(
-        [
-            eval_reference_payoff(
-                setup.params,
-                Observation(
-                    x=float(setup.x_grid[i]),
-                    x_prev=float(setup.x_grid[i]),
-                    forecast=float(setup.forecasts[i]),
-                    reference=reference,
-                ),
-            )
-            for i in range(n)
-        ]
+    transition = _walk(n, setup.p_up, setup.p_down)
+    stay = 1.0 - setup.p_up - setup.p_down
+    stage = _stage_payoffs_loop(setup, reference)
+    expected_stage = np.array(
+        [setup.p_down * down + stay * here + setup.p_up * up for down, here, up in stage]
     )
+    if not setup.optimize:
+        return np.linalg.solve(np.eye(n) - setup.delta * transition, expected_stage)
+    stop = stage[:, 1]
     values = np.zeros(n)
     while True:
-        updated = np.maximum(stop, expected_stage + setup.delta * (setup.transition @ values))
+        updated = np.maximum(stop, expected_stage + setup.delta * (transition @ values))
         if np.max(np.abs(updated - values)) < 1e-12:
             return updated
         values = updated
 
 
 class TestBroadcastStageMatrix:
-    """The broadcast stage matrix and solve against the per-cell loops they replaced.
+    """The broadcast stage payoffs and the solve against per-step loops.
 
-    Identity shapes and levels do the same float operations in the same order,
-    so they must agree exactly.  Power and Saturating shapes go through
-    numpy's pow and exp, which may round differently from libm's by an ulp:
-    the tolerance is 8 ulp of the largest payoff magnitude, and for the
-    values, that over (1 - delta).
+    Identity shapes and levels do the same float operations in the same
+    order, so their stage payoffs must agree exactly.  Power and Saturating
+    shapes go through numpy's pow and exp, which may round differently from
+    libm's by an ulp: the tolerance is 8 ulp of the largest payoff
+    magnitude.  The solves differ in method, so the values agree within
+    ``_tolerance`` plus that payoff tolerance over (1 - delta).
     """
 
     @pytest.mark.parametrize("shape", [Identity(), Power(1.7), Saturating(1.3)], ids=repr)
     @pytest.mark.parametrize("level", [IdentityLevel(), ClampedLevel(1.0, 4.0)], ids=repr)
     @pytest.mark.parametrize("optimize", [False, True])
     def test_matches_per_cell_loop(self, shape, level, optimize):
-        grid = np.linspace(-1.0, 5.0, 23)
-        rng = np.random.default_rng(41)
-        raw = rng.uniform(0.01, 1.0, size=(grid.size, grid.size))
         params = ReferenceParams(
             alpha=0.3, beta_plus=0.2, beta_minus=0.5, gamma_plus=0.8, gamma_minus=1.2,
             delta_weight=0.1, cost=0.05, g1=shape, g2=shape, g3=shape, h=level,
         )
-        setup = ShiftCheckSetup(
-            x_grid=grid,
-            transition=raw / raw.sum(axis=1, keepdims=True),
-            forecasts=grid[::-1].copy(),
-            params=params,
-            reference=2.5,
-            delta=0.85,
-            optimize=optimize,
-        )
+        setup = _setup(np.linspace(-1.0, 5.0, 23), params, 2.5, 0.85, optimize, 0.35, 0.25)
         exact = isinstance(shape, Identity) and not isinstance(level, ClampedLevel)
         for reference in (2.5, 2.5 + 0.3, 2.5 - 0.7):
-            loop = _stage_matrix_loop(setup, reference)
-            scale = float(np.max(np.abs(loop)))
-            tol = 0.0 if exact else 8 * EPS * scale
-            np.testing.assert_allclose(_stage_matrix(setup, reference), loop, rtol=0, atol=tol)
+            loop = _stage_payoffs_loop(setup, reference)
+            tol = 0.0 if exact else 8 * EPS * float(np.max(np.abs(loop)))
+            np.testing.assert_allclose(_stage_payoffs(setup, [reference])[0], loop, rtol=0, atol=tol)
+            expected = _solve_values_loop(setup, reference)
             np.testing.assert_allclose(
                 _solve_values(setup, [reference])[0],
-                _solve_values_loop(setup, reference),
+                expected,
                 rtol=0,
-                atol=0.0 if exact else 1e-12 * scale + tol / (1.0 - setup.delta),
+                atol=_tolerance(setup, expected) + tol / (1.0 - setup.delta),
             )
 
     def test_nonfinite_inputs_still_rejected(self):
         grid = np.linspace(0.0, 5.0, 6)
         good = dict(
-            x_grid=grid, transition=_walk(6, 0.3, 0.3), forecasts=grid.copy(),
+            x_grid=grid, p_up=0.3, p_down=0.3,
             params=ReferenceParams(gamma_plus=1.0), reference=6.0, delta=0.9,
         )
         for field, bad in (
             ("x_grid", np.where(grid == 1.0, np.nan, grid)),
-            ("forecasts", np.where(grid == 2.0, np.inf, grid)),
+            ("x_grid", np.where(grid == 2.0, np.inf, grid)),
             ("reference", float("nan")),
         ):
             with pytest.raises(ValueError, match="finite"):
                 ShiftCheckSetup(**{**good, field: bad})
         with pytest.raises(ValueError, match="finite"):
             verify_shift_section(ShiftCheckSetup(**good), [float("inf")])[0]
+
+    def test_grid_and_delta_validated(self):
+        good = dict(p_up=0.3, p_down=0.3, params=ReferenceParams(), reference=1.0, delta=0.9)
+        for grid in ([1.0], [], np.ones((2, 2))):
+            with pytest.raises(ValueError, match="at least two points"):
+                ShiftCheckSetup(x_grid=grid, **good)
+        for delta in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="0 < delta < 1"):
+                ShiftCheckSetup(x_grid=[0.0, 1.0], **{**good, "delta": delta})

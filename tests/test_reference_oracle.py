@@ -5,8 +5,9 @@ terms evaluated the shapes on magnitudes: each of the four one-sided
 differences was clipped with ``np.maximum`` and then sent through the odd
 extension sign(z)·g(|z|), whose ``abs`` turned a -0.0 into +0.0.  It is
 written out here, so that it does not move with the library.  The library
-must give the same bits, on floats and on broadcast arrays, and for every
-stage matrix the benchmark's fine-grids reference setups build.
+must give the same bits, on floats and on broadcast arrays, and for the
+stage payoffs of every step the walk of a benchmark fine-grids reference
+setup can take.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fragileband.reference import (
     Power,
     ReferenceParams,
     Saturating,
-    _stage_matrix,
+    _stage_payoffs,
     differences,
     eval_reference_payoff,
 )
@@ -120,11 +121,15 @@ def test_fine_grids_stage_matrices_bit_identical(seed):
         section = scenario_from_dict(doc).reference
         setup = section.setup.build(section.params, section.reference, section.delta)
         grid = setup.x_grid
+        # The walk's steps from state i: down, stay and up, clamped at the ends.
+        states = np.arange(grid.size)[:, None]
+        successors = np.clip(states + np.array([-1, 0, 1]), 0, grid.size - 1)
         for kappa in (0.0, *section.kappas):
             reference = section.reference + kappa
-            obs = SimpleNamespace(x=grid, x_prev=grid[:, None],
-                                  forecast=setup.forecasts[:, None], reference=reference)
+            obs = SimpleNamespace(x=grid[successors], x_prev=grid[:, None],
+                                  forecast=grid[:, None], reference=reference)
             expected = _oracle_payoff(setup.params, obs)
-            assert _stage_matrix(setup, reference).tobytes() == expected.tobytes(), (seed, kappa)
+            got = _stage_payoffs(setup, [reference])[0]
+            assert got.tobytes() == expected.tobytes(), (seed, kappa)
             checked += 1
     assert checked > 0

@@ -6,7 +6,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,12 @@ from fragileband.scenario import (
 )
 from fragileband.stopping import NonConvergence
 from test_stopping import regime_rows_per_cell
+
+# sha256 of the ref-shift-check to_csv() on each preset.
+REF_SHIFT_CSV_DIGESTS = [
+    ("sns", "64045b9ff7c962eb92c9314589aa06471dbb6c30219fc2dff285e439987cdf17"),
+    ("metagame", "6ac01debdf69edb96cbe38af7ba1b617d6a75b0ddf5428cf89a29f4758d37ed1"),
+]
 
 PHASE_ORDER = {
     PhaseLabel.DISTRUST.value: 0,
@@ -133,6 +143,24 @@ class TestLoading:
         assert scenario_hash(metagame) == (
             "9defd92dc312987114bf390d8b525679a56567a1eed6cdbfb752d6155364a0ac"
         )
+
+    def test_metadata_hashes_the_scenario_once(self, monkeypatch):
+        scenario = load_scenario(preset_path("sns"))
+        hashed = []
+
+        def counted(one):
+            hashed.append(one)
+            return scenario_hash(one)
+
+        monkeypatch.setattr(scenario_module, "scenario_hash", counted)
+        first = cmd_band(scenario).metadata["scenario_sha256"]
+        assert cmd_phase_sweep(scenario).metadata["scenario_sha256"] == first
+        assert first == scenario_hash(load_scenario(preset_path("sns")))
+        assert len(hashed) == 1
+        reseeded = with_seed(scenario, 99)
+        digest = cmd_band(reseeded).metadata["scenario_sha256"]
+        assert digest == scenario_hash(reseeded) != first
+        assert len(hashed) == 2
 
     def test_whole_number_float_is_an_integer(self, sns):
         doc = scenario_to_dict(sns)
@@ -602,17 +630,30 @@ class TestCmdRefShiftCheck:
         with pytest.raises(ValidationError, match="reference section"):
             cmd_ref_shift_check(dataclasses.replace(sns, reference=None))
 
-    @pytest.mark.parametrize(
-        "name, digest",
-        [
-            ("sns", "5653e657fb7790b0876561c7b49ad932068412f7eb8d21c7c034b0619da7dd11"),
-            ("metagame", "8df894437f93f9844453d65032b5f93c244aa447be6560faf8019fa1591a9a5f"),
-        ],
-    )
+    @pytest.mark.parametrize("name, digest", REF_SHIFT_CSV_DIGESTS)
     def test_csv_bytes_pinned(self, name, digest):
         # sns solves linearly, metagame has the stop option (value iteration).
         table = cmd_ref_shift_check(load_scenario(preset_path(name)))
         assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86-64 kernels",
+    )
+    @pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
+    def test_csv_bytes_do_not_depend_on_the_blas_kernel(self, coretype):
+        # A fresh interpreter per run: OpenBLAS reads the variable when it loads.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": coretype}
+        for name, digest in REF_SHIFT_CSV_DIGESTS:
+            done = subprocess.run(
+                [sys.executable, "-m", "fragileband.cli", "ref-shift-check",
+                 "--scenario", str(preset_path(name))],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            assert hashlib.sha256(done.stdout).hexdigest() == digest, name
 
 
 # sha256 of to_csv() and to_json() of every command on both presets.
@@ -627,8 +668,8 @@ PRESET_OUTPUT_DIGESTS = [
      "d625f316be1a126d505d978afa3c415468df6e5c2d2298048406db12dd7f6335"),
     ("sns", "mass-sim", "5b46f0d278b4e05094299260afb1b64a416d4f61f9257fe1b710e5eab3a4f84f",
      "52494b865cb9c148e917b7049f78453621e4a0d437005a85e66794daa7343907"),
-    ("sns", "ref-shift-check", "5653e657fb7790b0876561c7b49ad932068412f7eb8d21c7c034b0619da7dd11",
-     "d0b0267d5da6a3f9cb8011bc3f3142d213e68042d956e3a65022f844f24cf8e9"),
+    ("sns", "ref-shift-check", "64045b9ff7c962eb92c9314589aa06471dbb6c30219fc2dff285e439987cdf17",
+     "0f8cd567eb4b2411b992003d26f2fda85f1154bfe6ea6abf6aed3742856079e3"),
     ("metagame", "band", "33889f24619062d57a75f3729e43dc9b871ee7be4f263dca440493a48093df18",
      "8be8f1b394b06ae91c328cff3f750c233f67efa2ef0f2bf9d430513ae5474393"),
     ("metagame", "phase-sweep", "5c0fad97e80485a4c2e7b65cd5891a4a9fed31e229f67e89b01ee02c4e098b3e",
@@ -640,8 +681,8 @@ PRESET_OUTPUT_DIGESTS = [
     ("metagame", "mass-sim", "3609c16678afb8576441719e8ff38001ae15959d98702b92bfdf91e4bd668084",
      "2bf34aa8ac188e611fab600e30353fbd4e0c401fa5e04717ba928f50384c9f1f"),
     ("metagame", "ref-shift-check",
-     "8df894437f93f9844453d65032b5f93c244aa447be6560faf8019fa1591a9a5f",
-     "38731926187d2c47759b9d8ef7753b6a69f229e25c130f49cfb07544c0ad42cc"),
+     "6ac01debdf69edb96cbe38af7ba1b617d6a75b0ddf5428cf89a29f4758d37ed1",
+     "05cb9972dc02e5677b6ef837b1b952763fa876a7be3042d31c14eaa7c51fdd77"),
 ]
 
 
