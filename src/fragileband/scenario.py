@@ -214,8 +214,10 @@ class RandomWalk:
     p_down: float
 
     def __post_init__(self) -> None:
-        if self.p_up < 0 or self.p_down < 0 or self.p_up + self.p_down > 1:
-            raise ValueError("walk probabilities must satisfy p_up + p_down <= 1")
+        if not (self.p_up >= 0 and self.p_down >= 0 and self.p_up + self.p_down <= 1):
+            raise ValueError(
+                "walk probabilities must satisfy p_up >= 0, p_down >= 0 and p_up + p_down <= 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ class ReferenceSection:
 
     def __post_init__(self) -> None:
         if not 0 < self.delta < 1:
-            raise ValueError("delta must satisfy 0 < delta < 1")
+            raise ValueError("reference.delta must satisfy 0 < delta < 1")
         if not math.isfinite(self.reference):
             raise ValueError(f"reference.reference must be finite, got {self.reference}")
         if not self.kappas:
@@ -578,10 +580,9 @@ def preset_path(name: str) -> Path:
 class ResultTable:
     """A command's output: named columns, rows of cells, string metadata.
 
-    The codec dispatches once per column: a column of one plain type (every
-    command builds such columns) takes one ``%`` template piece in CSV and one
-    C-encoder call in JSON; other columns are converted cell by cell to the
-    same bytes.  README.md ("CSV convention") states how cells read back.
+    Each column has one kind (see ``_column_types``), and the codec writes a
+    column at a time: one ``%`` template piece in CSV, one C-encoder call in
+    JSON.  README.md ("CSV convention") states how cells read back.
     """
 
     columns: list[str]
@@ -595,24 +596,35 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("rows must be rectangular")
 
-    def _column_types(self) -> list:
-        """The one type of each column's cells; None when they mix types or there are none."""
+    def _column_types(self) -> list[type]:
+        """Each column's kind: its cells' one type, float, int, bool or str
+        (str for a column without cells), or float for int mixed with float,
+        which is what :meth:`from_csv` reads back from a float column with
+        whole-number cells.  Any other column, of numpy scalars, of None, or
+        mixing str or bool with another type, is a ValueError naming it.
+
+        Kinds are found on every write, since ``rows`` may change between writes.
+        """
         kinds = []
-        for j in range(len(self.columns)):
-            found = set(map(type, map(operator.itemgetter(j), self.rows)))
-            kinds.append(found.pop() if len(found) == 1 else None)
+        for j, name in enumerate(self.columns):
+            found = set(map(type, map(operator.itemgetter(j), self.rows))) or {str}
+            if found == {int, float}:
+                found = {float}
+            if len(found) != 1 or not found <= _CSV_TEMPLATE.keys():
+                names = " and ".join(sorted(kind.__name__ for kind in found))
+                raise ValueError(f"column {name!r} holds {names}: not all float, int, bool or str")
+            kinds += found
         return kinds
 
     def to_csv(self) -> str:
         lines = [f"# {key}={value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
         kinds = self._column_types()
-        template = ",".join(_CSV_TEMPLATE.get(kind, "%s") for kind in kinds)
-        converted = {j for j, kind in enumerate(kinds) if kind not in _CSV_TEMPLATE}
+        template = ",".join(map(_CSV_TEMPLATE.get, kinds))
         rows = self.rows
-        if converted:
+        if bool in kinds:  # '%s' would write True and False
             rows = (
-                [_format_cell(c) if j in converted else c for j, c in enumerate(row)]
+                [("false", "true")[c] if kind is bool else c for c, kind in zip(row, kinds)]
                 for row in rows
             )
         lines += [template % tuple(row) for row in rows]
@@ -623,8 +635,8 @@ class ResultTable:
         if not (self.rows and self.columns):  # no cells
             return json.dumps({**payload, "rows": [[] for _ in self.rows]}, indent=2) + "\n"
         cells = [
-            _JSON_COLUMN.get(kind, _json_cells)(list(map(operator.itemgetter(j), self.rows)))
-            for j, kind in enumerate(self._column_types())
+            list(map(encode_basestring_ascii, column)) if kind is str else _json_numbers(column)
+            for kind, column in zip(self._column_types(), zip(*self.rows))
         ]
         # The layout json.dumps(..., indent=2) gives: rows at depth 2, cells at 3.
         rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
@@ -667,40 +679,13 @@ class ResultTable:
         )
 
 
-# The '%' template piece of each plain column type; the cells of any other
-# column are formatted one by one and written with '%s'.  '%.17g' % x is
-# format(x, '.17g').
-_CSV_TEMPLATE = {float: "%.17g", int: "%d", str: "%s"}
+# The '%' template piece of each column kind; a bool cell is written as the
+# word true or false.  '%.17g' % x is format(x, '.17g'), and for an int x that
+# a float holds exactly it is str(x).
+_CSV_TEMPLATE = {float: "%.17g", int: "%d", bool: "%s", str: "%s"}
 
 
-def _plain(value):
-    """A numpy bool, integer or float scalar as its Python bool, int or float.
-
-    Python types are tested first, because testing a numpy type loads numpy.
-    """
-    if isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
-def _format_cell(value) -> str:
-    value = _plain(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _json_numbers(column: list) -> list[str]:
+def _json_numbers(column: Sequence) -> list[str]:
     """JSON text of each cell of a float, int or bool column.
 
     JSON has no NaN or infinity: NaN is null, and +-inf the numbers +-1e999,
@@ -708,30 +693,6 @@ def _json_numbers(column: list) -> list[str]:
     """
     text = json.dumps(column)[1:-1].replace("NaN", "null").replace("Infinity", "1e999")
     return text.split(", ")
-
-
-def _json_cells(column: list) -> list[str]:
-    """JSON text of each cell of a column of mixed or other types."""
-    return [_json_cell(cell) for cell in column]
-
-
-def _json_cell(value) -> str:
-    value = _plain(value)
-    if isinstance(value, bool):
-        return json.dumps(bool(value))
-    if isinstance(value, int):
-        return json.dumps(int(value))
-    if isinstance(value, float):
-        return _json_numbers([float(value)])[0]
-    return json.dumps(str(value))
-
-
-_JSON_COLUMN = {
-    float: _json_numbers,
-    int: _json_numbers,
-    bool: _json_numbers,
-    str: lambda column: list(map(encode_basestring_ascii, column)),
-}
 
 
 def _cell_parser():

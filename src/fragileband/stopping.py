@@ -21,7 +21,8 @@ grid); its ``state_grid``; its ``kernel`` on that grid; and
 these methods and never ask which class a process is.  Costs are
 constants, per-period tables (last entry held forever) or period x state
 tables, and every reader looks up ``rows[min(t, last)][state]`` in
-``collapse_rows`` / ``maintain_rows``.  A period x state table has a column
+``collapse_rows`` / ``maintain_rows`` (the simulator in the same rows as
+lists, without numpy).  A period x state table has a column
 per state of a chain's grid; the other processes leave the solver's grid
 when simulated, so ``simulated_on_chain`` accepts wide tables only on a
 chain, and only as wide as its grid.  Processes, costs and settings are
@@ -41,7 +42,8 @@ greedy lookup of :class:`ValueSolution` interpolates that row, and the
 period's collapse row, over phi, so the successor law is stated once, in
 the kernel.  :func:`simulate_path` draws each step's outcome k from a
 cumulative row, a chain's current row or a shock law's one row (a
-one-outcome row takes no draw), then moves the chain to state k or
+one-outcome row takes no draw, and a path that has nothing to draw builds
+no generator), then moves the chain to state k or
 multiplies phi by 1 + g_k.
 
 The per-state diagnostics
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -323,14 +326,13 @@ def _cost_width(cost: CostValue) -> int:
     return len(cost[0]) if isinstance(cost, tuple) and isinstance(cost[0], tuple) else 1
 
 
-def _cost_rows(value: CostValue, n_states: int) -> np.ndarray:
+def _cost_rows(value: CostValue, n_states: int) -> list[list[float]]:
     """The cost over ``n_states`` states, one row per tabulated period."""
-    table = np.asarray(value, dtype=float)
-    if table.ndim < 2:
-        table = table.reshape(-1, 1)
-    if table.shape[1] not in (1, n_states):
+    rows = value if isinstance(value, tuple) else (value,)
+    rows = [list(row) if isinstance(row, tuple) else [row] for row in rows]
+    if len(rows[0]) not in (1, n_states):
         raise ValueError("state-dependent cost table width must match grid size")
-    return np.broadcast_to(table, (table.shape[0], n_states)).copy()
+    return [row * n_states if len(row) == 1 else row for row in rows]
 
 
 @dataclass(frozen=True)
@@ -351,11 +353,11 @@ class CostSchedule:
 
     def collapse_rows(self, n_states: int) -> np.ndarray:
         """Collapse cost over the states, one row per tabulated period."""
-        return _cost_rows(self.collapse, n_states)
+        return np.array(_cost_rows(self.collapse, n_states))
 
     def maintain_rows(self, n_states: int) -> np.ndarray:
         """Maintenance cost over the states, one row per tabulated period."""
-        return _cost_rows(self.maintain, n_states)
+        return np.array(_cost_rows(self.maintain, n_states))
 
 
 @dataclass(frozen=True)
@@ -789,20 +791,21 @@ def simulate_path(
     """
     if horizon < 1:
         raise ValueError("horizon must satisfy horizon >= 1")
-    rng = np.random.default_rng(seed)
     p = process.defection_payoff
     # Each outcome row is cumulative: a chain has one per state, a shock
     # law one row over its shocks.
     chain = process.simulated_on_chain(costs)
     if chain:
-        outcomes = np.cumsum(process.matrix, axis=1).tolist()
+        outcomes = [list(itertools.accumulate(row)) for row in process.transition]
         state = process.initial_index
     else:
-        outcomes = [np.cumsum([q for _, q in process.support]).tolist()]
+        outcomes = [list(itertools.accumulate(q for _, q in process.support))]
         growths = [g for g, _ in process.support]
         state = 0
-    collapse = costs.collapse_rows(len(outcomes)).tolist()
-    maintain = costs.maintain_rows(len(outcomes)).tolist()
+    # A row with one outcome takes no draw; the draws feed nothing else.
+    rng = np.random.default_rng(seed) if any(len(row) > 1 for row in outcomes) else None
+    collapse = _cost_rows(costs.collapse, len(outcomes))
+    maintain = _cost_rows(costs.maintain, len(outcomes))
     r = process.initial_r
     phi = 2.0 * (r - p)
 
@@ -823,7 +826,6 @@ def simulate_path(
         steps.append(PathStep(t, r, phi, "continue", stage, 2.0 * r))
         discounted += delta**t * stage
         row = outcomes[state]
-        # A row with one outcome takes no draw; the draws feed nothing else.
         k = min(bisect.bisect_right(row, rng.random()), len(row) - 1) if len(row) > 1 else 0
         if chain:
             state, r = k, process.r_grid[k]

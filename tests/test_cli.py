@@ -184,6 +184,18 @@ def test_light_commands_write_the_same_bytes_without_numpy(capsys, command, scen
     assert done.stdout == capsys.readouterr().out
 
 
+def test_simulate_that_draws_nothing_runs_without_numpy(tmp_path, capsys):
+    # A deterministic process never draws, and under never_stop nothing is solved.
+    doc = json.loads(Path(SNS).read_text())
+    doc["dp"]["policy"] = "never_stop"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    done = _python(["-c", _RUN_WITHOUT_NUMPY, "simulate", "--scenario", str(path)])
+    assert done.returncode == 0, done.stderr
+    assert run(["simulate", "--scenario", str(path)]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["regime-map", "simulate", "ref-shift-check"])
 def test_solving_commands_exit_1_without_numpy(command):
     done = _python(["-c", _RUN_WITHOUT_NUMPY, command, "--scenario", SNS])
@@ -337,6 +349,18 @@ def _on_metagame(edit):
     return on_metagame
 
 
+def _dp_delta_above_one(doc):
+    doc["dp"]["delta"] = 1.5
+
+
+def _reference_delta_above_one(doc):
+    doc["reference"]["delta"] = 1.5
+
+
+def _negative_p_up(doc):
+    doc["reference"]["setup"]["walk"]["p_up"] = -0.1
+
+
 def _negative_seed(doc):
     doc["seed"] = -3
 
@@ -369,6 +393,14 @@ def _two_line_name(doc):
             "simulate",
             _state_cost_table_off_chain,
             "error: dp.costs.maintain: state-dependent costs require a MarkovGrid process",
+        ),
+        ("band", _dp_delta_above_one, "error: delta must satisfy 0 < delta < 1\n"),
+        ("band", _reference_delta_above_one, "error: reference.delta must satisfy 0 < delta < 1\n"),
+        (
+            "band",
+            _negative_p_up,
+            "error: walk probabilities must satisfy p_up >= 0, p_down >= 0 "
+            "and p_up + p_down <= 1\n",
         ),
         ("simulate", _negative_seed, "seed must satisfy seed >= 0, got -3"),
         ("simulate --seed -1", _unchanged, "seed must satisfy seed >= 0, got -1"),
@@ -435,7 +467,8 @@ def _two_line_name(doc):
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
          "narrow-state-cost-table", "state-cost-table-on-growth-axis",
-         "state-cost-table-off-chain", "negative-seed", "negative-seed-flag", "two-line-name",
+         "state-cost-table-off-chain", "dp-delta-above-one", "reference-delta-above-one",
+         "negative-p-up", "negative-seed", "negative-seed-flag", "two-line-name",
          "infinite-r-cap", "overflowing-r-cap", "nan-perturbation", "infinite-noise-sd",
          "infinite-tolerance", "infinite-growth", "integer-beyond-floats",
          "overflowing-g3-sns", "overflowing-g3-metagame", "overflowing-g2-stage-payoff",
