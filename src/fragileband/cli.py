@@ -6,8 +6,8 @@ resolved against $FRAGILEBAND_OUT_DIR when set), otherwise to stdout;
 diagnostics go to stderr unless --quiet.
 
 Exit codes: 0 success (also --help and --version), 1 usage, validation,
-parse or file error, or a command that needs numpy where it is not
-installed (regime-map, simulate, ref-shift-check), 2 numerical
+parse or file error, out of memory, or a command that needs numpy where it
+is not installed (regime-map, simulate, ref-shift-check), 2 numerical
 non-convergence, 3 property-check failure (a ref-shift row with
 holds=false).
 """
@@ -115,6 +115,8 @@ def run(argv=None) -> int:
         return _fail(1, f"{args.scenario}: {exc}", quiet)
     except OSError as exc:  # reading the scenario or writing --out
         return _fail(1, f"{exc.filename}: {exc.strerror}", quiet)
+    except MemoryError as exc:  # an array numpy cannot allocate
+        return _fail(1, str(exc) or "out of memory", quiet)
     except (NonConvergence, NoFixedPointFound) as exc:
         return _fail(2, str(exc), quiet)
     if args.command == "ref-shift-check":

@@ -26,10 +26,9 @@ series bounds the value-function displacement by that amount over (1 -
 delta); ``verify_shift_section`` checks the bound empirically for every
 kappa of a section by solving a reflecting random walk under the base
 reference and each shifted one, all together: one tridiagonal elimination
-without a stop option, and with one the adversary's stop/continue fixed
-point, one ``stopping.solve_cells`` block in which each reference is its own
-cell.  Either way a reference's values do not depend on which others share
-the solve.
+without a stop option, and with one the adversary's exact stop/continue
+fixed point by policy iteration, one elimination per policy.  Either way a
+reference's values do not depend on which others share the solve.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from ._lazy import np
-from .stopping import NonConvergence, Transition, solve_cells
+from .stopping import NonConvergence
 
 
 class HypothesisViolation(ValueError):
@@ -316,8 +315,8 @@ class ShiftCheckResult:
     lipschitz: float
 
 
-# Iteration budget of the optimize-mode value iteration (not a user option).
-SHIFT_CHECK_MAX_ITERATIONS = 1_000_000
+# Policy budget of the optimize-mode policy iteration (not a user option).
+SHIFT_CHECK_MAX_POLICIES = 1_000
 
 
 def _stage_payoffs(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
@@ -331,32 +330,65 @@ def _stage_payoffs(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nd
     return np.broadcast_to(eval_reference_payoff(setup.params, obs), (reference.size, grid.size, 3))
 
 
-def _walk_diagonal(setup: ShiftCheckSetup) -> np.ndarray:
-    """P[i, i]: the stay probability, plus the move past the grid's end at either end."""
+def _walk_expectation(setup: ShiftCheckSetup, down, here, up):
+    """p_down·down + p_stay·here + p_up·up, a step taken with probability 0 left out."""
+    return (
+        _weighted(setup.p_down, np.asarray, down)
+        + _weighted(setup.p_stay, np.asarray, here)
+        + _weighted(setup.p_up, np.asarray, up)
+    )
+
+
+def _walk_pivots(setup: ShiftCheckSetup) -> np.ndarray:
+    """1 - delta·P[i, i]: P[i, i] is the stay probability, plus the move past either end."""
     diagonal = np.full(setup.x_grid.size, setup.p_stay)
     diagonal[0] += setup.p_down
     diagonal[-1] += setup.p_up
-    return diagonal
+    return 1.0 - setup.delta * diagonal
 
 
-def _walk_solve(setup: ShiftCheckSetup, rhs: np.ndarray) -> np.ndarray:
-    """V with (I - delta P) V = rhs for each row of rhs, by tridiagonal elimination.
+def _eliminate(lower, pivots, upper, values):
+    """Solve a tridiagonal system in place by elimination; returns ``values``.
 
-    For delta < 1 no pivoting is needed: the system is strictly diagonally
-    dominant.  A sweep step acts on one state of every row, so a row gets the
-    bits of a one-row solve.
+    Row i reads lower[i]·V[i - 1] + pivots[i]·V[i] + upper[i]·V[i + 1] =
+    values[i].  Each coefficient is a float, or an array with one entry per
+    column of ``values``; either way a column gets the bits of a one-column
+    solve.  No pivoting: every system solved here is diagonally dominant.
     """
-    lower, upper = -setup.delta * setup.p_down, -setup.delta * setup.p_up
-    pivots = (1.0 - setup.delta * _walk_diagonal(setup)).tolist()
-    values = rhs.T.copy()  # one state per row: each sweep step reads a row
     for i in range(1, len(pivots)):
-        multiplier = lower / pivots[i - 1]
-        pivots[i] -= multiplier * upper
+        multiplier = lower[i] / pivots[i - 1]
+        pivots[i] -= multiplier * upper[i - 1]
         values[i] -= multiplier * values[i - 1]
     values[-1] /= pivots[-1]
     for i in range(len(pivots) - 2, -1, -1):
-        values[i] = (values[i] - upper * values[i + 1]) / pivots[i]
-    return values.T
+        values[i] = (values[i] - upper[i] * values[i + 1]) / pivots[i]
+    return values
+
+
+def _walk_solve(setup: ShiftCheckSetup, rhs: np.ndarray) -> np.ndarray:
+    """V with (I - delta P) V = rhs for each row of rhs: the value of never stopping.
+
+    The coefficients are floats shared by every row, so the rows only ride
+    along in the sweep.
+    """
+    n = setup.x_grid.size
+    lower, upper = [-setup.delta * setup.p_down] * n, [-setup.delta * setup.p_up] * n
+    return _eliminate(lower, _walk_pivots(setup).tolist(), upper, rhs.T.copy()).T
+
+
+def _policy_solve(
+    setup: ShiftCheckSetup, rhs: np.ndarray, stop: np.ndarray, stops: np.ndarray
+) -> np.ndarray:
+    """The value of the policy that stops where ``stops`` is true, one row per reference.
+
+    A stop row reads V[i] = stop[i]: lower = upper = 0, pivot 1.  A row
+    without stops gets the bits of ``_walk_solve``.
+    """
+    moves = ~stops.T
+    lower = np.where(moves, -setup.delta * setup.p_down, 0.0)
+    upper = np.where(moves, -setup.delta * setup.p_up, 0.0)
+    pivots = np.where(moves, _walk_pivots(setup)[:, None], 1.0)
+    return _eliminate(lower, pivots, upper, np.where(moves, rhs.T, stop.T)).T
 
 
 def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
@@ -365,47 +397,56 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     Only the walk's three steps from each state are evaluated, and one it
     takes with probability 0 does not enter its state's expected stage
     payoff (``_weighted``): only the payoffs of steps the walk can take, and
-    in optimize mode the stop payoffs, must be finite.  Finite stage payoffs
-    can still give values that overflow in the value iteration; that raises
-    HypothesisViolation naming the first such reference.
+    in optimize mode the stop payoffs, must be finite.
+
+    Without a stop option the value is one ``_walk_solve``.  With one, V =
+    max(stop, expected_stage + delta·P V) is solved by policy iteration:
+    from "never stop", each state of each reference switches to stop, or
+    back to continue, only where that is strictly better than its current
+    action against the current values, and the new policies are evaluated
+    exactly by one elimination that carries every reference, until no policy
+    changes.  Stopping in state i collects the payoff of the step i -> i
+    once.  Finite stage payoffs can still give values that overflow; that
+    raises HypothesisViolation naming the first such reference, and
+    SHIFT_CHECK_MAX_POLICIES evaluations without a stable policy raise
+    NonConvergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         down, stop, up = np.moveaxis(_stage_payoffs(setup, references), 2, 0)
-        expected_stage = (
-            _weighted(setup.p_down, np.asarray, down)
-            + _weighted(setup.p_stay, np.asarray, stop)
-            + _weighted(setup.p_up, np.asarray, up)
-        )
+        expected_stage = _walk_expectation(setup, down, stop, up)
     if not (np.isfinite(expected_stage).all() and (not setup.optimize or np.isfinite(stop).all())):
         raise HypothesisViolation(
             "stage payoffs must be finite on the shift-check grid; g1, g2, g3 or a weight overflows"
         )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below or by the caller
+        values = _walk_solve(setup, expected_stage)
     if not setup.optimize:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by the caller
-            return _walk_solve(setup, expected_stage)
-    # V = max(stop, expected_stage + delta * P V) is the stop/continue problem on
-    # a zero grid with collapse cost -stop and maintenance cost -expected_stage;
-    # stopping in state i collects the payoff of the step i -> i once.  The
-    # expectation reads P as a dense n x n matrix.
-    n = setup.x_grid.size
-    walk = np.diag(_walk_diagonal(setup))
-    walk += np.diag(np.full(n - 1, setup.p_up), 1) + np.diag(np.full(n - 1, setup.p_down), -1)
-    kernel, deltas = Transition(matrix=walk), np.full(len(stop), setup.delta)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        block = solve_cells(
-            np.zeros(n), kernel, deltas, [-stop], [-expected_stage], 1e-12, SHIFT_CHECK_MAX_ITERATIONS
-        )
-    overflowed = np.flatnonzero(~np.isfinite(block.residual))
-    if overflowed.size:
-        raise HypothesisViolation(
-            f"the shift-check values under reference {references[overflowed[0]]!r} are not finite"
-        )
-    if not block.converged.all():
-        residual = float(block.residual.max())
-        raise NonConvergence(
-            "shift-check value iteration failed to converge", SHIFT_CHECK_MAX_ITERATIONS, residual
-        )
-    return block.fixed_point  # ``values`` would apply one more backup
+        return values
+    stops = np.zeros(stop.shape, dtype=bool)  # never stop: ``values`` is its value
+    for evaluation in range(SHIFT_CHECK_MAX_POLICIES):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+            if evaluation:
+                values = _policy_solve(setup, expected_stage, stop, stops)
+            edges = np.concatenate([values[:, :1], values, values[:, -1:]], axis=1)
+            continuation = expected_stage + setup.delta * _walk_expectation(
+                setup, edges[:, :-2], values, edges[:, 2:]
+            )
+            improved = np.where(stops, stop >= continuation, stop > continuation)
+        settled = np.array_equal(improved, stops)
+        # Until the policies settle, a value of -inf (never stopping overflows) is
+        # no failure: the finite stop payoff beats it, so the next policy stops.
+        overflowed = np.flatnonzero(~(np.isfinite(values) if settled else values < np.inf).all(1))
+        if overflowed.size:
+            raise HypothesisViolation(
+                f"the shift-check values under reference {references[overflowed[0]]!r} are not finite"
+            )
+        if settled:
+            return values
+        stops = improved
+    residual = float(np.max(np.abs(np.maximum(stop, continuation) - values)))
+    raise NonConvergence(
+        "shift-check policy iteration failed to converge", SHIFT_CHECK_MAX_POLICIES, residual
+    )
 
 
 def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> list[ShiftCheckResult]:

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 import types
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -106,6 +107,9 @@ REGIME_BLOCK_VALUES = 16384
 
 STOP, CONTINUE = Decision.STOP.value, Decision.CONTINUE.value
 
+# The most points of a float64 grid numpy can address: its size in bytes must fit an intp.
+MAX_GRID_POINTS = sys.maxsize // 8
+
 
 class ParseError(ValueError):
     """The scenario document is not well-formed JSON."""
@@ -159,8 +163,20 @@ class RecognitionSection:
 DEFAULT_REGIME_SWEEP = {"delta": SweepRange(0.5, 0.99, 20), "growth": SweepRange(0.0, 0.5, 20)}
 
 
+def _check_grid_points(key: str, points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"{key} must be at most {MAX_GRID_POINTS}, the largest float64 grid numpy can "
+            f"address, got {points:.3g}"
+        )
+
+
 def _check_dp(process: SurplusProcess, config: DPConfig, costs: CostSchedule) -> None:
-    """Check the process's r_cap and cost-table rules, under their key paths; builds no grid."""
+    """Check the grid size and the process's r_cap and cost-table rules, under their key paths.
+
+    It builds no grid.
+    """
+    _check_grid_points("dp.config.grid_points", config.grid_points)
     try:
         process.phi_cap(config.r_cap)
     except ValueError as exc:  # the r_cap rules
@@ -255,6 +271,7 @@ class ReferenceSection:
         for i, kappa in enumerate(self.kappas):
             if not math.isfinite(kappa):
                 raise ValueError(f"reference.kappas[{i}] must be finite, got {kappa}")
+        _check_grid_points("reference.setup.grid.points", self.setup.grid.points)
 
 
 @dataclass(frozen=True)

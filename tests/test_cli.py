@@ -92,12 +92,49 @@ def test_exit_2_on_non_convergence(tmp_path, capsys):
 def test_exit_2_on_shift_check_non_convergence(monkeypatch, tmp_path, capsys):
     import fragileband.reference as reference_module
 
-    # The metagame preset optimizes, so the shift check runs value iteration.
-    monkeypatch.setattr(reference_module, "SHIFT_CHECK_MAX_ITERATIONS", 3)
+    # The metagame preset optimizes; at this cost the stop binds, so the first
+    # improvement changes the policy, and policy iteration takes 3 evaluations.
+    doc = json.loads(Path(METAGAME).read_text())
+    doc["reference"]["params"]["cost"] = 2.0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
     out = tmp_path / "t.csv"
-    assert run(["ref-shift-check", "--scenario", METAGAME, "--out", str(out)]) == 2
-    assert "failed to converge" in capsys.readouterr().err
+    assert run(["ref-shift-check", "--scenario", str(path), "--quiet"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(reference_module, "SHIFT_CHECK_MAX_POLICIES", 1)
+    assert run(["ref-shift-check", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "policy iteration failed to converge" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [0.9999, 0.99999, 0.9999999999999999])
+def test_shift_check_at_a_discount_near_one_exits_0(tmp_path, capsys, delta):
+    doc = json.loads(Path(METAGAME).read_text())
+    doc["reference"]["delta"] = delta
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["ref-shift-check", "--scenario", str(path)]) == 0
+    table = ResultTable.from_csv(capsys.readouterr().out)
+    assert table.metadata["optimize"] == "true"
+    assert [row[3] for row in table.rows] == [True, True]
+
+
+def test_exit_1_on_memory_error(monkeypatch, capsys):
+    from fragileband import scenario as scenario_module
+
+    def out_of_memory(scenario):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setitem(scenario_module.COMMANDS, "ref-shift-check", out_of_memory)
+    assert run(["ref-shift-check", "--scenario", SNS]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 8.00 EiB for an array\n"
+
+    def bare(scenario):
+        raise MemoryError
+
+    monkeypatch.setitem(scenario_module.COMMANDS, "ref-shift-check", bare)
+    assert run(["ref-shift-check", "--scenario", SNS]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def _python(args: list[str]) -> subprocess.CompletedProcess:
@@ -329,13 +366,22 @@ def _unscalable_logistic_curve(doc):
 
 
 def _overflowing_optimized_values(kappa):
-    """Finite stage payoffs whose optimize-mode values overflow in value iteration."""
+    """Finite stage payoffs whose optimize-mode values overflow in policy iteration."""
 
     def edit(doc):
         doc["reference"]["params"]["g3"] = {"kind": "identity"}
         doc["reference"]["kappas"] = [kappa]
 
     return edit
+
+
+def _huge_shift_grid(doc):
+    # A whole-number float reads as an int: 1e308 points, beyond any numpy array.
+    doc["reference"]["setup"]["grid"]["points"] = 1e308
+
+
+def _huge_dp_grid(doc):
+    doc["dp"]["config"]["grid_points"] = 1e308
 
 
 def _on_metagame(edit):
@@ -463,6 +509,13 @@ def _two_line_name(doc):
             _on_metagame(_overflowing_optimized_values(-1e308)),
             "error: the shift-check values under reference -1e+308 are not finite",
         ),
+        (
+            "ref-shift-check",
+            _huge_shift_grid,
+            "error: reference.setup.grid.points must be at most ",
+        ),
+        ("regime-map", _huge_dp_grid, "error: dp.config.grid_points must be at most "),
+        ("simulate", _huge_dp_grid, "error: dp.config.grid_points must be at most "),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
@@ -475,7 +528,8 @@ def _two_line_name(doc):
          "overflowing-kappa", "overflowing-shifted-reference", "overflowing-payoff-differences",
          "overflowing-payoff-products", "unscalable-logistic-curve", "overflowing-w-sweep",
          "overflowing-optimized-values-1e308",
-         "overflowing-optimized-values-minus-1e308"],
+         "overflowing-optimized-values-minus-1e308", "huge-shift-grid", "huge-dp-grid-regime-map",
+         "huge-dp-grid-simulate"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())

@@ -22,8 +22,10 @@ from fragileband.reference import (
     ReferenceParams,
     Saturating,
     ShiftCheckSetup,
+    _policy_solve,
     _solve_values,
     _stage_payoffs,
+    _walk_solve,
     differences,
     eval_reference_payoff,
     negative_part,
@@ -232,7 +234,8 @@ def _walk(n: int, p_up: float, p_down: float) -> np.ndarray:
 # The dense oracle: a chain given as an n x n matrix, with a forecast per
 # state, solved as the library did before it solved the walk on its support.
 # Every one of the n**2 stage payoffs enters a sum, the linear mode is a
-# LAPACK solve and the optimize mode one solve_cells block on the matrix.
+# LAPACK solve and the optimize mode value iteration, one solve_cells block
+# on the matrix.
 
 
 def _dense(setup: ShiftCheckSetup) -> SimpleNamespace:
@@ -268,7 +271,7 @@ def _dense_values(setup, references) -> np.ndarray:
     stop = np.diagonal(stages, axis1=1, axis2=2)
     block = solve_cells(
         np.zeros(n), Transition(matrix=setup.transition), np.full(len(stages), setup.delta),
-        [-stop], [-expected_stage], 1e-12, reference_module.SHIFT_CHECK_MAX_ITERATIONS,
+        [-stop], [-expected_stage], 1e-12, 10**6,
     )
     assert block.converged.all()
     return block.fixed_point
@@ -300,9 +303,10 @@ def _tolerance(setup, values: np.ndarray) -> float:
     """How far the walk solve may be from the dense oracle on these values.
 
     Rounding: 1e-12 of the payoff scale, max(1, |V|·(1 - delta)), over
-    (1 - delta).  In optimize mode each solve also stops within the value
-    iteration's 1e-12 sup-norm tolerance, times delta / (1 - delta), of the
-    fixed point: twice that, bounded by 2e-12 / (1 - delta), is added.
+    (1 - delta).  In optimize mode the oracle's value iteration also stops
+    within its 1e-12 sup-norm tolerance, times delta / (1 - delta), of the
+    fixed point that the walk solve finds: twice that, bounded by 2e-12 /
+    (1 - delta), is added.
     """
     scale = max(1.0, float(np.max(np.abs(values))) * (1.0 - setup.delta))
     return (1e-12 * scale + (2e-12 if setup.optimize else 0.0)) / (1.0 - setup.delta)
@@ -544,20 +548,28 @@ class TestVerifyShiftSection:
             for stage, reference in zip(stages, references):
                 assert stage.tobytes() == _stage_payoffs(setup, [reference])[0].tobytes(), name
 
-    def test_one_solve_block_per_section(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cost, policies", [(0.1, 1), (2.0, 3)], ids=["no-stop-binds", "stop-binds"]
+    )
+    def test_one_elimination_per_policy(self, monkeypatch, cost, policies):
+        """Each policy is evaluated by one elimination that carries every reference."""
         # The fine-grids metagame section: 121 states, 4 kappas, optimize mode.
+        # At the preset's cost, 0.1, no stop binds: one evaluation and one
+        # check.  At 2.0 stops bind, and the policies change twice.
         doc = inputs.fine_grids(1, inputs.FULL).documents["metagame"]
+        doc["reference"]["params"]["cost"] = cost
         scenario = scenario_from_dict(doc)
         assert scenario.reference.setup.optimize and len(scenario.reference.kappas) == 4
-        blocks = []
+        widths = []
 
-        def counted(*args):
-            blocks.append(args[2].size)
-            return solve_cells(*args)
+        def counted(lower, pivots, upper, values):
+            widths.append(values.shape)
+            return eliminate(lower, pivots, upper, values)
 
-        monkeypatch.setattr(reference_module, "solve_cells", counted)
+        eliminate = reference_module._eliminate
+        monkeypatch.setattr(reference_module, "_eliminate", counted)
         cmd_ref_shift_check(scenario)
-        assert blocks == [5]
+        assert widths == [(121, 5)] * policies
 
     def test_checks_every_kappa_before_the_solve(self, monkeypatch):
         # 400 * 3.1**399 is finite; at kappa 5 the domain is [0, 8] and 400 * 8**399 is not.
@@ -746,3 +758,80 @@ class TestBroadcastStageMatrix:
         for delta in (0.0, 1.0, float("nan")):
             with pytest.raises(ValueError, match="0 < delta < 1"):
                 ShiftCheckSetup(x_grid=[0.0, 1.0], **{**good, "delta": delta})
+
+
+def _policy_walks(rng, trials: int):
+    """Seeded optimize-mode walks on 2, 3, 26 and 121 states, delta from 0.5 to 0.9999."""
+    for trial in range(trials):
+        n = (2, 3, 26, 121)[trial % 4]
+        lo = float(rng.uniform(-3, 0))
+        hi = lo + float(rng.uniform(1, 6))
+        raw = rng.uniform(0.01, 1.0, size=3)
+        p_down, _, p_up = raw / raw.sum()
+        setup = ShiftCheckSetup(
+            x_grid=np.linspace(lo, hi, n),
+            p_up=float(p_up),
+            p_down=float(p_down),
+            params=_random_params(rng, trial),
+            reference=float(rng.uniform(lo - 2, hi + 2)),
+            delta=float(1.0 - 10.0 ** rng.uniform(-4, np.log10(0.5))),
+            optimize=True,
+        )
+        yield setup, setup.reference + np.concatenate([[0.0], rng.uniform(-1, 1, size=3)])
+
+
+class TestPolicyIteration:
+    """The optimize mode against its definition, with no solver in the check."""
+
+    def test_values_solve_the_bellman_equation(self):
+        # V = max(stop, stage + delta·P V) to rounding, and the states where V
+        # is the stop payoff are exactly those where stopping is no worse.
+        rng = np.random.default_rng(29)
+        binding = 0
+        for trial, (setup, references) in enumerate(_policy_walks(rng, 60)):
+            values = _solve_values(setup, references)
+            down, stop, up = np.moveaxis(_stage_payoffs(setup, references), 2, 0)
+            stay = setup.p_stay
+            stage = setup.p_down * down + stay * stop + setup.p_up * up
+            below = np.concatenate([values[:, :1], values[:, :-1]], axis=1)
+            above = np.concatenate([values[:, 1:], values[:, -1:]], axis=1)
+            continuation = stage + setup.delta * (
+                setup.p_down * below + stay * values + setup.p_up * above
+            )
+            tol = 8 * EPS * max(1.0, float(np.max(np.abs(values))))
+            np.testing.assert_allclose(
+                values, np.maximum(stop, continuation), rtol=0, atol=tol, err_msg=str(trial)
+            )
+            stops = values == stop
+            np.testing.assert_array_equal(stops, stop >= continuation, err_msg=str(trial))
+            binding += bool(stops.any())
+        assert 10 <= binding <= 50  # walks with and without a binding stop
+
+    def test_no_stop_gives_the_linear_mode_bits(self):
+        rng = np.random.default_rng(31)
+        setups = [setup for setup, _ in _policy_walks(rng, 12)]
+        setups += [setup for _, setup, _ in _section_setups()]
+        for setup in setups:
+            rhs = rng.normal(size=(4, setup.x_grid.size))
+            never = np.zeros(rhs.shape, dtype=bool)
+            walked = _walk_solve(setup, rhs)
+            assert _policy_solve(setup, rhs, rhs, never).tobytes() == walked.tobytes()
+
+    def test_a_stop_row_takes_its_stop_payoff(self):
+        rng = np.random.default_rng(37)
+        for setup, _ in _policy_walks(rng, 12):
+            rhs, stop = rng.normal(size=(2, 3, setup.x_grid.size))
+            stops = rng.uniform(size=rhs.shape) < 0.4
+            values = _policy_solve(setup, rhs, stop, stops)
+            np.testing.assert_array_equal(values[stops], stop[stops])
+
+    def test_never_stopping_to_minus_inf_is_improved_away(self):
+        # Never stopping is worth about -1e308 / (1 - delta), beyond the float
+        # range; stopping at once is worth the finite stop payoff.
+        params = ReferenceParams(gamma_plus=1.0, gamma_minus=1.0, cost=1e308)
+        setup = _setup(np.linspace(0, 5, 26), params, 7.5, 0.85, optimize=True)
+        with np.errstate(over="ignore"):
+            assert np.isneginf(_walk_solve(setup, np.full((1, 26), -1e308))).all()
+        values = _solve_values(setup, [7.5, 7.7])
+        np.testing.assert_array_equal(values, _stage_payoffs(setup, [7.5, 7.7])[:, :, 1])
+        assert verify_shift_section(setup, [0.2])[0].holds

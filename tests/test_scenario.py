@@ -41,12 +41,13 @@ from fragileband.scenario import (
     with_seed,
 )
 from fragileband.stopping import NonConvergence
+from _bench_inputs import inputs
 from test_stopping import regime_rows_per_cell
 
 # sha256 of the ref-shift-check to_csv() on each preset.
 REF_SHIFT_CSV_DIGESTS = [
     ("sns", "64045b9ff7c962eb92c9314589aa06471dbb6c30219fc2dff285e439987cdf17"),
-    ("metagame", "6ac01debdf69edb96cbe38af7ba1b617d6a75b0ddf5428cf89a29f4758d37ed1"),
+    ("metagame", "56a35819b12bb8cb07dfce9929d1bb249fe7128a2180bcdf8b85acf89c5bcd73"),
 ]
 
 PHASE_ORDER = {
@@ -632,28 +633,55 @@ class TestCmdRefShiftCheck:
 
     @pytest.mark.parametrize("name, digest", REF_SHIFT_CSV_DIGESTS)
     def test_csv_bytes_pinned(self, name, digest):
-        # sns solves linearly, metagame has the stop option (value iteration).
+        # sns solves linearly, metagame has the stop option (policy iteration).
         table = cmd_ref_shift_check(load_scenario(preset_path(name)))
         assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.skipif(
         platform.machine().lower() not in ("x86_64", "amd64"),
-        reason="OPENBLAS_CORETYPE names x86-64 kernels",
+        reason="OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES name x86-64 kernels",
     )
-    @pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
-    def test_csv_bytes_do_not_depend_on_the_blas_kernel(self, coretype):
-        # A fresh interpreter per run: OpenBLAS reads the variable when it loads.
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("OPENBLAS_CORETYPE", "Haswell"),
+            ("OPENBLAS_CORETYPE", "Nehalem"),
+            ("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4"),
+        ],
+        ids=["Haswell", "Nehalem", "no-AVX-512"],
+    )
+    def test_csv_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path, variable, value):
+        # The presets against their pins, and the 121-point fine-grids documents
+        # of seeds 801 and 1 in optimize mode against this process's bytes.
+        expected = {str(preset_path(name)): digest for name, digest in REF_SHIFT_CSV_DIGESTS}
+        for seed in (801, 1):
+            for name, doc in inputs.fine_grids(seed, inputs.FULL).documents.items():
+                doc["reference"]["setup"]["optimize"] = True
+                path = tmp_path / f"{name}-{seed}.json"
+                path.write_text(json.dumps(doc))
+                table = cmd_ref_shift_check(load_scenario(path))
+                expected[str(path)] = hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest()
+        # One fresh interpreter: numpy and OpenBLAS read the variable when they load.
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": coretype}
-        for name, digest in REF_SHIFT_CSV_DIGESTS:
-            done = subprocess.run(
-                [sys.executable, "-m", "fragileband.cli", "ref-shift-check",
-                 "--scenario", str(preset_path(name))],
-                env=env, capture_output=True, timeout=60,
-            )
-            assert done.returncode == 0, done.stderr
-            assert hashlib.sha256(done.stdout).hexdigest() == digest, name
+        env = {**os.environ, "PYTHONPATH": path, variable: value}
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_REF_SHIFT_CHECKS, str(tmp_path), *expected],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == list(expected.values())
+
+
+_RUN_REF_SHIFT_CHECKS = """
+import hashlib, pathlib, sys
+from fragileband.cli import run
+
+out = pathlib.Path(sys.argv[1]) / "table.csv"
+for scenario in sys.argv[2:]:
+    assert run(["ref-shift-check", "--scenario", scenario, "--out", str(out), "--quiet"]) == 0
+    print(hashlib.sha256(out.read_bytes()).hexdigest())
+"""
 
 
 # sha256 of to_csv() and to_json() of every command on both presets.
@@ -681,8 +709,8 @@ PRESET_OUTPUT_DIGESTS = [
     ("metagame", "mass-sim", "3609c16678afb8576441719e8ff38001ae15959d98702b92bfdf91e4bd668084",
      "2bf34aa8ac188e611fab600e30353fbd4e0c401fa5e04717ba928f50384c9f1f"),
     ("metagame", "ref-shift-check",
-     "6ac01debdf69edb96cbe38af7ba1b617d6a75b0ddf5428cf89a29f4758d37ed1",
-     "05cb9972dc02e5677b6ef837b1b952763fa876a7be3042d31c14eaa7c51fdd77"),
+     "56a35819b12bb8cb07dfce9929d1bb249fe7128a2180bcdf8b85acf89c5bcd73",
+     "9a1481617f45b7b1c710bb2167f9407fc65db9aee3e827cc1fce664be8f6c020"),
 ]
 
 
