@@ -16,6 +16,13 @@ their magnitudes (``ShapeFn.magnitude``), +0.0 at a kink; the shapes' odd
 extension is not used here.  Every weight, and the local gain's sigma'(s),
 meets its term by the zero-weight rule of ``reference._weighted``.
 
+A fixed point is found by iterating x <- x_bar + (kappa/rho)(P - N).  The
+shapes' magnitudes are non-decreasing (the ``ShapeFn`` contract), so P is
+non-decreasing in x and N non-increasing: the map is non-decreasing and
+bounded to x_bar +/- kappa/rho, and from any seed its iterates move
+monotonically to the first fixed point in the drift's direction (Tarski
+1955).  They cannot jump past it or diverge.
+
 Inputs are validated once, where they enter (a :class:`MassState` is
 built for each start).  The fixed-point search, the trajectory and
 :func:`step` then run one update closure on plain floats, built once per
@@ -38,7 +45,10 @@ from .reference import Identity, ShapeFn, _weighted
 
 
 class NoFixedPointFound(RuntimeError):
-    """Damped fixed-point iteration on the drift failed to converge."""
+    """The fixed-point search ran out of budget, or kappa/rho overflowed.
+
+    The search cannot diverge: its map is bounded to x_bar +/- kappa/rho.
+    """
 
 
 class StabilityLabel(Enum):
@@ -197,11 +207,9 @@ def jacobian(gain: float, rho: float) -> float:
 
 # Half-width of the |J| = 1 boundary band of classify_stability (not a user option).
 STABILITY_TOLERANCE = 1e-9
-# The fixed-point search: residual tolerance, iteration budget and damping
-# (not user options).
+# The fixed-point search: residual tolerance and iteration budget (not user options).
 FIXED_POINT_TOLERANCE = 1e-10
 FIXED_POINT_MAX_ITERATIONS = 10_000
-FIXED_POINT_DAMPING = 0.5
 
 
 def classify_stability(j: float) -> StabilityLabel:
@@ -220,12 +228,15 @@ def classify_stability(j: float) -> StabilityLabel:
 
 
 def find_fixed_point(params: MassParams, forecast: float, reference: float, start: float) -> float:
-    """Damped iteration on the drift, seeded at ``start``.
+    """The first fixed point in the drift's direction from ``start``.
 
-    The damped map is contracting near stable and backlash fixed points;
-    monotone-unstable (buzz) fixed points are found only when the seed is
-    already at or extremely close to them.  The tolerance, budget and
-    damping are the FIXED_POINT_* constants.
+    Steps x <- x + (update(x) - x)/rho, which is x_bar + (kappa/rho)(P - N),
+    and returns the first iterate whose residual |update(x) - x| is below
+    FIXED_POINT_TOLERANCE.  The iterates move monotonically (see the module
+    docstring) at rate G/rho, so stable and backlash points (J < 1) are
+    reached from their basins, and a buzz point only when the seed is on
+    it.  Raises :class:`NoFixedPointFound` when x leaves the floats
+    (kappa/rho overflows) or after FIXED_POINT_MAX_ITERATIONS steps.
 
     ``start``, ``forecast`` and ``reference`` are validated once, on entry
     (a non-finite one raises ``ValueError``); the loop then runs on floats.
@@ -233,13 +244,14 @@ def find_fixed_point(params: MassParams, forecast: float, reference: float, star
     x = float(start)
     MassState(x=x, forecast=forecast, reference=reference)  # the one finiteness check
     update = _update_fn(params, forecast, reference)
+    rho = params.rho
     for _ in range(FIXED_POINT_MAX_ITERATIONS):
         residual = update(x) - x
         if abs(residual) < FIXED_POINT_TOLERANCE:
             return x
-        x += FIXED_POINT_DAMPING * residual
-        if not math.isfinite(x) or abs(x) > 1e12:
-            raise NoFixedPointFound("fixed-point search diverged")
+        x += residual / rho
+        if not math.isfinite(x):
+            raise NoFixedPointFound("fixed-point search left the float range")
     raise NoFixedPointFound(
         f"fixed-point search did not converge within {FIXED_POINT_MAX_ITERATIONS} iterations"
     )
@@ -295,11 +307,12 @@ def simulate_mass(
 ) -> MassSimResult:
     """Perturb a fixed point and label the deviation behavior empirically.
 
-    The fixed point is located by damped iteration seeded at ``state0.x``
-    (forecast and reference held fixed throughout).  The trajectory starts
-    at the fixed point plus ``perturbation`` and runs ``steps`` updates,
-    stopping early if the deviation leaves the local window.  Deterministic:
-    there is no noise anywhere in the dynamics.
+    The fixed point is the first one in the drift's direction from
+    ``state0.x`` (:func:`find_fixed_point`; forecast and reference held
+    fixed throughout).  The trajectory starts at the fixed point plus
+    ``perturbation`` and runs ``steps`` updates, stopping early if the
+    deviation leaves the local window.  Deterministic: there is no noise
+    anywhere in the dynamics.
     """
     if steps < 2:
         raise ValueError("steps must satisfy steps >= 2")

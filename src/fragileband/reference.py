@@ -64,8 +64,10 @@ class ShapeFn:
     without breaking continuity at zero.  ``lipschitz(bound)`` reports a
     Lipschitz constant valid on [0, bound]: the larger of the closed-form
     slopes at 0 and at ``bound``, not a numerical estimate.  That is exact
-    because every shape's slope is monotone on z >= 0; a new shape must keep
-    that condition.  A magnitude or slope beyond the float range is inf.
+    because every shape's slope is monotone on z >= 0.  ``magnitude`` is
+    non-decreasing on z >= 0, with g(0) = 0, which the mass fixed-point
+    search relies on.  A new shape must keep both conditions.  A magnitude
+    or slope beyond the float range is inf.
     """
 
     def magnitude(self, z):
@@ -322,7 +324,8 @@ SHIFT_CHECK_MAX_POLICIES = 1_000
 def _stage_payoffs(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
     """Stage payoffs (references, n, 3) of i -> max(i - 1, 0), i -> i, i -> min(i + 1, n - 1)."""
     grid = setup.x_grid
-    successors = np.lib.stride_tricks.sliding_window_view(np.pad(grid, 1, mode="edge"), 3)
+    padded = np.concatenate([grid[:1], grid, grid[-1:]])  # the grid, its ends repeated
+    successors = np.lib.stride_tricks.sliding_window_view(padded, 3)
     reference = np.asarray(references, dtype=float)[:, None, None]
     previous = grid[:, None]  # and the forecast
     obs = SimpleNamespace(x=successors, x_prev=previous, forecast=previous, reference=reference)

@@ -636,6 +636,37 @@ def test_saturated_side_with_an_overflowing_slope_has_gain_zero(tmp_path, capsys
     assert {tuple(row[6:]) for row in rows} == {(0.0, 0.80000000000000004, "Stable")}
 
 
+def _over_damped(doc):
+    # rho > 4: a backlash point (J < -1), the start off the root.
+    doc["mass"]["params"]["rho"] = 5
+    doc["mass"]["state"]["x"] = 2.3
+
+
+def _far_from_zero(doc):
+    # A stable point near 1e11, where the float spacing is 1.5e-5.
+    doc["mass"]["params"]["x_bar"] = 1e11
+    doc["mass"]["state"] = {"x": 1e11 + 3, "forecast": 1e11, "reference": 1e11}
+
+
+@pytest.mark.parametrize(
+    "preset, edit, fixed_point, label",
+    [(METAGAME, _over_damped, 2.032462070122085, "Backlash"),
+     (SNS, _far_from_zero, 100000000003.64606, "Stable")],
+    ids=["over-damped", "far-from-zero"],
+)
+def test_mass_sim_finds_an_existing_fixed_point(tmp_path, preset, edit, fixed_point, label):
+    doc = json.loads(Path(preset).read_text())
+    edit(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    done = _python(["-m", "fragileband.cli", "mass-sim", "--scenario", str(path)])
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    metadata = ResultTable.from_csv(done.stdout).metadata
+    assert float(metadata["fixed_point"]) == pytest.approx(fixed_point, rel=1e-15)
+    assert metadata["analytic_label"] == label
+
+
 def _ref_rows(capsys, doc, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
@@ -760,14 +791,29 @@ def test_usage_exit_codes(args, code):
     assert ("usage:" in done.stderr) == (code == 1)
 
 
-def test_exit_2_on_fixed_point_failure(tmp_path):
+def test_exit_2_on_fixed_point_failure(tmp_path, capsys):
+    # kappa/rho overflows: the search's bound x_bar +/- kappa/rho is beyond the floats.
     doc = json.loads(Path(SNS).read_text())
-    doc["mass"]["params"]["rho"] = 1e-6
-    doc["mass"]["params"]["x_bar"] = 0.0
-    doc["mass"]["state"] = {"x": 0.0, "forecast": -1.0, "reference": -1.0}
+    doc["mass"]["params"]["kappa"] = 1e300
+    doc["mass"]["params"]["rho"] = 1e-10
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
-    assert run(["mass-sim", "--scenario", str(path), "--quiet"]) == 2
+    assert run(["mass-sim", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: fixed-point search left the float range\n"
+
+
+def test_exit_2_on_fixed_point_budget(monkeypatch, tmp_path, capsys):
+    import fragileband.mass as mass_module
+
+    doc = json.loads(Path(SNS).read_text())
+    doc["mass"]["state"]["x"] += 1.0  # off the root
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["mass-sim", "--scenario", str(path), "--quiet"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mass_module, "FIXED_POINT_MAX_ITERATIONS", 3)
+    assert run(["mass-sim", "--scenario", str(path)]) == 2
+    assert "did not converge within 3 iterations" in capsys.readouterr().err
 
 
 def test_exit_3_on_bound_violation(monkeypatch, tmp_path):

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from _bench_inputs import inputs
 from _sweep import make_fixed_point_case
+import fragileband.mass as mass_module
 from fragileband.mass import (
+    FIXED_POINT_TOLERANCE,
     MassParams,
     MassState,
     NoFixedPointFound,
@@ -268,12 +271,12 @@ class TestSimulateMass:
         assert result.jacobian == pytest.approx(1.0, abs=1e-12)
         assert result.analytic_label is StabilityLabel.BOUNDARY
 
-    def test_no_fixed_point_within_budget(self):
-        params = MassParams(eta=1.0, c_bar=0.0, kappa=1.0, rho=1e-6, x_bar=0.0,
-                            beta_plus=1.0, gamma_plus=1.0)
-        state = MassState(x=0.0, forecast=-1.0, reference=-1.0)
-        with pytest.raises(NoFixedPointFound):
-            simulate_mass(state, params, steps=10, perturbation=1e-4)
+    def test_no_fixed_point_within_budget(self, monkeypatch):
+        monkeypatch.setattr(mass_module, "FIXED_POINT_MAX_ITERATIONS", 3)
+        state = MassState(x=BUZZ_STATE.x + 1.0, forecast=BUZZ_STATE.forecast,
+                          reference=BUZZ_STATE.reference)
+        with pytest.raises(NoFixedPointFound, match="within 3 iterations"):
+            simulate_mass(state, BUZZ, steps=10, perturbation=1e-4)
 
     def test_validates_steps(self):
         with pytest.raises(ValueError, match="steps >= 2"):
@@ -318,6 +321,37 @@ class TestFindFixedPoint:
         fp = find_fixed_point(params, forecast=1.5, reference=1.5, start=8.0)
         moved = step(MassState(x=fp, forecast=1.5, reference=1.5), params)
         assert moved == pytest.approx(fp, abs=1e-9)
+
+    def test_tiny_rho_root_far_out(self):
+        # x_bar + kappa/rho·(P - N) with P near 1 and N = 1/2: the root is near 5e5.
+        params = MassParams(eta=1.0, c_bar=0.0, kappa=1.0, rho=1e-6, x_bar=0.0,
+                            beta_plus=1.0, gamma_plus=1.0)
+        fp = find_fixed_point(params, forecast=-1.0, reference=-1.0, start=0.0)
+        assert fp == pytest.approx(5e5)
+        moved = step(MassState(x=fp, forecast=-1.0, reference=-1.0), params)
+        assert abs(moved - fp) < FIXED_POINT_TOLERANCE
+
+    def test_over_damped_root_is_found(self):
+        # rho > 4; the map x_bar + (kappa/rho)(P - N) is constant here, so one
+        # step lands on the root.
+        params = MassParams(eta=1.0, c_bar=0.0, kappa=1.0, rho=10.0, x_bar=0.0)
+        assert find_fixed_point(params, forecast=0.0, reference=0.0, start=5.0) == 0.0
+
+    def test_first_root_in_the_drift_direction(self):
+        # The benchmark's scan-and-bisect root finder is the independent oracle.
+        # BUZZ has roots near 1.84 (stable), at 3.0 (buzz) and near 5.46 (stable).
+        roots = inputs._drift_roots(BUZZ, 2.5, 2.5)
+        assert len(roots) == 3
+        for start in (-5.0, 1.0, 2.9, 3.0, 3.000001, 3.01, 10.0):
+            drift = step(MassState(x=start, forecast=2.5, reference=2.5), BUZZ) - start
+            if drift == 0.0:
+                want = start
+            elif drift > 0:
+                want = min(r for r in roots if r > start)
+            else:
+                want = max(r for r in roots if r < start)
+            fp = find_fixed_point(BUZZ, forecast=2.5, reference=2.5, start=start)
+            assert fp == pytest.approx(want, abs=1e-8), start
 
     def test_validation(self):
         with pytest.raises(ValueError, match="eta > 0"):

@@ -1,10 +1,18 @@
-"""The float-native mass loops against the state-object loops they replaced.
+"""The mass loops against the damped, state-object loops they replaced.
 
 The oracle below is the fixed-point search and trajectory loop as they were
-written before the loops ran on plain floats: every step builds and
-validates a ``MassState`` and an ``Observation`` and reads the signals
-through ``differences``.  The library must give the same bits: fixed point,
-gain, Jacobian, both labels and every trajectory value.
+written before the loops ran on plain floats and before the search stepped
+by the residual over rho: every step builds and validates a ``MassState``
+and an ``Observation``, reads the signals through ``differences``, and the
+search steps by half the residual.
+
+Both searches stop at the first iterate whose residual |update(x) - x| is
+below FIXED_POINT_TOLERANCE.  Near a root x* the residual is about
+(J - 1)(x - x*), so each stopping iterate lies within tol/|1 - J| of x*:
+the library's fixed point must be the oracle's within 4·tol/|1 - J| (twice
+that, for curvature) plus 4 ulp, with the same labels.  Given the library's
+fixed point, the oracle's trajectory loop must give the same bits: gain,
+Jacobian, both labels and every trajectory value.
 
 At signed zeros the signals themselves are checked against the form they
 had before the one-sided terms skipped the shapes' odd extension:
@@ -25,6 +33,7 @@ from fragileband import mass
 from fragileband.mass import (
     MassParams,
     MassState,
+    FIXED_POINT_TOLERANCE,
     NoFixedPointFound,
     StabilityLabel,
     _empirical_label,
@@ -37,6 +46,7 @@ from fragileband.mass import (
     logistic,
     response_rates,
     simulate_mass,
+    step,
 )
 from fragileband.reference import (
     Identity,
@@ -75,8 +85,7 @@ def _oracle_fixed_point(params, forecast, reference, start, tolerance=1e-10,
     )
 
 
-def _oracle_simulate(state0, params, steps, perturbation):
-    fp = _oracle_fixed_point(params, state0.forecast, state0.reference, start=state0.x)
+def _oracle_trajectory(state0, params, steps, perturbation, fp):
     _, eps_fp, xi_fp = differences(
         Observation(x=fp, x_prev=fp, forecast=state0.forecast, reference=state0.reference)
     )
@@ -95,8 +104,22 @@ def _oracle_simulate(state0, params, steps, perturbation):
     return fp, gain, j, classify_stability(j), _empirical_label(xs_arr - fp), xs_arr
 
 
+def _oracle_simulate(state0, params, steps, perturbation):
+    fp = _oracle_fixed_point(params, state0.forecast, state0.reference, start=state0.x)
+    return _oracle_trajectory(state0, params, steps, perturbation, fp)
+
+
+def _library_simulate(state0, params, steps, perturbation):
+    r = simulate_mass(state0, params, steps, perturbation)
+    return r.fixed_point, r.gain, r.jacobian, r.analytic_label, r.empirical_label, r.xs
+
+
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+def _float(bits: bytes) -> float:
+    return struct.unpack("<d", bits)[0]
 
 
 def _outcome(run):
@@ -108,14 +131,25 @@ def _outcome(run):
     return _bits(fp), _bits(gain), _bits(j), analytic, empirical, xs.tobytes()
 
 
-def _assert_same(state, params, steps, perturbation):
-    def library():
-        r = simulate_mass(state, params, steps, perturbation)
-        return r.fixed_point, r.gain, r.jacobian, r.analytic_label, r.empirical_label, r.xs
+def _same_root(fp, oracle_fp, j):
+    """Whether two stopping iterates are within the stated tolerance of one root."""
+    gap = abs(fp - oracle_fp) - 4 * math.ulp(oracle_fp)
+    return gap <= 0 or abs(1.0 - j) * gap <= 4 * FIXED_POINT_TOLERANCE
 
+
+def _assert_agrees(state, params, steps, perturbation):
+    """The library against the oracle, as the module docstring states; returns the library's outcome."""
+    got = _outcome(lambda: _library_simulate(state, params, steps, perturbation))
     expected = _outcome(lambda: _oracle_simulate(state, params, steps, perturbation))
-    assert _outcome(library) == expected, (state, params)
-    return expected
+    if isinstance(got[0], type) or isinstance(expected[0], type):  # either one raised
+        assert got == expected, (state, params)
+        return got
+    fp = _float(got[0])
+    assert _same_root(fp, _float(expected[0]), _float(got[2])), (state, params)
+    assert got[3:5] == expected[3:5], (state, params)
+    given_fp = _outcome(lambda: _oracle_trajectory(state, params, steps, perturbation, fp))
+    assert got == given_fp, (state, params)
+    return got
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5, 7, 11])
@@ -126,7 +160,7 @@ def test_fine_grids_mass_starts_bit_identical(seed):
         mass = scenario_from_dict(generated.documents[name]).mass
         for x in starts:
             state = MassState(x=x, forecast=mass.state.forecast, reference=mass.state.reference)
-            _assert_same(state, mass.params, mass.steps, mass.perturbation)
+            _assert_agrees(state, mass.params, mass.steps, mass.perturbation)
             checked += 1
     assert checked > 0
 
@@ -150,14 +184,14 @@ def test_shaped_responses_bit_identical(params):
     for start in np.linspace(-4.0, 6.0, 41).tolist():
         for forecast, reference in ((0.5, 1.5), (2.0, -1.0), (1.0, 1.0)):
             state = MassState(x=start, forecast=forecast, reference=reference)
-            labels.add(_assert_same(state, params, 60, 1e-4)[3:5])
+            labels.add(_assert_agrees(state, params, 60, 1e-4)[3:5])
     assert len(labels) > 1  # more than one (analytic, empirical) pair is exercised
 
 
 def test_backlash_bit_identical():
     state = MassState(x=2.0, forecast=2.5, reference=2.5)
     for perturbation in (1e-4, -3e-3, 0.25):
-        outcome = _assert_same(state, BACKLASH, 50, perturbation)
+        outcome = _assert_agrees(state, BACKLASH, 50, perturbation)
         assert outcome[3:5] == (StabilityLabel.BACKLASH, StabilityLabel.BACKLASH)
 
 
@@ -181,18 +215,60 @@ def test_non_finite_perturbation_raises(perturbation):
     )
 
 
-def test_divergence_and_budget_raise_as_before(monkeypatch):
-    # rho > 4 makes the damped map expand by |1 - rho/2| > 1 per step.
-    params = MassParams(eta=1.0, c_bar=0.0, kappa=1.0, rho=10.0, x_bar=0.0)
-    with pytest.raises(NoFixedPointFound, match="diverged"):
-        find_fixed_point(params, forecast=0.0, reference=0.0, start=5.0)
-    state = MassState(x=5.0, forecast=0.0, reference=0.0)
-    assert _assert_same(state, params, 10, 1e-4)[0] is NoFixedPointFound
+def test_budget_and_float_overflow_raise(monkeypatch):
+    # kappa/rho overflows: the map's bound x_bar +/- kappa/rho is beyond the floats.
+    params = MassParams(eta=1.0, c_bar=0.0, kappa=1e300, rho=1e-10, x_bar=0.0, beta_plus=1.0)
+    with pytest.raises(NoFixedPointFound, match="^fixed-point search left the float range$"):
+        find_fixed_point(params, forecast=0.0, reference=0.0, start=1.0)
+    # A budget too small for a start off the root.
     monkeypatch.setattr(mass, "FIXED_POINT_MAX_ITERATIONS", 3)
     with pytest.raises(NoFixedPointFound, match="within 3 iterations"):
         find_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0)
     with pytest.raises(NoFixedPointFound, match="within 3 iterations"):
         _oracle_fixed_point(BACKLASH, forecast=2.5, reference=2.5, start=40.0, max_iterations=3)
+
+
+SHAPES = [Identity(), Power(2.0), Saturating(0.8)]
+
+
+def _random_case(rng, trial, rho):
+    """Random parameters and a start; g2 and g3 take every pair of the three shapes in turn."""
+    u = rng.uniform
+    params = MassParams(
+        eta=u(0.3, 3.0), c_bar=u(-1.0, 2.0), kappa=u(0.2, 3.0), rho=rho, x_bar=u(-2.0, 2.0),
+        beta_plus=u(0.0, 1.5), beta_minus=u(0.0, 1.5), gamma_plus=u(0.0, 1.5),
+        gamma_minus=u(0.0, 1.5), g2=SHAPES[trial % 3], g3=SHAPES[trial // 3 % 3],
+    )
+    return params, u(-2.0, 2.0), u(-2.0, 2.0), u(-6.0, 6.0)
+
+
+def _search(search, *args):
+    try:
+        return search(*args)
+    except NoFixedPointFound:
+        return None
+
+
+@pytest.mark.parametrize("low, high", [(0.02, 2.0), (2.0, 8.0)], ids=["rho-to-2", "rho-above-2"])
+def test_same_root_wherever_the_oracle_converges(low, high):
+    rng = np.random.default_rng(25 if low < 2 else 26)
+    same_root = found_where_oracle_failed = 0
+    for trial in range(270):
+        params, forecast, reference, start = _random_case(rng, trial, rng.uniform(low, high))
+        case = (params, forecast, reference, start)
+        fp = _search(find_fixed_point, *case)
+        assert fp is not None, case  # the search converges on every case drawn
+        residual = step(MassState(x=fp, forecast=forecast, reference=reference), params) - fp
+        assert abs(residual) < FIXED_POINT_TOLERANCE, case
+        oracle_fp = _search(_oracle_fixed_point, *case)
+        if oracle_fp is None:  # the damped map expands for rho > 4
+            found_where_oracle_failed += 1
+            continue
+        j = jacobian(local_gain(params, fp - forecast, fp - reference), params.rho)
+        assert _same_root(fp, oracle_fp, j), (case, fp, oracle_fp)
+        same_root += 1
+    assert same_root > 100
+    assert (found_where_oracle_failed > 20) == (high > 4)
 
 
 def _odd(shape, z):
@@ -290,5 +366,5 @@ def test_signed_zero_fixed_points_bit_identical(shape, monkeypatch):
                 for reference in (0.0, -0.0):
                     state = MassState(x=start, forecast=forecast, reference=reference)
                     for perturbation in (1e-4, -1e-4):
-                        outcome = _assert_same(state, params, 20, perturbation)
+                        outcome = _assert_agrees(state, params, 20, perturbation)
                         assert outcome[0] == _bits(start)  # the start is the fixed point

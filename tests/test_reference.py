@@ -145,6 +145,25 @@ def test_power_maps_an_overflowing_float_power_to_inf():
         assert shape.magnitude(np.array([1e200]))[0] == math.inf
 
 
+def test_magnitudes_are_non_decreasing_from_zero():
+    # The contract the mass fixed-point search relies on: g(0) = 0 and g
+    # non-decreasing on z >= 0, up to magnitudes that overflow to inf.
+    rng = np.random.default_rng(25)
+    shapes = [Identity(), Power(1.0), Power(3.0), Power(400.0), Saturating(1e-300)]
+    shapes += [Power(float(rng.uniform(1.0, 50.0))) for _ in range(40)]
+    shapes += [Saturating(float(10.0 ** rng.uniform(-6, 6))) for _ in range(20)]
+    zs = [0.0, 5e-324, 1e-300, 0.5, 1.0, 8.0, 1e10, 1e200, 1e300, 1.7976931348623157e308]
+    zs = sorted(zs + (10.0 ** rng.uniform(-300, 308, 200)).tolist())
+    for shape in shapes:
+        assert shape.magnitude(0.0) == 0.0, shape
+        values = [shape.magnitude(z) for z in zs]
+        assert all(a <= b for a, b in zip(values, values[1:])), shape
+        with np.errstate(over="ignore"):
+            array = shape.magnitude(np.array(zs))
+        assert array[0] == 0.0 and np.all(array[:-1] <= array[1:]), shape
+    assert Power(3.0).magnitude(1e200) == math.inf  # overflowing magnitudes are covered
+
+
 class TestEvalReferencePayoff:
     def test_all_zero_coefficients_pay_cost(self):
         params = ReferenceParams(cost=1.25)
