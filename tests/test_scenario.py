@@ -50,6 +50,14 @@ REF_SHIFT_CSV_DIGESTS = [
     ("metagame", "56a35819b12bb8cb07dfce9929d1bb249fe7128a2180bcdf8b85acf89c5bcd73"),
 ]
 
+# sha256 of the ref-shift-check to_csv() on the fine-grids documents of seed 1
+# with reference.params.cost 2.0, where stops bind: sns in optimize mode (in 1
+# of 6 references) and metagame (in all 5, over three policies).
+STOP_BINDING_CSV_DIGESTS = [
+    ("sns", "27773f7102a78fcb95fe2d5c3e3f531383bc65f429eb64f9ea8da48b2da425da"),
+    ("metagame", "39bf1685106a2cfd76978901cce39237152a492cec029c5b31f7b3ecf824eec5"),
+]
+
 PHASE_ORDER = {
     PhaseLabel.DISTRUST.value: 0,
     PhaseLabel.FRAGILE_BAND.value: 1,
@@ -635,6 +643,14 @@ class TestCmdRefShiftCheck:
     def test_csv_bytes_pinned(self, name, digest):
         # sns solves linearly, metagame has the stop option (policy iteration).
         table = cmd_ref_shift_check(load_scenario(preset_path(name)))
+        assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, digest", STOP_BINDING_CSV_DIGESTS)
+    def test_stop_binding_csv_bytes_pinned(self, name, digest):
+        doc = inputs.fine_grids(1, inputs.FULL).documents[name]
+        doc["reference"]["params"]["cost"] = 2.0
+        doc["reference"]["setup"]["optimize"] = True
+        table = cmd_ref_shift_check(scenario_from_dict(doc))
         assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.skipif(
