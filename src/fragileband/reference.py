@@ -25,10 +25,11 @@ the Lipschitz constant of g3 on the visited domain.  Summing the discounted
 series bounds the value-function displacement by that amount over (1 -
 delta); ``verify_shift_section`` checks the bound empirically for every
 kappa of a section by solving a reflecting random walk under the base
-reference and each shifted one, all together: one tridiagonal elimination
-without a stop option, and with one the adversary's exact stop/continue
-fixed point by policy iteration, one elimination per policy.  Either way a
-reference's values do not depend on which others share the solve.
+reference and each shifted one: one tridiagonal elimination per reference,
+on Python floats, without a stop option, and with one the adversary's exact
+stop/continue fixed point by policy iteration, one elimination per
+reference per policy.  So a reference's values do not depend on which
+others share the solve.
 """
 
 from __future__ import annotations
@@ -342,21 +343,20 @@ def _walk_expectation(setup: ShiftCheckSetup, down, here, up):
     )
 
 
-def _walk_pivots(setup: ShiftCheckSetup) -> np.ndarray:
+def _walk_pivots(setup: ShiftCheckSetup) -> list[float]:
     """1 - delta·P[i, i]: P[i, i] is the stay probability, plus the move past either end."""
-    diagonal = np.full(setup.x_grid.size, setup.p_stay)
+    diagonal = [setup.p_stay] * setup.x_grid.size
     diagonal[0] += setup.p_down
     diagonal[-1] += setup.p_up
-    return 1.0 - setup.delta * diagonal
+    return [1.0 - setup.delta * stay for stay in diagonal]
 
 
 def _eliminate(lower, pivots, upper, values):
-    """Solve a tridiagonal system in place by elimination; returns ``values``.
+    """Solve a tridiagonal system of floats in place by elimination; returns ``values``.
 
     Row i reads lower[i]·V[i - 1] + pivots[i]·V[i] + upper[i]·V[i + 1] =
-    values[i].  Each coefficient is a float, or an array with one entry per
-    column of ``values``; either way a column gets the bits of a one-column
-    solve.  No pivoting: every system solved here is diagonally dominant.
+    values[i]; every argument is a list of floats.  No pivoting: every
+    system solved here is diagonally dominant, with positive pivots.
     """
     for i in range(1, len(pivots)):
         multiplier = lower[i] / pivots[i - 1]
@@ -368,30 +368,26 @@ def _eliminate(lower, pivots, upper, values):
     return values
 
 
-def _walk_solve(setup: ShiftCheckSetup, rhs: np.ndarray) -> np.ndarray:
-    """V with (I - delta P) V = rhs for each row of rhs: the value of never stopping.
-
-    The coefficients are floats shared by every row, so the rows only ride
-    along in the sweep.
-    """
-    n = setup.x_grid.size
-    lower, upper = [-setup.delta * setup.p_down] * n, [-setup.delta * setup.p_up] * n
-    return _eliminate(lower, _walk_pivots(setup).tolist(), upper, rhs.T.copy()).T
-
-
-def _policy_solve(
+def _policy_values(
     setup: ShiftCheckSetup, rhs: np.ndarray, stop: np.ndarray, stops: np.ndarray
 ) -> np.ndarray:
     """The value of the policy that stops where ``stops`` is true, one row per reference.
 
-    A stop row reads V[i] = stop[i]: lower = upper = 0, pivot 1.  A row
-    without stops gets the bits of ``_walk_solve``.
+    Each reference is one elimination on Python floats.  A moving row reads
+    -delta·p_down, 1 - delta·P[i, i] and -delta·p_up, with right-hand side
+    rhs[i]; a stop row reads V[i] = stop[i]: lower = upper = 0, pivot 1.
     """
-    moves = ~stops.T
-    lower = np.where(moves, -setup.delta * setup.p_down, 0.0)
-    upper = np.where(moves, -setup.delta * setup.p_up, 0.0)
-    pivots = np.where(moves, _walk_pivots(setup)[:, None], 1.0)
-    return _eliminate(lower, pivots, upper, np.where(moves, rhs.T, stop.T)).T
+    down, up = -setup.delta * setup.p_down, -setup.delta * setup.p_up
+    pivots = _walk_pivots(setup)
+    return np.array([
+        _eliminate(
+            [0.0 if halt else down for halt in policy],
+            [1.0 if halt else pivot for halt, pivot in zip(policy, pivots)],
+            [0.0 if halt else up for halt in policy],
+            [paid if halt else value for halt, value, paid in zip(policy, moving, stopping)],
+        )
+        for moving, stopping, policy in zip(rhs.tolist(), stop.tolist(), stops.tolist())
+    ])
 
 
 def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
@@ -402,17 +398,18 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     payoff (``_weighted``): only the payoffs of steps the walk can take, and
     in optimize mode the stop payoffs, must be finite.
 
-    Without a stop option the value is one ``_walk_solve``.  With one, V =
-    max(stop, expected_stage + delta·P V) is solved by policy iteration:
-    from "never stop", each state of each reference switches to stop, or
-    back to continue, only where that is strictly better than its current
-    action against the current values, and the new policies are evaluated
-    exactly by one elimination that carries every reference, until no policy
-    changes.  Stopping in state i collects the payoff of the step i -> i
-    once.  Finite stage payoffs can still give values that overflow; that
-    raises HypothesisViolation naming the first such reference, and
-    SHIFT_CHECK_MAX_POLICIES evaluations without a stable policy raise
-    NonConvergence.
+    Every policy is evaluated by ``_policy_values``, one elimination per
+    reference, so a reference's values do not depend on which others share
+    the call.  Without a stop option the value is that of "never stop".
+    With one, V = max(stop, expected_stage + delta·P V) is solved by policy
+    iteration: from "never stop", each state of each reference switches to
+    stop, or back to continue, only where that is strictly better than its
+    current action against the current values, and the new policies are
+    evaluated exactly, until no policy changes.  Stopping in state i
+    collects the payoff of the step i -> i once.  Finite stage payoffs can
+    still give values that overflow; that raises HypothesisViolation naming
+    the first such reference, and SHIFT_CHECK_MAX_POLICIES evaluations
+    without a stable policy raise NonConvergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         down, stop, up = np.moveaxis(_stage_payoffs(setup, references), 2, 0)
@@ -421,15 +418,12 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
         raise HypothesisViolation(
             "stage payoffs must be finite on the shift-check grid; g1, g2, g3 or a weight overflows"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below or by the caller
-        values = _walk_solve(setup, expected_stage)
-    if not setup.optimize:
-        return values
-    stops = np.zeros(stop.shape, dtype=bool)  # never stop: ``values`` is its value
-    for evaluation in range(SHIFT_CHECK_MAX_POLICIES):
+    stops = np.zeros(stop.shape, dtype=bool)  # never stop: linear mode's whole answer
+    for _ in range(SHIFT_CHECK_MAX_POLICIES):
+        values = _policy_values(setup, expected_stage, stop, stops)
+        if not setup.optimize:
+            return values
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-            if evaluation:
-                values = _policy_solve(setup, expected_stage, stop, stops)
             edges = np.concatenate([values[:, :1], values, values[:, -1:]], axis=1)
             continuation = expected_stage + setup.delta * _walk_expectation(
                 setup, edges[:, :-2], values, edges[:, 2:]

@@ -220,6 +220,8 @@ class UniformGrid:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError("shift-check grid must satisfy lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("shift-check grid span hi - lo must be finite")
         if self.points < 2:
             raise ValueError("shift-check grid needs at least two points")
 

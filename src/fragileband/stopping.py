@@ -34,12 +34,10 @@ per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
 cells that share a grid (discount, costs and deterministic growth may differ
 per cell), each cell with its own tolerance test, so every cell gets the
 bits of a one-cell :func:`value_iteration`.  It is the library's one
-fixed-point loop: single solves, regime maps and the optimize-mode
-reference-shift check (``reference._solve_values``, one block for the base
-and every shifted reference of a section) all run through it.  It returns the
-continuation value delta * E[V_{t+1}] - C_m(t) of every period, and the
-greedy lookup of :class:`ValueSolution` interpolates that row, and the
-period's collapse row, over phi, so the successor law is stated once, in
+value-iteration loop: single solves and regime maps run through it.  It
+returns the continuation value delta * E[V_{t+1}] - C_m(t) of every period,
+and the greedy lookup of :class:`ValueSolution` interpolates that row, and
+the period's collapse row, over phi, so the successor law is stated once, in
 the kernel.  :func:`simulate_path` draws each step's outcome k from a
 cumulative row, a chain's current row or a shock law's one row (a
 one-outcome row takes no draw, and a path that has nothing to draw builds

@@ -380,6 +380,11 @@ def _huge_shift_grid(doc):
     doc["reference"]["setup"]["grid"]["points"] = 1e308
 
 
+def _huge_span_shift_grid(doc):
+    # Both ends are finite, hi - lo is not: the grid itself would overflow.
+    doc["reference"]["setup"]["grid"] = {"lo": -1e308, "hi": 1e308, "points": 5}
+
+
 def _huge_dp_grid(doc):
     doc["dp"]["config"]["grid_points"] = 1e308
 
@@ -514,6 +519,11 @@ def _two_line_name(doc):
             _huge_shift_grid,
             "error: reference.setup.grid.points must be at most ",
         ),
+        (
+            "ref-shift-check",
+            _on_metagame(_huge_span_shift_grid),
+            "error: shift-check grid span hi - lo must be finite\n",
+        ),
         ("regime-map", _huge_dp_grid, "error: dp.config.grid_points must be at most "),
         ("simulate", _huge_dp_grid, "error: dp.config.grid_points must be at most "),
     ],
@@ -528,8 +538,8 @@ def _two_line_name(doc):
          "overflowing-kappa", "overflowing-shifted-reference", "overflowing-payoff-differences",
          "overflowing-payoff-products", "unscalable-logistic-curve", "overflowing-w-sweep",
          "overflowing-optimized-values-1e308",
-         "overflowing-optimized-values-minus-1e308", "huge-shift-grid", "huge-dp-grid-regime-map",
-         "huge-dp-grid-simulate"],
+         "overflowing-optimized-values-minus-1e308", "huge-shift-grid", "huge-span-shift-grid",
+         "huge-dp-grid-regime-map", "huge-dp-grid-simulate"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())
@@ -538,7 +548,7 @@ def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message
     path.write_text(json.dumps(doc))  # non-finite floats become Infinity / NaN
     done = _python(["-m", "fragileband.cli", *command.split(), "--scenario", str(path)])
     assert done.returncode == 1
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
     assert message in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 

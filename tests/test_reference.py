@@ -22,10 +22,9 @@ from fragileband.reference import (
     ReferenceParams,
     Saturating,
     ShiftCheckSetup,
-    _policy_solve,
+    _policy_values,
     _solve_values,
     _stage_payoffs,
-    _walk_solve,
     differences,
     eval_reference_payoff,
     negative_part,
@@ -505,6 +504,7 @@ class TestVerifyShiftStability:
     def test_one_block_matches_one_reference_calls(self):
         """A multi-reference solve returns, row for row, the bits of one-reference solves."""
         rng = np.random.default_rng(19)
+        binding = 0
         for setup in _random_walks(rng, 30):
             for optimize in (False, True):
                 setup.optimize = optimize
@@ -512,6 +512,9 @@ class TestVerifyShiftStability:
                 block = _solve_values(setup, references)
                 for row, reference in zip(block, references):
                     np.testing.assert_array_equal(row, _solve_values(setup, [reference])[0])
+                if optimize:
+                    binding += bool((block == _stage_payoffs(setup, references)[:, :, 1]).any())
+        assert binding  # a binding stop among the cases
 
 
 def _section_setups():
@@ -570,8 +573,8 @@ class TestVerifyShiftSection:
     @pytest.mark.parametrize(
         "cost, policies", [(0.1, 1), (2.0, 3)], ids=["no-stop-binds", "stop-binds"]
     )
-    def test_one_elimination_per_policy(self, monkeypatch, cost, policies):
-        """Each policy is evaluated by one elimination that carries every reference."""
+    def test_one_elimination_per_reference_per_policy(self, monkeypatch, cost, policies):
+        """Each policy is evaluated by one elimination per reference."""
         # The fine-grids metagame section: 121 states, 4 kappas, optimize mode.
         # At the preset's cost, 0.1, no stop binds: one evaluation and one
         # check.  At 2.0 stops bind, and the policies change twice.
@@ -579,16 +582,16 @@ class TestVerifyShiftSection:
         doc["reference"]["params"]["cost"] = cost
         scenario = scenario_from_dict(doc)
         assert scenario.reference.setup.optimize and len(scenario.reference.kappas) == 4
-        widths = []
+        rows = []
 
         def counted(lower, pivots, upper, values):
-            widths.append(values.shape)
+            rows.append(len(values))
             return eliminate(lower, pivots, upper, values)
 
         eliminate = reference_module._eliminate
         monkeypatch.setattr(reference_module, "_eliminate", counted)
         cmd_ref_shift_check(scenario)
-        assert widths == [(121, 5)] * policies
+        assert rows == [121] * 5 * policies
 
     def test_checks_every_kappa_before_the_solve(self, monkeypatch):
         # 400 * 3.1**399 is finite; at kappa 5 the domain is [0, 8] and 400 * 8**399 is not.
@@ -826,22 +829,12 @@ class TestPolicyIteration:
             binding += bool(stops.any())
         assert 10 <= binding <= 50  # walks with and without a binding stop
 
-    def test_no_stop_gives_the_linear_mode_bits(self):
-        rng = np.random.default_rng(31)
-        setups = [setup for setup, _ in _policy_walks(rng, 12)]
-        setups += [setup for _, setup, _ in _section_setups()]
-        for setup in setups:
-            rhs = rng.normal(size=(4, setup.x_grid.size))
-            never = np.zeros(rhs.shape, dtype=bool)
-            walked = _walk_solve(setup, rhs)
-            assert _policy_solve(setup, rhs, rhs, never).tobytes() == walked.tobytes()
-
     def test_a_stop_row_takes_its_stop_payoff(self):
         rng = np.random.default_rng(37)
         for setup, _ in _policy_walks(rng, 12):
             rhs, stop = rng.normal(size=(2, 3, setup.x_grid.size))
             stops = rng.uniform(size=rhs.shape) < 0.4
-            values = _policy_solve(setup, rhs, stop, stops)
+            values = _policy_values(setup, rhs, stop, stops)
             np.testing.assert_array_equal(values[stops], stop[stops])
 
     def test_never_stopping_to_minus_inf_is_improved_away(self):
@@ -849,8 +842,8 @@ class TestPolicyIteration:
         # range; stopping at once is worth the finite stop payoff.
         params = ReferenceParams(gamma_plus=1.0, gamma_minus=1.0, cost=1e308)
         setup = _setup(np.linspace(0, 5, 26), params, 7.5, 0.85, optimize=True)
-        with np.errstate(over="ignore"):
-            assert np.isneginf(_walk_solve(setup, np.full((1, 26), -1e308))).all()
+        rhs, never = np.full((1, 26), -1e308), np.zeros((1, 26), dtype=bool)
+        assert np.isneginf(_policy_values(setup, rhs, rhs, never)).all()
         values = _solve_values(setup, [7.5, 7.7])
         np.testing.assert_array_equal(values, _stage_payoffs(setup, [7.5, 7.7])[:, :, 1])
         assert verify_shift_section(setup, [0.2])[0].holds
