@@ -735,3 +735,30 @@ def test_preset_outputs_pinned(name, command, csv_digest, json_digest):
     table = COMMANDS[command](load_scenario(preset_path(name)))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == csv_digest
     assert hashlib.sha256(table.to_json().encode("utf-8")).hexdigest() == json_digest
+
+
+# sha256 of the regime-map to_csv() on the ten regime-sweep documents of seed
+# 801: several blocks per map, and a 100-rate growth axis on sns-100x100.
+# Like the preset pins, these bytes depend on numpy's SIMD path: without
+# AVX-512, np.geomspace gives the state grids other bits (ROADMAP item 9).
+REGIME_SWEEP_CSV_DIGESTS = [
+    ("deterministic-g80-cap1x", "453568fdaa90a4aa0052598c6279d94a52865524a86d9ef731b6a42cdc297eb2"),
+    ("deterministic-g160-cap2x", "04254843b633dd64b93ba2eeaf621aefa5d6ee1772eab8f09318759f014507a5"),
+    ("deterministic-g320-cap4x", "684aab7676d9c9cadb3667d24a6bf63c9d1f1ce3662fa1c963d819b8afab445f"),
+    ("discrete_shocks-g80-cap2x", "a44ac4e1f3ba51a8478919953b8639cf155209998bab101e82f0367363af87f8"),
+    ("discrete_shocks-g160-cap4x",
+     "87dd0bef5256da5e7b6c4ae06fae4d94f073898fdb3e9170054dc938efd4a6ae"),
+    ("discrete_shocks-g320-cap1x",
+     "36eb8df05d5084c31cc4489232065635156c6fe4a2b1aa6893065f1ea8bc8750"),
+    ("markov_grid-g80-cap4x", "4f0136cf10be5e7fece2004399cbc5072a5bbc132546ab3e71060ba025092313"),
+    ("markov_grid-g160-cap1x", "61b497f2174ab80571fc1317ee6287f6563b1f7ebbab2d86315f4ac895d438f0"),
+    ("markov_grid-g320-cap2x", "f9e686f751ff8a62312b0a5a6b7c67bfe0695c83d999037717ecb6971fe53164"),
+    ("sns-100x100", "5b6f8ffbbe4270090f74ac9f1d6028cd8b1a07eeea5e0e92adea4216ef5ab32c"),
+]
+
+
+@pytest.mark.parametrize("name, digest", REGIME_SWEEP_CSV_DIGESTS)
+def test_regime_sweep_maps_pinned(name, digest):
+    doc = inputs.regime_sweep(801, inputs.FULL).documents[name]
+    table = cmd_regime_map(scenario_from_dict(doc))
+    assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
