@@ -100,10 +100,13 @@ OutputFormat = Literal["csv", "json"]
 
 REGIME_AXES = get_args(RegimeAxis)
 
-# Values (cells x states) in each array of a regime-map block: large enough
-# to amortize the numpy calls of one iteration over many cells, small enough
-# that a block's dozen working arrays add little to peak memory.
-REGIME_BLOCK_VALUES = 16384
+# Values (cells x states) in each array of a regime-map block, 256 KiB of
+# float64.  Large enough to amortize the numpy calls of one iteration over
+# many cells, and to give a map few blocks: each block iterates until its
+# slowest cell converges, the last hundreds of sweeps over a handful of
+# cells, so a map pays for that tail once per block.  Small enough that a
+# block's dozen working arrays add little to peak memory.
+REGIME_BLOCK_VALUES = 32768
 
 STOP, CONTINUE = Decision.STOP.value, Decision.CONTINUE.value
 
@@ -822,11 +825,14 @@ def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.nd
 
 
 def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
-    """(rows, process, grid, initial index) of each block, ordered by first row.
+    """(rows, grid, initial index, table, rates) of each block, ordered by first row.
 
     The cells of a block share one state grid.  Only a swept growth rate
     moves the grid, and only through its sign; each grid is checked against
-    r_cap.
+    r_cap.  Each group of cells that share a grid builds its kernel table
+    once: with a growth axis, one row per distinct rate, and ``rates``
+    gives each cell of the block its row; without one, the kernel every
+    cell shares, which :meth:`Transition.take` returns as it is.
     """
     rows = np.arange(count)
     groups = [rows] if growth is None else [
@@ -839,9 +845,14 @@ def _regime_blocks(dp: DpSection, growth: np.ndarray | None, count: int):
             process = dataclasses.replace(process, growth=float(growth[group[0]]))
         _check_dp(process, dp.config, dp.costs)
         grid, index = process.state_grid(dp.config.r_cap, dp.config.grid_points)
+        if growth is None:
+            table, rates = process.kernel(grid), np.zeros(group.size, dtype=int)
+        else:
+            values, rates = np.unique(growth[group], return_inverse=True)
+            table = process.kernel(grid, values)
         size = max(1, REGIME_BLOCK_VALUES // grid.size)
         blocks += [
-            (group[start : start + size], process, grid, index)
+            (group[start : start + size], grid, index, table, rates[start : start + size])
             for start in range(0, group.size, size)
         ]
     return sorted(blocks, key=lambda block: int(block[0][0]))
@@ -854,7 +865,9 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     by growth in [0, 0.5], 20 x 20.  Rows are ordered by grid index (first
     axis outer, second inner).  Cells that share a state grid are solved
     together in blocks of REGIME_BLOCK_VALUES values; each cell gets the bits a
-    one-cell :func:`value_iteration` gives.
+    one-cell :func:`value_iteration` gives.  A swept growth rate is
+    interpolated once per distinct rate and grid, and a block takes its
+    cells' rows of that table only while it is solved.
     """
     if scenario.dp is None:
         raise ValidationError("dp section is required for regime-map")
@@ -871,7 +884,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     gain, cost_diff, value = np.empty(count), np.empty(count), np.empty(count)
     stop = np.empty(count, dtype=bool)
     failed = None
-    for rows, process, grid, i in _regime_blocks(dp, growth, count):
+    for rows, grid, i, table, rates in _regime_blocks(dp, growth, count):
         if failed is not None and rows[0] > failed[0]:
             break
         n = grid.size
@@ -885,7 +898,7 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
             if "maintain_cost" in cells
             else dp.costs.maintain_rows(n)
         )
-        kernel = process.kernel(grid) if growth is None else process.kernel(grid, growth[rows])
+        kernel = table.take(rates)
         block = solve_cells(
             grid, kernel, delta[rows], collapse, maintain, config.tolerance, config.max_iterations
         )
@@ -897,8 +910,9 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
         cost_diff[rows] = block.cost_differential[:, i]
         value[rows] = block.values[:, i]
         stop[rows] = block.stop[:, i]
-        # Only period 0 is read: free every cost-prefix layer before the next solve.
-        del block
+        # Only period 0 is read: free every cost-prefix layer, and the
+        # block's rows of the kernel table, before the next solve.
+        del block, kernel
     if failed is not None:
         row, iterations, residual = failed
         message = non_convergence_message(config.tolerance, config.max_iterations, residual)
@@ -1002,8 +1016,18 @@ def cmd_mass_sim(scenario: Scenario) -> ResultTable:
         "analytic_label": result.analytic_label.value,
         "empirical_label": result.empirical_label.value,
     }
+    notes = []
     if result.analytic_label is StabilityLabel.BOUNDARY:
-        extra["warning"] = "fixed point sits on the |J| = 1 stability boundary"
+        notes.append("fixed point sits on the |J| = 1 stability boundary")
+    # Each update rounds to the float spacing at the fixed point, so the
+    # rounding of the trajectory's updates can add up to the perturbation.
+    if abs(section.perturbation) <= section.steps * math.ulp(result.fixed_point):
+        notes.append(
+            "empirical label may read float rounding: "
+            "perturbation is at most steps ulps of the fixed point"
+        )
+    if notes:
+        extra["warning"] = "; ".join(notes)
     return ResultTable(
         columns=["t", "x", "epsilon", "xi", "praise", "attack", "gain", "jacobian", "label"],
         rows=rows,

@@ -157,7 +157,11 @@ class _ShockLaw:
         return grid, index
 
     def kernel(self, grid: np.ndarray, growth: np.ndarray | None = None) -> Transition:
-        """One interpolation piece per shock; ``growth`` gives each cell of a block its own rate."""
+        """One interpolation piece per shock.
+
+        ``growth`` (distinct rates) gives a table with one row per rate
+        instead; :meth:`Transition.take` gives each cell of a block its row.
+        """
         support = self.support if growth is None else ((growth[:, None], 1.0),)
         pieces = []
         for g, p in support:
@@ -436,9 +440,10 @@ class Transition:
 
     A diffuse process has one interpolation piece (p, lo, hi, w_lo, w_hi)
     per growth shock.  Its arrays are (states,) when every cell shares the
-    kernel; when each cell has its own growth rate they are (cells, states),
-    with ``lo`` and ``hi`` flat indices into a C-ordered (cells, states)
-    value block.  A MarkovGrid has its transition matrix instead.
+    kernel; a swept growth rate gives them one row per rate or per cell,
+    (rows, states), with ``lo`` and ``hi`` flat indices into a C-ordered
+    (rows, states) value block.  A MarkovGrid has its transition matrix
+    instead.
     """
 
     pieces: tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = ()
@@ -468,11 +473,13 @@ class Transition:
                 total += term
         return total
 
-    def select(self, keep: np.ndarray) -> "Transition":
-        """The kernel of the cells where ``keep`` is true."""
+    def take(self, rows: np.ndarray) -> "Transition":
+        """The kernel whose row k is row ``rows[k]`` of this one; rows may repeat.
+
+        A shared kernel or a matrix is every cell's, and is returned as it is.
+        """
         if self.matrix is not None or self.pieces[0][1].ndim == 1:
             return self
-        rows = np.flatnonzero(keep)
         shift = ((np.arange(rows.size) - rows) * self.pieces[0][1].shape[1])[:, None]
         return Transition(
             tuple(
@@ -574,7 +581,7 @@ def solve_cells(
             if not keep.any():
                 break
             active, values, step = active[keep], values[keep], step[keep]
-            step_kernel, step_delta = step_kernel.select(keep), step_delta[keep]
+            step_kernel, step_delta = step_kernel.take(np.flatnonzero(keep)), step_delta[keep]
             stop_tail = _block_rows(stop_tail, keep)
             maintain_tail = _block_rows(maintain_tail, keep)
     else:

@@ -653,18 +653,28 @@ def _over_damped(doc):
 
 
 def _far_from_zero(doc):
-    # A stable point near 1e11, where the float spacing is 1.5e-5.
+    # A stable point near 1e11, where the float spacing is 1.5e-5: the
+    # perturbation 1e-4 is 6.6 ulps, and the rounding of 50 updates keeps
+    # the deviation at 4 ulps, which the empirical label reads as Boundary.
     doc["mass"]["params"]["x_bar"] = 1e11
     doc["mass"]["state"] = {"x": 1e11 + 3, "forecast": 1e11, "reference": 1e11}
 
 
+ROUNDING_WARNING = (
+    "empirical label may read float rounding: "
+    "perturbation is at most steps ulps of the fixed point"
+)
+
+
 @pytest.mark.parametrize(
-    "preset, edit, fixed_point, label",
-    [(METAGAME, _over_damped, 2.032462070122085, "Backlash"),
-     (SNS, _far_from_zero, 100000000003.64606, "Stable")],
+    "preset, edit, fixed_point, label, warning",
+    [(METAGAME, _over_damped, 2.032462070122085, "Backlash", None),
+     (SNS, _far_from_zero, 100000000003.64606, "Stable", ROUNDING_WARNING)],
     ids=["over-damped", "far-from-zero"],
 )
-def test_mass_sim_finds_an_existing_fixed_point(tmp_path, preset, edit, fixed_point, label):
+def test_mass_sim_finds_an_existing_fixed_point(
+    tmp_path, preset, edit, fixed_point, label, warning
+):
     doc = json.loads(Path(preset).read_text())
     edit(doc)
     path = tmp_path / "s.json"
@@ -675,6 +685,7 @@ def test_mass_sim_finds_an_existing_fixed_point(tmp_path, preset, edit, fixed_po
     metadata = ResultTable.from_csv(done.stdout).metadata
     assert float(metadata["fixed_point"]) == pytest.approx(fixed_point, rel=1e-15)
     assert metadata["analytic_label"] == label
+    assert metadata.get("warning") == warning
 
 
 def _ref_rows(capsys, doc, tmp_path):

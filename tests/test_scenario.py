@@ -602,7 +602,16 @@ class TestCmdMassSim:
         )
         table = cmd_mass_sim(scenario)
         assert table.metadata["analytic_label"] == "Boundary"
-        assert "warning" in table.metadata
+        boundary = "fixed point sits on the |J| = 1 stability boundary"
+        assert table.metadata["warning"] == boundary
+        # A perturbation within steps ulps of x = 1 adds the rounding warning.
+        tiny = dataclasses.replace(
+            scenario, mass=dataclasses.replace(scenario.mass, perturbation=1e-15)
+        )
+        assert cmd_mass_sim(tiny).metadata["warning"] == (
+            f"{boundary}; empirical label may read float rounding: "
+            "perturbation is at most steps ulps of the fixed point"
+        )
 
     def test_row_shape(self, sns):
         table = cmd_mass_sim(sns)

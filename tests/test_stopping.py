@@ -116,6 +116,34 @@ class TestBellmanBackup:
         assert 0.9 * expected[0] > 2.0  # continuing beats stopping at phi = 2
 
 
+class TestTransitionTake:
+    def test_rows_of_a_rate_table_equal_per_cell_kernels(self):
+        grid, _ = SHOCKS.state_grid(20.0, 30)
+        values = np.array([-0.2, 0.0, 0.05, 0.3])
+        idx, again = np.array([2, 0, 2, 3, 1, 0, 3]), np.array([4, 1, 1, 6])
+        taken = GROWING.kernel(grid, values).take(idx)
+        # solve_cells takes rows of a taken kernel as its cells converge.
+        for kernel, rates in ((taken, values[idx]), (taken.take(again), values[idx][again])):
+            (p, *arrays), = kernel.pieces
+            (q, *expected), = GROWING.kernel(grid, rates).pieces
+            assert p == q
+            for got, want in zip(arrays, expected):  # lo, hi, w_lo, w_hi
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_a_shared_kernel_takes_itself(self):
+        grid, _ = SHOCKS.state_grid(20.0, 30)
+        chain = MarkovGrid(
+            r_grid=(3.0, 4.0),
+            transition=((0.5, 0.5), (0.25, 0.75)),
+            defection_payoff=2.0,
+            initial_r=3.0,
+        )
+        idx = np.array([0, 0, 0])
+        for kernel in (SHOCKS.kernel(grid), chain.kernel(chain.state_grid(None, 2)[0])):
+            assert kernel.take(idx) is kernel
+
+
 class TestValueIteration:
     def test_flat_growth_closed_form(self):
         sol = value_iteration(FLAT, CostSchedule(), DPConfig(delta=0.9))
@@ -907,6 +935,16 @@ REGIME_MAP_CASES = {
         sweep={
             "delta": {"start": 0.5, "stop": 0.97, "steps": 6},
             "growth": {"start": -0.2, "stop": 0.2, "steps": 5},
+        },
+    ),
+    # Growth is the outer axis and descends through all three signs, so the
+    # table rows of a block are neither sorted nor distinct.
+    "growth-outer-descending": _preset_dp(
+        "sns",
+        costs={"collapse": [1.0, 0.6], "maintain": 0.2},
+        sweep={
+            "growth": {"start": 0.2, "stop": -0.2, "steps": 5},
+            "delta": {"start": 0.5, "stop": 0.97, "steps": 6},
         },
     ),
     "shocks-maintain-axis": _preset_dp(
