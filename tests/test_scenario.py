@@ -771,3 +771,29 @@ def test_regime_sweep_maps_pinned(name, digest):
     doc = inputs.regime_sweep(801, inputs.FULL).documents[name]
     table = cmd_regime_map(scenario_from_dict(doc))
     assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the regime-map to_json() on the same ten documents; the presets'
+# regime-map JSON is pinned in PRESET_OUTPUT_DIGESTS.  These bytes depend on
+# numpy's SIMD path as the CSV pins do (ROADMAP item 9).
+REGIME_SWEEP_JSON_DIGESTS = [
+    ("deterministic-g80-cap1x", "5946404a45d8cc09c8f415701e3a61a362847ea0c14b9e75489de06d404efdd2"),
+    ("deterministic-g160-cap2x", "30c68d538670c471b07e9e469366136445db2006d34fb9d3608fb2df9e7aa25b"),
+    ("deterministic-g320-cap4x", "4abf80ff50cc7afa784ddb2a003d9eb5d2d50730b7a62e6aa693bb3377c41de6"),
+    ("discrete_shocks-g80-cap2x", "40a18c8043545868110060df511b6bf6bb38d48ef115467aa9ab458297c8ca04"),
+    ("discrete_shocks-g160-cap4x",
+     "8f896030fc81bac4196064fb0855979d49f01a3b2f55ee74dbdc6a4008c67d58"),
+    ("discrete_shocks-g320-cap1x",
+     "60324484ca206870b6079139793f2ccda1f0f3509b6540531db79aff5b0e2982"),
+    ("markov_grid-g80-cap4x", "dfa65e28beba8af8ef97d2e7eea95a5b7142f97aca168320c416df377925ad79"),
+    ("markov_grid-g160-cap1x", "40ed49fd851d610ba28c98e25aba4d5c7a6998c1113eaad9a25c3ea5cfe9a0d1"),
+    ("markov_grid-g320-cap2x", "a1413ce53a7dfa5d20e1e4e18860d582458a40d3334af5aa2ee616c61bbf5b8c"),
+    ("sns-100x100", "c576ab1cb45571a8acc8e7b083f8c95e5b04bdbff85994e940bed93389735aea"),
+]
+
+
+@pytest.mark.parametrize("name, digest", REGIME_SWEEP_JSON_DIGESTS)
+def test_regime_sweep_map_json_pinned(name, digest):
+    doc = inputs.regime_sweep(801, inputs.FULL).documents[name]
+    table = cmd_regime_map(scenario_from_dict(doc))
+    assert hashlib.sha256(table.to_json().encode("utf-8")).hexdigest() == digest
