@@ -567,10 +567,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file; a key repeated in any object is a ParseError."""
     text = Path(path).read_text(encoding="utf-8")
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        data = dict(pairs)
+        if len(data) < len(pairs):  # json.loads would keep the last value
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"invalid JSON in {path}: duplicate key {key!r}")
+                seen.add(key)
+        return data
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON in {path}: {exc.msg} (line {exc.lineno} column {exc.colno})"
@@ -711,8 +722,20 @@ def _json_numbers(column: Sequence) -> list[str]:
     """JSON text of each cell of a float, int or bool column.
 
     JSON has no NaN or infinity: NaN is null, and +-inf the numbers +-1e999,
-    which JSON parsers read back as +-inf.
+    which JSON parsers read back as +-inf.  An all-float column where half
+    the cells repeat (a regime map's axis) formats each distinct value once;
+    a stride sample of about 256 cells decides first, so a column of
+    distinct values builds no set.  Zeros are formatted per cell (0.0 ==
+    -0.0), a NaN cell is found by identity, and a column holding an int
+    never takes this path (1 == 1.0).
     """
+    sample = column[:: len(column) // 256 + 1]
+    if 2 * len(set(sample)) <= len(sample) and set(map(type, column)) == {float}:
+        distinct = set(column)
+        if 2 * len(distinct) <= len(column):
+            distinct.discard(0.0)
+            text = dict(zip(distinct, _json_numbers(list(distinct))))
+            return [text[x] if x else repr(x) for x in column]
     text = json.dumps(column)[1:-1].replace("NaN", "null").replace("Infinity", "1e999")
     return text.split(", ")
 
@@ -867,7 +890,8 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     together in blocks of REGIME_BLOCK_VALUES values; each cell gets the bits a
     one-cell :func:`value_iteration` gives.  A swept growth rate is
     interpolated once per distinct rate and grid, and a block takes its
-    cells' rows of that table only while it is solved.
+    cells' rows of that table only while it is solved.  Period 0 is
+    solved at the initial state alone, the only state the table reads.
     """
     if scenario.dp is None:
         raise ValidationError("dp section is required for regime-map")
@@ -900,16 +924,17 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
         )
         kernel = table.take(rates)
         block = solve_cells(
-            grid, kernel, delta[rows], collapse, maintain, config.tolerance, config.max_iterations
+            grid, kernel, delta[rows], collapse, maintain, config.tolerance,
+            config.max_iterations, state=i,
         )
         if not block.converged.all():
             k = np.flatnonzero(~block.converged)[0]
             if failed is None or rows[k] < failed[0]:
                 failed = (int(rows[k]), int(block.iterations[k]), float(block.residual[k]))
-        gain[rows] = block.delta_gain[:, i]
-        cost_diff[rows] = block.cost_differential[:, i]
-        value[rows] = block.values[:, i]
-        stop[rows] = block.stop[:, i]
+        gain[rows] = block.delta_gain[:, 0]
+        cost_diff[rows] = block.cost_differential[:, 0]
+        value[rows] = block.values[:, 0]
+        stop[rows] = block.stop[:, 0]
         # Only period 0 is read: free every cost-prefix layer, and the
         # block's rows of the kernel table, before the next solve.
         del block, kernel

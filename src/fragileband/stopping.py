@@ -34,7 +34,8 @@ per shock, or the matrix.  :func:`solve_cells` value-iterates a block of
 cells that share a grid (discount, costs and deterministic growth may differ
 per cell), each cell with its own tolerance test, so every cell gets the
 bits of a one-cell :func:`value_iteration`.  It is the library's one
-value-iteration loop: single solves and regime maps run through it.  It
+value-iteration loop: single solves and regime maps run through it (a
+regime map asks for period 0 at its initial state only).  It
 returns the continuation value delta * E[V_{t+1}] - C_m(t) of every period,
 and the greedy lookup of :class:`ValueSolution` interpolates that row, and
 the period's collapse row, over phi, so the successor law is stated once, in
@@ -443,20 +444,30 @@ class Transition:
     kernel; a swept growth rate gives them one row per rate or per cell,
     (rows, states), with ``lo`` and ``hi`` flat indices into a C-ordered
     (rows, states) value block.  A MarkovGrid has its transition matrix
-    instead.
+    instead.  :meth:`at` gives the kernel of one state, whose pieces are
+    one state wide; a matrix's one-state kernel keeps the whole matrix and
+    ``state``, the column of the product that it returns.
     """
 
     pieces: tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = ()
     matrix: np.ndarray | None = None
+    state: int | None = None
 
     def expect(self, values: np.ndarray) -> np.ndarray:
-        """E[V(successor)] for values over the grid, (states,) or (cells, states)."""
+        """E[V(successor)] for values over the grid, (states,) or (cells, states).
+
+        A one-state kernel gives (1,) or (cells, 1).
+        """
         if self.matrix is not None:
             # One matrix-vector product per cell: a matrix-matrix product
             # sums in another order, and the bits would depend on the block.
-            return np.matmul(self.matrix, values[..., None])[..., 0]
+            # So would a product with one row of the matrix: a one-state
+            # kernel takes its column of the whole product.
+            expected = np.matmul(self.matrix, values[..., None])[..., 0]
+            return expected if self.state is None else expected[..., self.state : self.state + 1]
         # p * (w_lo * V[lo] + w_hi * V[hi]) summed over the pieces, computed
         # in place on the gathered copies to keep a block's working set small.
+        # A certain shock (p = 1) skips the product: x * 1.0 is x.
         total = None
         for p, lo, hi, w_lo, w_hi in self.pieces:
             if lo.ndim == 1:
@@ -466,7 +477,8 @@ class Transition:
             term *= w_lo
             upper *= w_hi
             term += upper
-            term *= p
+            if p != 1.0:
+                term *= p
             if total is None:
                 total = term
             else:
@@ -476,14 +488,33 @@ class Transition:
     def take(self, rows: np.ndarray) -> "Transition":
         """The kernel whose row k is row ``rows[k]`` of this one; rows may repeat.
 
-        A shared kernel or a matrix is every cell's, and is returned as it is.
+        Each piece array is gathered along its first axis, and the flat
+        indices are shifted in place to their new rows.  A shared kernel or
+        a matrix is every cell's, and is returned as it is.
         """
         if self.matrix is not None or self.pieces[0][1].ndim == 1:
             return self
         shift = ((np.arange(rows.size) - rows) * self.pieces[0][1].shape[1])[:, None]
+        pieces = []
+        for p, lo, hi, w_lo, w_hi in self.pieces:
+            lo, hi = lo.take(rows, axis=0), hi.take(rows, axis=0)
+            lo += shift
+            hi += shift
+            pieces.append((p, lo, hi, w_lo.take(rows, axis=0), w_hi.take(rows, axis=0)))
+        return Transition(tuple(pieces))
+
+    def at(self, state: int) -> "Transition":
+        """The kernel of grid state ``state`` alone: ``expect`` gives its column.
+
+        Its expectation has the bits of that column of this kernel's.  Flat
+        indices of per-row pieces still point into the whole value block.
+        """
+        if self.matrix is not None:
+            return Transition(matrix=self.matrix, state=state)
+        column = slice(state, state + 1)
         return Transition(
             tuple(
-                (p, lo[rows] + shift, hi[rows] + shift, w_lo[rows], w_hi[rows])
+                (p, lo[..., column], hi[..., column], w_lo[..., column], w_hi[..., column])
                 for p, lo, hi, w_lo, w_hi in self.pieces
             )
         )
@@ -498,20 +529,28 @@ def _block_rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return array[keep] if array.ndim == 2 else array
 
 
+def _state_column(array: np.ndarray, state: int) -> np.ndarray:
+    """Column ``state`` of a (states,) row or (cells, states) block, kept 2-D
+    as (..., 1); a one-wide array (a (cells, 1) column) is every state's."""
+    return array if array.shape[-1] == 1 else array[..., state : state + 1]
+
+
 @dataclass(frozen=True, eq=False)
 class CellSolutions:
     """Period-0 results of a block solve, one row per cell.
 
     ``values``, ``stop``, ``delta_gain`` and ``cost_differential`` are
-    (cells, states); ``iterations``, ``residual`` and ``converged`` are
-    (cells,).  ``continuation`` holds the continuation value
-    delta * E[V_{t+1}] - C_m(t) of periods 0 to the tail, each (cells,
-    states); the last is held for every later period, and under constant
-    costs it is the only one.  ``fixed_point`` is the stationary value
-    under the tail costs.  A cell that misses the tolerance reports the
-    iteration budget and its last residual; a cell whose values overflow
-    stops at its first NaN residual (inf - inf) and reports that iteration
-    and residual.  Neither is ``converged``.
+    (cells, states), or (cells, 1) when the solve was given one ``state``;
+    ``iterations``, ``residual`` and ``converged`` are (cells,).
+    ``continuation`` holds the continuation value delta * E[V_{t+1}] -
+    C_m(t) of periods 0 to the tail, each (cells, states) but period 0's,
+    which is as wide as ``values``; the last is held for every later
+    period, and under constant costs it is the only one.  ``fixed_point``
+    is the stationary value under the tail costs, over every state.  A cell
+    that misses the tolerance reports the iteration budget and its last
+    residual; a cell whose values overflow stops at its first NaN residual
+    (inf - inf) and reports that iteration and residual.  Neither is
+    ``converged``.
     """
 
     values: np.ndarray
@@ -534,6 +573,7 @@ def solve_cells(
     tolerance: float,
     max_iterations: int,
     residuals: list[float] | None = None,
+    state: int | None = None,
 ) -> CellSolutions:
     """Value-iterate a block of cells that share ``grid`` and ``kernel``.
 
@@ -543,7 +583,10 @@ def solve_cells(
     (cells, states) block with one row per cell.
     The stationary tail is iterated to the sup-norm tolerance, cell by
     cell, and the finite cost prefix is then backward-inducted to period 0,
-    keeping the continuation value of every period.
+    keeping the continuation value of every period.  Given a grid index
+    ``state``, period 0 (its expectation, max, stop test and gain) is
+    computed at that state only, with the bits of that column of the
+    all-state results; the tail and periods t >= 1 cover every state.
     ``residuals``, when given, receives the residual history of a one-cell
     block.
     """
@@ -588,21 +631,29 @@ def solve_cells(
         tail_values[active] = values
         residual[active] = step
 
-    # Backward-induct the nonstationary cost prefix down to period 0; the
+    # Backward-induct the nonstationary cost prefix down to period 1; the
     # continuation of period t is delta * E[V_{t+1}] - C_m(t), and the
-    # held tail shares one expectation with period tail - 1.
-    expected_next = kernel.expect(tail_values)
-    continuation = [delta * expected_next - _period(maintain, tail_t)]
-    for t in range(tail_t - 1, -1, -1):
+    # held tail and period tail - 1 share one expectation, of the fixed point.
+    continuation = []
+    next_values = tail_values  # V_{t+1}, down to V_1
+    for t in range(tail_t, 0, -1):
+        if t != tail_t - 1:
+            expected_next = kernel.expect(next_values)
         continuation.insert(0, delta * expected_next - _period(maintain, t))
-        if t:
-            expected_next = kernel.expect(np.maximum(grid - _period(collapse, t), continuation[0]))
-    stop_now, continue_now = grid - collapse[0], continuation[0]
+        if t < tail_t:
+            next_values = np.maximum(grid - _period(collapse, t), continuation[0])
+    collapse_0, maintain_0 = collapse[0], maintain[0]
+    if state is not None:
+        kernel, grid = kernel.at(state), grid[state : state + 1]
+        collapse_0, maintain_0 = _state_column(collapse_0, state), _state_column(maintain_0, state)
+    expected_next = kernel.expect(next_values)
+    continuation.insert(0, delta * expected_next - maintain_0)
+    stop_now, continue_now = grid - collapse_0, continuation[0]
     return CellSolutions(
         values=np.maximum(stop_now, continue_now),
         stop=stop_now >= continue_now,
         delta_gain=delta * expected_next - grid,
-        cost_differential=np.broadcast_to(maintain[0] - collapse[0], (cells, n)),
+        cost_differential=np.broadcast_to(maintain_0 - collapse_0, (cells, grid.size)),
         continuation=tuple(continuation),
         fixed_point=tail_values,
         iterations=iterations,

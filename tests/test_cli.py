@@ -66,6 +66,23 @@ def test_exit_1_on_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["sweep", "dp"])
+def test_exit_1_on_duplicate_key(tmp_path, capsys, where):
+    # json.loads keeps a repeated key's last value: a sweep naming delta
+    # twice would read as one axis, and a second dp.delta would win unsaid.
+    doc = json.loads(Path(SNS).read_text())
+    text = json.dumps(doc)
+    if where == "sweep":
+        sweep = json.dumps(doc["dp"]["sweep"])
+        text = text.replace(sweep, sweep.replace('"growth"', '"delta"'))
+    else:
+        text = text.replace('"delta": 0.95', '"delta": 0.95, "delta": 0.9')
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(["regime-map", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: invalid JSON in {bad}: duplicate key 'delta'\n"
+
+
 def test_exit_1_on_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "payoff_matrix": {"T": 4, "R": 4, "P": 2, "S": 0}}))

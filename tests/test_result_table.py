@@ -120,6 +120,42 @@ def test_json_matches_oracle(table):
     assert ResultTable.from_json(text).to_csv() == table.to_csv()
 
 
+# A small pool, so that most cells of a column repeat and to_json formats
+# each distinct float once: both zeros, two distinct NaN objects, and both
+# infinities.  REPEATED_NUMERIC mixes int with float, 1 with 1.0.
+REPEATED_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, 0.1, math.nan, float("nan"), math.inf, -math.inf]
+)
+REPEATED_NUMERIC = st.one_of(REPEATED_FLOATS, st.sampled_from([1, 0, -1, 1.0, -1.0]))
+
+
+@st.composite
+def repeated_tables(draw):
+    """Tables of 1-12 rows whose 1-3 columns are float or int mixed with float."""
+    count = draw(st.integers(1, 12))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([REPEATED_FLOATS, REPEATED_NUMERIC])),
+                      min_size=count, max_size=count))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return ResultTable(
+        columns=[f"c{j}" for j in range(len(columns))],
+        rows=[list(row) for row in zip(*columns)],
+        metadata={},
+    )
+
+
+@given(repeated_tables())
+def test_json_of_repeated_numbers_matches_oracle(table):
+    assert table.to_json() == oracle.to_json(table)
+
+
+@pytest.mark.parametrize("column", [[0.0, -0.0, 0.0, -0.0], [1, 1.0, 1, 1.0]])
+def test_json_of_equal_numbers_written_apart(column):
+    table = ResultTable(columns=["x"], rows=[[cell] for cell in column], metadata={})
+    assert table.to_json() == oracle.to_json(table)
+
+
 CELL_WORDS = ["1_0", "1__0", "_1", "1e3", "1E3", "-0", "+5", "007", "1.0", "inf", "-inf",
               "Infinity", "nan", "-nan", " true", "true ", "TRUE", "true", "false", "", " 12 ",
               "١٢", "12 ", "0x10", "1e400", "-1e400", "1" * 400, "9007199254740993"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -142,6 +143,71 @@ class TestTransitionTake:
         idx = np.array([0, 0, 0])
         for kernel in (SHOCKS.kernel(grid), chain.kernel(chain.state_grid(None, 2)[0])):
             assert kernel.take(idx) is kernel
+
+
+def _one_state_kernels() -> list[tuple[Transition, int]]:
+    """(kernel, cells) of a shared two-shock kernel, a growth table taken by
+    repeated unsorted rows, and a matrix, each on 30-odd states."""
+    grid, _ = SHOCKS.state_grid(20.0, 30)
+    rates = np.array([-0.2, 0.0, 0.05, 0.3])
+    rows = np.array([2, 0, 2, 3, 1, 0, 3])
+    chain = _markov_process(31)
+    del chain["kind"]
+    chain = MarkovGrid(**chain)
+    return [
+        (SHOCKS.kernel(grid), 5),
+        (GROWING.kernel(grid, rates).take(rows), rows.size),
+        (chain.kernel(chain.state_grid(None, 2)[0]), 5),
+    ]
+
+
+def _states(kernel: Transition) -> int:
+    return (kernel.pieces[0][1] if kernel.matrix is None else kernel.matrix).shape[-1]
+
+
+class TestTransitionAt:
+    @pytest.mark.parametrize("case", range(3))
+    def test_one_state_expectation_is_that_column(self, case):
+        kernel, cells = _one_state_kernels()[case]
+        states = _states(kernel)
+        values = np.random.default_rng(case).normal(size=(cells, states))
+        full = kernel.expect(values)
+        for i in (0, 1, states // 2, states - 1):
+            got = kernel.at(i).expect(values)
+            assert got.shape == (cells, 1)
+            assert got.tobytes() == full[:, i : i + 1].tobytes()
+        if case == 0:  # a shared kernel also takes the values of one cell, (states,)
+            got = kernel.at(states - 1).expect(values[0])
+            assert got.tobytes() == full[0, -1:].tobytes()
+
+    @pytest.mark.parametrize("prefix", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", range(3))
+    def test_one_state_period_0_is_that_column_of_the_block(self, case, prefix):
+        # Costs over `prefix` periods (the tail is t = prefix - 1), in every
+        # shape solve_cells takes: a per-cell block and a per-cell column at
+        # period 0, shared rows and per-cell blocks after it.
+        kernel, cells = _one_state_kernels()[case]
+        states = _states(kernel)
+        rng = np.random.default_rng(10 * case + prefix)
+        grid = np.sort(rng.uniform(1.0, 8.0, states))
+        delta = rng.uniform(0.5, 0.95, cells)
+        collapse = [rng.uniform(0.0, 1.0, (cells, states))]
+        collapse += [rng.uniform(0.0, 1.0, states) for _ in range(prefix - 1)]
+        maintain = [rng.uniform(0.0, 0.5, (cells, 1))]
+        maintain += [rng.uniform(0.0, 0.5, (cells, states)) for _ in range(prefix - 1)]
+        solve = functools.partial(
+            solve_cells, grid, kernel, delta, collapse, maintain, 1e-10, 10**5
+        )
+        full = solve()
+        for i in (0, states // 2, states - 1):
+            one = solve(state=i)
+            for name in ("values", "stop", "delta_gain", "cost_differential"):
+                got, want = getattr(one, name), getattr(full, name)[:, i : i + 1]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert one.continuation[0].tobytes() == full.continuation[0][:, i : i + 1].tobytes()
+            for got, want in zip(one.continuation[1:], full.continuation[1:]):
+                assert got.tobytes() == want.tobytes()
+            assert one.fixed_point.tobytes() == full.fixed_point.tobytes()
 
 
 class TestValueIteration:
@@ -945,6 +1011,23 @@ REGIME_MAP_CASES = {
         sweep={
             "growth": {"start": 0.2, "stop": -0.2, "steps": 5},
             "delta": {"start": 0.5, "stop": 0.97, "steps": 6},
+        },
+    ),
+    # Constant costs over a growth axis: no cost prefix, as on sns-100x100.
+    "growth-constant-costs": _preset_dp(
+        "sns",
+        sweep={
+            "delta": {"start": 0.5, "stop": 0.97, "steps": 6},
+            "growth": {"start": -0.2, "stop": 0.2, "steps": 5},
+        },
+    ),
+    # A four-period maintenance prefix: the tail is period 3.
+    "shocks-four-period-prefix": _preset_dp(
+        "metagame",
+        costs={"collapse": 1.0, "maintain": [0.6, 0.45, 0.3, 0.5]},
+        sweep={
+            "delta": {"start": 0.6, "stop": 0.98, "steps": 5},
+            "collapse_cost": {"start": 0.0, "stop": 1.5, "steps": 4},
         },
     ),
     "shocks-maintain-axis": _preset_dp(
