@@ -69,6 +69,7 @@ from .reference import (
     IdentityLevel,
     Observation,
     Power,
+    RandomWalk,
     ReferenceParams,
     Saturating,
     ShapeFn,

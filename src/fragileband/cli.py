@@ -23,6 +23,7 @@ from .mass import NoFixedPointFound
 from .reference import HypothesisViolation
 from .scenario import (
     COMMANDS,
+    OutputFormat,
     ParseError,
     ResultTable,
     Scenario,
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helps[name])
         cmd.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         cmd.add_argument("--out", default=None, help="output file (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
+        cmd.add_argument("--format", choices=OutputFormat.__args__, default=None)
         cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         cmd.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
     return parser

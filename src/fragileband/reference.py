@@ -267,6 +267,20 @@ def ref_shift_bound(
     return max(abs(gamma_plus), abs(gamma_minus)) * lipschitz * abs(kappa_ref) / (1.0 - delta)
 
 
+@dataclass(frozen=True)
+class RandomWalk:
+    """One step of a walk on a grid: up with ``p_up``, down with ``p_down``, else stay."""
+
+    p_up: float
+    p_down: float
+
+    def __post_init__(self) -> None:
+        if not (self.p_up >= 0 and self.p_down >= 0 and self.p_up + self.p_down <= 1):
+            raise ValueError(
+                "walk probabilities must satisfy p_up >= 0, p_down >= 0 and p_up + p_down <= 1"
+            )
+
+
 @dataclass(eq=False)
 class ShiftCheckSetup:
     """Reflecting random walk on a grid, the problem :func:`verify_shift_section` solves.
@@ -295,10 +309,7 @@ class ShiftCheckSetup:
         self.x_grid = np.asarray(self.x_grid, dtype=float)
         if self.x_grid.ndim != 1 or self.x_grid.size < 2:
             raise ValueError("shift-check grid must be one-dimensional with at least two points")
-        if not (self.p_up >= 0 and self.p_down >= 0 and self.p_up + self.p_down <= 1):
-            raise ValueError(
-                "walk probabilities must satisfy p_up >= 0, p_down >= 0 and p_up + p_down <= 1"
-            )
+        RandomWalk(self.p_up, self.p_down)
         if not 0 < self.delta < 1:
             raise ValueError("delta must satisfy 0 < delta < 1")
         if not (np.isfinite(self.x_grid).all() and math.isfinite(self.reference)):

@@ -4,12 +4,13 @@ A scenario document has the shape of the :class:`Scenario` dataclass tree,
 one key per field, each field typed as the document writes it; only
 ``dp.delta`` sits one level above the :class:`DPConfig` it feeds.  One
 table-driven codec reads and writes it and generates
-``docs/scenario.schema.json``; :data:`KINDS`, :data:`NULLABLE` and
-:data:`IGNORED` hold what the field types do not say.  An unknown key,
-a wrong JSON type or a missing key is a :class:`ValidationError` naming its
-key path; value rules are checked by the dataclasses.  Commands are pure
-functions Scenario -> :class:`ResultTable`; given the same scenario and seed
-they produce byte-identical serialized output.
+``docs/scenario.schema.json``; :data:`KINDS` and :data:`NULLABLE` hold
+what the field types do not say.  An unknown key, a wrong JSON type, a value
+outside a ``Literal``, a number that is not finite or a missing key is a
+:class:`ValidationError` naming its key path; the other value rules are
+checked by the dataclasses.  Commands are pure functions Scenario ->
+:class:`ResultTable`; given the same scenario and seed they produce
+byte-identical serialized output.
 
 CSV convention: UTF-8, comma separated, '.' decimal, reals at 17
 significant digits (round-trip safe), metadata as '#'-prefixed key=value
@@ -70,6 +71,7 @@ from .reference import (
     IdentityLevel,
     LevelFn,
     Power,
+    RandomWalk,
     ReferenceParams,
     Saturating,
     ShapeFn,
@@ -97,8 +99,6 @@ TOOL_VERSION = "0.1.0"
 RegimeAxis = Literal["delta", "growth", "collapse_cost", "maintain_cost"]
 Policy = Literal["greedy", "always_stop", "never_stop"]
 OutputFormat = Literal["csv", "json"]
-
-REGIME_AXES = get_args(RegimeAxis)
 
 # Values (cells x states) in each array of a regime-map block, 256 KiB of
 # float64.  Large enough to amortize the numpy calls of one iteration over
@@ -131,8 +131,6 @@ class SweepRange:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("sweep ranges must have steps >= 1")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("sweep ranges must be finite")
 
     def values(self) -> list[float]:
         """The points of ``np.linspace(start, stop, steps)``, as floats."""
@@ -200,15 +198,8 @@ class DpSection:
     sweep: dict[RegimeAxis, SweepRange] | None = None
 
     def __post_init__(self) -> None:
-        if self.policy not in get_args(Policy):
-            raise ValueError("dp.policy must be greedy, always_stop, or never_stop")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must satisfy horizon >= 1")
-        for name in self.sweep or ():
-            if name not in REGIME_AXES:
-                raise ValueError(
-                    f"dp.sweep.{name}: unknown sweep axis; choose from {', '.join(REGIME_AXES)}"
-                )
         if self.sweep is not None and len(self.sweep) != 2:
             raise ValueError(f"dp.sweep: a regime map takes two axes, got {len(self.sweep)}")
         _check_dp(self.process, self.config, self.costs)
@@ -227,18 +218,6 @@ class UniformGrid:
             raise ValueError("shift-check grid span hi - lo must be finite")
         if self.points < 2:
             raise ValueError("shift-check grid needs at least two points")
-
-
-@dataclass(frozen=True)
-class RandomWalk:
-    p_up: float
-    p_down: float
-
-    def __post_init__(self) -> None:
-        if not (self.p_up >= 0 and self.p_down >= 0 and self.p_up + self.p_down <= 1):
-            raise ValueError(
-                "walk probabilities must satisfy p_up >= 0, p_down >= 0 and p_up + p_down <= 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -269,13 +248,8 @@ class ReferenceSection:
     def __post_init__(self) -> None:
         if not 0 < self.delta < 1:
             raise ValueError("reference.delta must satisfy 0 < delta < 1")
-        if not math.isfinite(self.reference):
-            raise ValueError(f"reference.reference must be finite, got {self.reference}")
         if not self.kappas:
             raise ValueError("ref-shift-check requires at least one kappa")
-        for i, kappa in enumerate(self.kappas):
-            if not math.isfinite(kappa):
-                raise ValueError(f"reference.kappas[{i}] must be finite, got {kappa}")
         _check_grid_points("reference.setup.grid.points", self.setup.grid.points)
 
 
@@ -295,10 +269,6 @@ class MassSection:
 class OutputSection:
     format: OutputFormat = "csv"
     path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.format not in get_args(OutputFormat):
-            raise ValueError("output format must be csv or json")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -358,9 +328,6 @@ _KIND_OF = {cls: kind for _, kinds in KINDS.values() for kind, cls in kinds.item
 # any other field that is None is left out of the document.
 NULLABLE = {(DPConfig, "r_cap"), (OutputSection, "path")}
 
-# Keys accepted and ignored: older scenarios gave the noise a sample count.
-IGNORED = {(NoiseSpec, "samples")}
-
 _JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 
 
@@ -374,6 +341,14 @@ def _fields(cls) -> tuple[tuple[str, object, object], ...]:
 def _mismatch(path: str, expected: str, value) -> ValidationError:
     got = {list: "array", dict: "object"}.get(type(value)) or json.dumps(value, default=repr)
     return ValidationError(f"{path}: expected {expected}, got {got}")
+
+
+def _one_of(path: str, options, value) -> str:
+    """``value`` if it is one of the strings ``options``."""
+    if not isinstance(value, str) or value not in options:
+        got = json.dumps(value, default=repr)
+        raise ValidationError(f"{path}: expected one of {', '.join(options)}, got {got}")
+    return value
 
 
 def _object(value, path: str) -> dict:
@@ -410,11 +385,14 @@ def _decode(hint, value, path: str):
         row = value[0] if isinstance(value, list) and value else None
         depth = isinstance(value, list) + isinstance(row, list)
         return _decode(options[depth] if len(options) > 1 else options[0], value, path)
-    if origin is Literal:  # the dataclass checks the value
-        return _decode(type(args[0]), value, path)
+    if origin is Literal:
+        return _one_of(path, args, value)
     if origin is dict:
         items = _object(value, path).items()
-        return {key: _decode(args[1], item, f"{path}.{key}") for key, item in items}
+        return {
+            _decode(args[0], key, f"{path}.{key}"): _decode(args[1], item, f"{path}.{key}")
+            for key, item in items
+        }
     # What is left is an array: tuple[...] or Sequence[...].
     if not isinstance(value, list):
         raise _mismatch(path, "array", value)
@@ -430,15 +408,12 @@ def _decode_object(cls, doc, path: str, **given):
     """
     doc, prefix = _object(doc, path), f"{path}." if path else ""
     if cls in KINDS:
-        kinds, kind = KINDS[cls][1], doc.get("kind")
-        if not isinstance(kind, str) or kind not in kinds:
-            got = json.dumps(kind, default=repr)
-            raise ValidationError(f"{prefix}kind: expected one of {', '.join(kinds)}, got {got}")
-        cls = kinds[kind]
+        kinds = KINDS[cls][1]
+        cls = kinds[_one_of(f"{prefix}kind", kinds, doc.get("kind"))]
     fields = [entry for entry in _fields(cls) if entry[0] not in given]
     known = {key for key, _, _ in fields} | ({"kind"} if cls in _KIND_OF else set())
     for key in doc:
-        if key not in known and (cls, key) not in IGNORED:
+        if key not in known:
             raise ValidationError(f"{prefix}{key}: unknown key")
     kwargs = dict(given)
     for key, hint, default in fields:
@@ -532,7 +507,6 @@ def _schema_object(cls, definitions: dict) -> dict:
         elif default is not None or (cls, key) in NULLABLE:
             schema = {**schema, "default": _encode(default)}
         properties[key] = schema
-    properties.update({key: {"description": "Ignored."} for owner, key in IGNORED if owner is cls})
     schema = {"type": "object", "required": required} if required else {"type": "object"}
     return {**schema, "properties": properties, "additionalProperties": False}
 

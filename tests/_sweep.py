@@ -15,7 +15,7 @@ def make_fixed_point_case(rng: np.random.Generator) -> tuple[MassParams, MassSta
 
     Signals are kept away from the kinks (|eps|, |xi| >= 0.05) and the
     baseline is solved from the drift equation, so the seeded state solves
-    x' = x exactly and the damped fixed-point search accepts it immediately
+    x' = x exactly and the fixed-point search accepts it immediately
     (including at monotone-unstable points).
     """
     x_fp = float(rng.uniform(-2.0, 2.0))

@@ -19,6 +19,7 @@ import pytest
 import fragileband.scenario as scenario_module
 from fragileband.cli import run
 from fragileband.game import CurveError, PhaseLabel, TabulatedCurve
+from fragileband.reference import ReferenceParams, ShiftCheckSetup
 from fragileband.scenario import (
     COMMANDS,
     ParseError,
@@ -135,12 +136,6 @@ class TestLoading:
             with pytest.raises(jsonschema.ValidationError, match="growth"):
                 jsonschema.validate(missing_growth, schema)
 
-    def test_legacy_noise_samples_ignored(self, sns):
-        doc = scenario_to_dict(sns)
-        assert doc["recognition"]["noise"] == {"sd": 0.05}
-        doc["recognition"]["noise"]["samples"] = 20000
-        assert scenario_from_dict(doc) == sns
-
     def test_generated_schema_is_shipped(self):
         shipped = Path(__file__).resolve().parents[1] / "docs" / "scenario.schema.json"
         assert scenario_schema().encode("utf-8") == shipped.read_bytes()
@@ -188,6 +183,17 @@ class TestLoading:
             scenario_from_dict(doc)
 
 
+def _sns_with(dotted: str, value) -> dict:
+    """The sns preset document with the key at the dotted path set to ``value``."""
+    doc = json.loads(preset_path("sns").read_text())
+    *parents, last = dotted.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
 # (dotted key to set, value, key path the error must name); every one also
 # breaks the generated schema.
 BAD_DOCUMENTS = {
@@ -212,6 +218,10 @@ BAD_DOCUMENTS = {
     "misspelled-sweep-axis": (
         "dp.sweep.gorwth", {"start": 0.0, "stop": 0.5, "steps": 3}, "dp.sweep.gorwth"
     ),
+    "misspelled-policy": ("dp.policy", "greddy", "dp.policy"),
+    "misspelled-output-format": ("output.format", "jsno", "output.format"),
+    # Older scenarios gave the noise a sample count; no model reads one.
+    "legacy-noise-samples": ("recognition.noise.samples", 20000, "recognition.noise.samples"),
     "null-w": ("recognition", {"w": None}, "recognition.w"),
 }
 
@@ -221,12 +231,7 @@ def test_bad_document_names_key_path(case, tmp_path, capsys):
     import jsonschema
 
     dotted, value, key_path = BAD_DOCUMENTS[case]
-    doc = json.loads(preset_path("sns").read_text())
-    *parents, last = dotted.split(".")
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
+    doc = _sns_with(dotted, value)
     with pytest.raises(ValidationError, match=re.escape(key_path)):
         scenario_from_dict(doc)
     schema = json.loads(scenario_schema())
@@ -241,6 +246,44 @@ def test_bad_document_names_key_path(case, tmp_path, capsys):
 @pytest.mark.parametrize(
     "dotted, value, message",
     [
+        (
+            "dp.policy",
+            "greddy",
+            'dp.policy: expected one of greedy, always_stop, never_stop, got "greddy"',
+        ),
+        ("dp.policy", 3, "dp.policy: expected one of greedy, always_stop, never_stop, got 3"),
+        ("output.format", "jsno", 'output.format: expected one of csv, json, got "jsno"'),
+        (
+            "dp.sweep.gorwth",
+            {"start": 0.0, "stop": 0.5, "steps": 3},
+            'dp.sweep.gorwth: expected one of delta, growth, collapse_cost, maintain_cost, '
+            'got "gorwth"',
+        ),
+        ("recognition.noise.samples", 20000, "recognition.noise.samples: unknown key"),
+    ],
+    ids=["policy", "policy-number", "format", "sweep-axis", "legacy-noise-samples"],
+)
+def test_enum_and_legacy_key_messages(dotted, value, message):
+    doc = _sns_with(dotted, value)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+
+
+def test_bad_walk_has_one_message():
+    # The codec and ShiftCheckSetup both check the walk by building a RandomWalk.
+    doc = _sns_with("reference.setup.walk", {"p_up": 0.7, "p_down": 0.5})
+    with pytest.raises(ValidationError) as from_document:
+        scenario_from_dict(doc)
+    with pytest.raises(ValueError) as from_setup:
+        ShiftCheckSetup(np.linspace(0.0, 6.0, 31), 0.7, 0.5, ReferenceParams(), 0.0, 0.9)
+    assert str(from_document.value) == str(from_setup.value) == (
+        "walk probabilities must satisfy p_up >= 0, p_down >= 0 and p_up + p_down <= 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "dotted, value, message",
+    [
         ("dp.costs.maintain", [0.2, math.nan], "dp.costs.maintain[1] must be finite, got nan"),
         ("dp.costs.collapse", [[-math.inf]], "dp.costs.collapse[0][0] must be finite, got -inf"),
         ("dp.sweep.delta.start", -math.inf, "dp.sweep.delta.start must be finite, got -inf"),
@@ -249,12 +292,7 @@ def test_bad_document_names_key_path(case, tmp_path, capsys):
     ],
 )
 def test_non_finite_number_names_key_path(dotted, value, message):
-    doc = json.loads(preset_path("sns").read_text())
-    *parents, last = dotted.split(".")
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
+    doc = _sns_with(dotted, value)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(doc)
 

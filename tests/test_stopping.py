@@ -617,14 +617,10 @@ class TestSimulatePath:
                 for s in range(10_000)
             ]
         )
-        always = np.mean(
-            [
-                simulate_path(
-                    process, CostSchedule(), "always_stop", 0.97, 30, seed=s
-                ).discounted_payoff
-                for s in range(10_000)
-            ]
-        )
+        # Every always-stop path stops at t = 0 and is worth phi0 - C_c = 4.0 - 0.0.
+        always = initial_phi(process)
+        path = simulate_path(process, CostSchedule(), "always_stop", 0.97, 30, seed=0)
+        assert path.discounted_payoff == always == 4.0
         assert greedy >= always
 
     def test_state_dependent_costs_rejected_off_grid(self):
