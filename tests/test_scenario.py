@@ -59,6 +59,14 @@ STOP_BINDING_CSV_DIGESTS = [
     ("metagame", "39bf1685106a2cfd76978901cce39237152a492cec029c5b31f7b3ecf824eec5"),
 ]
 
+# sha256 of the ref-shift-check to_csv() on the fine-grids documents of seed
+# 801 as the benchmark generates them: 121 states, sns in linear mode and
+# metagame in optimize mode.
+FINE_GRIDS_CSV_DIGESTS = [
+    ("sns", "d2e3838798ce1eaa3bc7555bc4858b4b3be396dbe2935b5cc6a3c0830b2424c2"),
+    ("metagame", "724f9f4f3c524d764579fc54b3afa3fc11723c026a3867094769d8a1cb2d4d17"),
+]
+
 PHASE_ORDER = {
     PhaseLabel.DISTRUST.value: 0,
     PhaseLabel.FRAGILE_BAND.value: 1,
@@ -697,6 +705,12 @@ class TestCmdRefShiftCheck:
         doc = inputs.fine_grids(1, inputs.FULL).documents[name]
         doc["reference"]["params"]["cost"] = 2.0
         doc["reference"]["setup"]["optimize"] = True
+        table = cmd_ref_shift_check(scenario_from_dict(doc))
+        assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, digest", FINE_GRIDS_CSV_DIGESTS)
+    def test_fine_grids_csv_bytes_pinned(self, name, digest):
+        doc = inputs.fine_grids(801, inputs.FULL).documents[name]
         table = cmd_ref_shift_check(scenario_from_dict(doc))
         assert hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest() == digest
 
