@@ -30,13 +30,17 @@ on Python floats, without a stop option, and with one the adversary's exact
 stop/continue fixed point by policy iteration, one elimination per
 reference per policy.  So a reference's values do not depend on which
 others share the solve.
+
+The payoff is stated once, as the terms a move reads (change, surprise) plus
+those a state and its reference read.  The walk's forecast is the previous
+state, so the check evaluates the first once per grid move and the second
+once per state and reference (``_stage_payoffs``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 from ._lazy import np
@@ -233,19 +237,32 @@ def _weighted(weight, fn, z):
     return weight * fn(z) if weight else weight
 
 
-def eval_reference_payoff(params: ReferenceParams, obs: Observation):
-    """Stage payoff at one observation, or at a grid whose fields are arrays that broadcast."""
-    dx, eps, xi = differences(obs)
-    g2, g3 = params.g2.magnitude, params.g3.magnitude
+def _move_terms(params: ReferenceParams, dx, eps):
+    """The change and surprise terms, alpha*g1(dx) + beta±*g2(eps±): what a move reads."""
+    g2 = params.g2.magnitude
     return (
         params.alpha * params.g1(dx)
         + _weighted(params.beta_plus, g2, _one_sided(eps))
         + _weighted(params.beta_minus, g2, _one_sided(-eps))
+    )
+
+
+def _state_terms(params: ReferenceParams, first, x, xi):
+    """first + gamma±*g3(xi±) + delta_weight*h(x) - cost: what a state and its reference read."""
+    g3 = params.g3.magnitude
+    return (
+        first
         + _weighted(params.gamma_plus, g3, _one_sided(xi))
         + _weighted(params.gamma_minus, g3, _one_sided(-xi))
-        + params.delta_weight * params.h(obs.x)
+        + params.delta_weight * params.h(x)
         - params.cost
     )
+
+
+def eval_reference_payoff(params: ReferenceParams, obs: Observation):
+    """Stage payoff at one observation, or at a grid whose fields are arrays that broadcast."""
+    dx, eps, xi = differences(obs)
+    return _state_terms(params, _move_terms(params, dx, eps), obs.x, xi)
 
 
 def ref_shift_bound(
@@ -333,25 +350,40 @@ class ShiftCheckResult:
 SHIFT_CHECK_MAX_POLICIES = 1_000
 
 
-def _stage_payoffs(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
-    """Stage payoffs (references, n, 3) of i -> max(i - 1, 0), i -> i, i -> min(i + 1, n - 1)."""
-    grid = setup.x_grid
-    padded = np.concatenate([grid[:1], grid, grid[-1:]])  # the grid, its ends repeated
-    successors = np.lib.stride_tricks.sliding_window_view(padded, 3)
-    reference = np.asarray(references, dtype=float)[:, None, None]
-    previous = grid[:, None]  # and the forecast
-    obs = SimpleNamespace(x=successors, x_prev=previous, forecast=previous, reference=reference)
-    # With both gamma weights 0 no term reads the reference: one array serves every one.
-    return np.broadcast_to(eval_reference_payoff(setup.params, obs), (reference.size, grid.size, 3))
+def _walk(setup: ShiftCheckSetup, values: np.ndarray) -> np.ndarray:
+    """p_down·V[i - 1] + p_stay·V[i] + p_up·V[i + 1] per row, clamped at the ends.
 
-
-def _walk_expectation(setup: ShiftCheckSetup, down, here, up):
-    """p_down·down + p_stay·here + p_up·up, a step taken with probability 0 left out."""
+    A move of probability 0 is left out, as a zero weight is.
+    """
     return (
-        _weighted(setup.p_down, np.asarray, down)
-        + _weighted(setup.p_stay, np.asarray, here)
-        + _weighted(setup.p_up, np.asarray, up)
+        _weighted(setup.p_down, lambda v: np.concatenate([v[:, :1], v[:, :-1]], axis=1), values)
+        + _weighted(setup.p_stay, np.asarray, values)
+        + _weighted(setup.p_up, lambda v: np.concatenate([v[:, 1:], v[:, -1:]], axis=1), values)
     )
+
+
+def _stage_payoffs(setup: ShiftCheckSetup, references: Sequence[float]):
+    """(expected stage payoff, stop payoff), each (references, n).
+
+    The move terms M are evaluated once for the grid's down and up moves,
+    and the state terms once per state and reference: they are the stop
+    payoff, the payoff of i -> i, whose move terms are g(0) = 0.  The
+    expected stage payoff is p_down·M_down + p_up·M_up + W(stop), W = :func:`_walk`.
+    """
+    grid, params = setup.x_grid, setup.params
+    reference = np.asarray(references, dtype=float)[:, None]
+    # With both gamma weights 0 no term reads the reference: one row serves every one.
+    stop = np.broadcast_to(
+        _state_terms(params, 0.0, grid, grid - reference), (reference.size, grid.size)
+    )
+
+    def moves(step):  # x - x_prev = x - forecast = step
+        return _move_terms(params, step, step)
+
+    # A move past either end is a stay, of step 0.
+    down = _weighted(setup.p_down, moves, -np.diff(grid, prepend=grid[0]))
+    up = _weighted(setup.p_up, moves, np.diff(grid, append=grid[-1]))
+    return down + up + _walk(setup, stop), stop
 
 
 def _walk_pivots(setup: ShiftCheckSetup) -> list[float]:
@@ -404,10 +436,10 @@ def _policy_values(
 def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.ndarray:
     """The value over the grid under each reference, one row per reference.
 
-    Only the walk's three steps from each state are evaluated, and one it
-    takes with probability 0 does not enter its state's expected stage
-    payoff (``_weighted``): only the payoffs of steps the walk can take, and
-    in optimize mode the stop payoffs, must be finite.
+    The expected stage payoffs, and in optimize mode the stop payoffs, must
+    be finite.  Each is a sum of probability-weighted parts (``_stage_payoffs``),
+    and a move taken with probability 0 is not evaluated (``_weighted``): a
+    step's whole payoff may overflow while its weighted parts do not.
 
     Every policy is evaluated by ``_policy_values``, one elimination per
     reference, so a reference's values do not depend on which others share
@@ -423,8 +455,7 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     without a stable policy raise NonConvergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        down, stop, up = np.moveaxis(_stage_payoffs(setup, references), 2, 0)
-        expected_stage = _walk_expectation(setup, down, stop, up)
+        expected_stage, stop = _stage_payoffs(setup, references)
     if not (np.isfinite(expected_stage).all() and (not setup.optimize or np.isfinite(stop).all())):
         raise HypothesisViolation(
             "stage payoffs must be finite on the shift-check grid; g1, g2, g3 or a weight overflows"
@@ -435,10 +466,7 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
         if not setup.optimize:
             return values
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-            edges = np.concatenate([values[:, :1], values, values[:, -1:]], axis=1)
-            continuation = expected_stage + setup.delta * _walk_expectation(
-                setup, edges[:, :-2], values, edges[:, 2:]
-            )
+            continuation = expected_stage + setup.delta * _walk(setup, values)
             improved = np.where(stops, stop >= continuation, stop > continuation)
         settled = np.array_equal(improved, stops)
         # Until the policies settle, a value of -inf (never stopping overflows) is

@@ -811,7 +811,10 @@ def _axis_values(name: str, sweep: SweepRange, process: SurplusProcess) -> np.nd
         valid, rule = (values > 0) & (values < 1), "0 < delta < 1"
     elif name == "growth":
         if not isinstance(process, Deterministic):
-            raise ValidationError("growth axis requires a deterministic surplus process")
+            raise ValidationError(
+                "dp.sweep.growth: a growth axis requires a deterministic surplus process, "
+                f"got {_KIND_OF[type(process)]}"
+            )
         valid, rule = values > -1, "growth > -1"
     else:
         valid, rule = values >= 0, f"{name} >= 0"
@@ -859,7 +862,8 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     """Regime diagnostics at the initial state over a two-axis parameter grid.
 
     Without an explicit dp.sweep the default grid is delta in [0.5, 0.99]
-    by growth in [0, 0.5], 20 x 20.  Rows are ordered by grid index (first
+    by growth in [0, 0.5], 20 x 20; a growth axis takes a deterministic
+    process only, so any other process needs dp.sweep.  Rows are ordered by grid index (first
     axis outer, second inner).  Cells that share a state grid are solved
     together in blocks of REGIME_BLOCK_VALUES values; each cell gets the bits a
     one-cell :func:`value_iteration` gives.  A swept growth rate is
@@ -870,6 +874,11 @@ def cmd_regime_map(scenario: Scenario) -> ResultTable:
     if scenario.dp is None:
         raise ValidationError("dp section is required for regime-map")
     dp = scenario.dp
+    if dp.sweep is None and not isinstance(dp.process, Deterministic):
+        raise ValidationError(
+            f"dp.sweep is required for a {_KIND_OF[type(dp.process)]} process: the default "
+            "map sweeps growth, which requires a deterministic surplus process"
+        )
     (name1, sweep1), (name2, sweep2) = (dp.sweep or DEFAULT_REGIME_SWEEP).items()
     outer = _axis_values(name1, sweep1, dp.process)
     inner = _axis_values(name2, sweep2, dp.process)

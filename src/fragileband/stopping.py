@@ -124,9 +124,6 @@ class _ShockLaw:
     def mean_growth(self) -> float:
         return sum(g * p for g, p in self.support)
 
-    def cooperative_learning(self) -> bool:
-        return self.mean_growth() >= 0
-
     def phi_cap(self, r_cap: float | None) -> float:
         """The top of the surplus grid: 2*(r_cap - P) if a shock grows, else phi0.
 
@@ -292,10 +289,6 @@ class MarkovGrid:
     def mean_growth(self) -> float:
         """NaN: a chain has no single growth rate."""
         return float("nan")
-
-    def cooperative_learning(self) -> bool:
-        grid = np.array(self.r_grid)
-        return bool(np.all(self.matrix @ grid >= grid - 1e-12))
 
 
 SurplusProcess = Union[Deterministic, DiscreteShocks, MarkovGrid]

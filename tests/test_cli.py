@@ -417,6 +417,41 @@ def _on_metagame(edit):
     return on_metagame
 
 
+def _growth_axis_on_a_chain(doc):
+    doc["dp"]["process"] = {
+        "kind": "markov_grid",
+        "r_grid": [3.0, 4.0, 5.0],
+        "transition": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+        "defection_payoff": 2.0,
+        "initial_r": 4.0,
+    }
+
+
+def _default_sweep(doc):
+    # The default map sweeps delta x growth.
+    del doc["dp"]["sweep"]
+
+
+def _overflowing_step_payoff(delta, optimize):
+    """alpha·dx + h(x) on the one step 0 -> 1.2e308 is 2.4e308; each term alone is finite.
+
+    The expected stage payoffs, 0.72e308 and 0.48e308, are sums of the
+    terms weighted by p_up = p_down = 0.3 and p_stay = 0.4, so they are
+    finite: the check solves, and at delta 0.9 the values overflow.
+    """
+
+    def edit(doc):
+        section = doc["reference"]
+        section["params"] = {"alpha": 1, "delta_weight": 1}
+        section["setup"]["grid"] = {"lo": 0, "hi": 1.2e308, "points": 2}
+        section["setup"]["optimize"] = optimize
+        section["reference"] = 0
+        section["kappas"] = [0, 0.1]
+        section["delta"] = delta
+
+    return edit
+
+
 def _dp_delta_above_one(doc):
     doc["dp"]["delta"] = 1.5
 
@@ -543,6 +578,28 @@ def _two_line_name(doc):
         ),
         ("regime-map", _huge_dp_grid, "error: dp.config.grid_points must be at most "),
         ("simulate", _huge_dp_grid, "error: dp.config.grid_points must be at most "),
+        (
+            "regime-map",
+            _growth_axis_on_a_chain,
+            "error: dp.sweep.growth: a growth axis requires a deterministic surplus process, "
+            "got markov_grid\n",
+        ),
+        (
+            "regime-map",
+            _on_metagame(_default_sweep),
+            "error: dp.sweep is required for a discrete_shocks process: the default map sweeps "
+            "growth, which requires a deterministic surplus process\n",
+        ),
+        (
+            "ref-shift-check",
+            _overflowing_step_payoff(0.9, False),
+            "error: kappa 0.0: the empirical gap (nan) or the bound (0.0) is not finite\n",
+        ),
+        (
+            "ref-shift-check",
+            _overflowing_step_payoff(0.9, True),
+            "error: the shift-check values under reference 0.0 are not finite\n",
+        ),
     ],
     ids=["delta-axis-to-one", "negative-maintain-axis", "negative-w-sweep", "infinite-kappa",
          "nan-reference", "growing-without-cap", "growth-axis-without-cap",
@@ -556,7 +613,9 @@ def _two_line_name(doc):
          "overflowing-payoff-products", "unscalable-logistic-curve", "overflowing-w-sweep",
          "overflowing-optimized-values-1e308",
          "overflowing-optimized-values-minus-1e308", "huge-shift-grid", "huge-span-shift-grid",
-         "huge-dp-grid-regime-map", "huge-dp-grid-simulate"],
+         "huge-dp-grid-regime-map", "huge-dp-grid-simulate", "growth-axis-on-a-chain",
+         "default-sweep-on-shocks", "overflowing-step-payoff-values-linear",
+         "overflowing-step-payoff-values-optimize"],
 )
 def test_exit_1_without_traceback_on_bad_values(tmp_path, command, edit, message):
     doc = json.loads(Path(SNS).read_text())
@@ -744,6 +803,15 @@ def test_ref_shift_check_without_gamma_needs_no_g3_constant(tmp_path, capsys):
     code, rows = _ref_rows(capsys, doc, tmp_path)
     assert code == 0
     assert [(gap, bound, holds) for _, gap, bound, holds in rows] == [(0.0, 0.0, True)] * 3
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_ref_shift_check_solves_an_overflowing_step_with_finite_parts(tmp_path, capsys, optimize):
+    doc = json.loads(Path(SNS).read_text())
+    _overflowing_step_payoff(0.1, optimize)(doc)
+    code, rows = _ref_rows(capsys, doc, tmp_path)
+    assert code == 0
+    assert rows == [[0.0, 0.0, 0.0, True], [0.1, 0.0, 0.0, True]]
 
 
 def test_ref_shift_bound_reads_weight_magnitudes(tmp_path, capsys):

