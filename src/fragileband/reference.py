@@ -351,10 +351,7 @@ SHIFT_CHECK_MAX_POLICIES = 1_000
 
 
 def _walk(setup: ShiftCheckSetup, values: np.ndarray) -> np.ndarray:
-    """p_down·V[i - 1] + p_stay·V[i] + p_up·V[i + 1] per row, clamped at the ends.
-
-    A move of probability 0 is left out, as a zero weight is.
-    """
+    """p_down·V[i - 1] + p_stay·V[i] + p_up·V[i + 1] per row, clamped; no move of probability 0."""
     return (
         _weighted(setup.p_down, lambda v: np.concatenate([v[:, :1], v[:, :-1]], axis=1), values)
         + _weighted(setup.p_stay, np.asarray, values)
