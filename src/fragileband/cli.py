@@ -10,6 +10,12 @@ parse or file error, out of memory, or a command that needs numpy where it
 is not installed (regime-map, simulate, ref-shift-check), 2 numerical
 non-convergence, 3 property-check failure (a ref-shift row with
 holds=false).
+
+numpy's BLAS runs on one thread in the CLI process: ``main`` sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which case the user's count
+stands.  ``run``, the library and any process that imports them are left
+as they are.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .scenario import (
 from .stopping import InvalidProcess, NonConvergence
 
 OUT_DIR_ENV = "FRAGILEBAND_OUT_DIR"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,6 +135,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # OpenBLAS reads its thread count when numpy loads.  The one BLAS call,
+    # Transition.expect's stack of small chain products, is too small to
+    # split, so a CLI process starts no thread pool unless the user sized one.
+    if not any(name in os.environ for name in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     raise SystemExit(run())
 
 

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 
+from ._dataclass import dataclass
 from .mass import logistic
 
 

@@ -37,9 +37,10 @@ library callers does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 
+from ._dataclass import dataclass
 from ._lazy import np
 from .reference import Identity, ShapeFn, _weighted
 

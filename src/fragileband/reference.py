@@ -40,9 +40,9 @@ once per state and reference (``_stage_payoffs``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._dataclass import dataclass
 from ._lazy import np
 from .stopping import NonConvergence
 
@@ -460,12 +460,12 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
     stops = np.zeros(stop.shape, dtype=bool)  # never stop: linear mode's whole answer
     for _ in range(SHIFT_CHECK_MAX_POLICIES):
         values = _policy_values(setup, expected_stage, stop, stops)
-        if not setup.optimize:
-            return values
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-            continuation = expected_stage + setup.delta * _walk(setup, values)
-            improved = np.where(stops, stop >= continuation, stop > continuation)
-        settled = np.array_equal(improved, stops)
+        settled = True  # linear mode: "never stop" is evaluated once
+        if setup.optimize:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+                continuation = expected_stage + setup.delta * _walk(setup, values)
+                improved = np.where(stops, stop >= continuation, stop > continuation)
+            settled = np.array_equal(improved, stops)
         # Until the policies settle, a value of -inf (never stopping overflows) is
         # no failure: the finite stop payoff beats it, so the next policy stops.
         overflowed = np.flatnonzero(~(np.isfinite(values) if settled else values < np.inf).all(1))
@@ -491,8 +491,8 @@ def verify_shift_section(setup: ShiftCheckSetup, kappas: Sequence[float]) -> lis
     both gamma weights 0 it is neither computed nor required, and is 0.
     Every kappa is checked in order before the one solve: a shifted
     reference that is not finite, or a weighted g3 with no finite constant,
-    raises HypothesisViolation, as does a stage payoff or an optimize-mode
-    value that is not finite.  The base and every shifted reference are
+    raises HypothesisViolation, as does a stage payoff or a value that is
+    not finite.  The base and every shifted reference are
     solved together.  A gap or bound that overflows raises
     HypothesisViolation naming its kappa; otherwise the bound holds when the
     gap exceeds it by at most 1e-9 of max(1, bound), a slack for rounding at

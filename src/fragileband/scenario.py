@@ -34,12 +34,11 @@ import operator
 import sys
 import types
 from collections.abc import Sequence
-from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
+from ._dataclass import dataclass
 from ._lazy import linspace, np
 from .game import (
     LinearClamped,
@@ -576,6 +575,8 @@ def scenario_hash(scenario: Scenario) -> str:
 
 def preset_path(name: str) -> Path:
     """Filesystem path of a bundled preset scenario ('sns' or 'metagame')."""
+    from importlib import resources  # imported on use: no command needs its 16 modules
+
     return Path(str(resources.files(__package__) / "presets" / f"{name}.json"))
 
 

@@ -64,11 +64,11 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 from typing import Callable, Sequence, Union
 
+from ._dataclass import dataclass
 from ._lazy import np
 
 

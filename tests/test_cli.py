@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from fragileband.cli import run
-from fragileband.scenario import ResultTable, preset_path, scenario_from_dict
+from fragileband.cli import BLAS_THREAD_VARS, run
+from fragileband.scenario import ResultTable, cmd_regime_map, preset_path, scenario_from_dict
+from _bench_inputs import inputs
 
 SNS = str(preset_path("sns"))
 METAGAME = str(preset_path("metagame"))
@@ -154,10 +156,10 @@ def test_exit_1_on_memory_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
-def _python(args: list[str]) -> subprocess.CompletedProcess:
+def _python(args: list[str], environ=os.environ) -> subprocess.CompletedProcess:
     """Run the interpreter on this checkout's sources, as a user would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**environ, "PYTHONPATH": os.pathsep.join([src, environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
@@ -168,6 +170,49 @@ def test_import_leaves_scipy_out():
     done = _python(["-c", probe])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_REPORT_BLAS_THREADS = """
+import os
+from fragileband import cli
+
+cli.run = lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"))
+cli.main()
+"""
+
+
+def _without_blas_thread_vars(**given: str) -> dict:
+    kept = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    return {**kept, **given}
+
+
+@pytest.mark.parametrize(
+    "given, seen",
+    [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"GOTO_NUM_THREADS": "2"}, "None"),
+        ({"OMP_NUM_THREADS": "2"}, "None"),
+    ],
+    ids=["unset", "openblas", "goto", "omp"],
+)
+def test_main_runs_blas_on_one_thread_unless_a_count_is_set(given, seen):
+    done = _python(["-c", _REPORT_BLAS_THREADS], _without_blas_thread_vars(**given))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{seen}\n"
+
+
+@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "two"])
+def test_chain_regime_map_bytes_do_not_depend_on_blas_threads(tmp_path, given):
+    # A Markov chain's expectation is the program's one BLAS call (np.matmul).
+    doc = inputs.regime_sweep(801, inputs.FULL).documents["markov_grid-g80-cap4x"]
+    path, out = tmp_path / "s.json", tmp_path / "map.csv"
+    path.write_text(json.dumps(doc))
+    args = ["-m", "fragileband.cli", "regime-map", "--scenario", str(path), "--out", str(out)]
+    done = _python(args, _without_blas_thread_vars(**given))
+    assert done.returncode == 0, done.stderr
+    expected = cmd_regime_map(scenario_from_dict(doc)).to_csv().encode("utf-8")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == hashlib.sha256(expected).hexdigest()
 
 
 _RUN_AND_REPORT_NUMPY = """
@@ -354,7 +399,7 @@ def _overflowing_g2(doc):
 
 
 def _overflowing_kappa(doc):
-    # The linear solve overflows: the gap and the bound are inf.
+    # The linear solve under the shifted reference overflows.
     doc["reference"]["kappas"] = [1e308]
 
 
@@ -529,7 +574,7 @@ def _two_line_name(doc):
         (
             "ref-shift-check",
             _overflowing_kappa,
-            "error: kappa 1e+308: the empirical gap (inf) or the bound (inf) is not finite",
+            "error: the shift-check values under reference 1e+308 are not finite",
         ),
         (
             "ref-shift-check",
@@ -593,7 +638,7 @@ def _two_line_name(doc):
         (
             "ref-shift-check",
             _overflowing_step_payoff(0.9, False),
-            "error: kappa 0.0: the empirical gap (nan) or the bound (0.0) is not finite\n",
+            "error: the shift-check values under reference 0.0 are not finite\n",
         ),
         (
             "ref-shift-check",

@@ -616,13 +616,26 @@ class TestVerifyShiftSection:
             verify_shift_section(setup, [0.1, 1e308])
 
     def test_overflowing_gap_or_bound_names_the_kappa(self):
+        # Every value is 1e308 and finite; the bound, 2e307 / (1 - 0.9), overflows.
+        setup = _setup(
+            np.linspace(0, 6, 31),
+            ReferenceParams(gamma_plus=1.0, gamma_minus=1.0),
+            reference=-1e307,
+            delta=0.9,
+        )
+        with pytest.raises(HypothesisViolation, match=r"kappa 2e\+307: .* not finite"):
+            verify_shift_section(setup, [0.1, 2e307])
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["linear", "optimize"])
+    def test_overflowing_values_name_the_reference(self, optimize):
         setup = _setup(
             np.linspace(0, 6, 31),
             ReferenceParams(gamma_plus=1.0, gamma_minus=1.0),
             reference=8.0,
             delta=0.9,
+            optimize=optimize,
         )
-        with pytest.raises(HypothesisViolation, match=r"kappa 1e\+308: .* not finite"):
+        with pytest.raises(HypothesisViolation, match=r"values under reference 1e\+308 are not finite"):
             verify_shift_section(setup, [0.1, 1e308])
 
     def test_holds_allows_rounding_relative_to_the_bound(self):
