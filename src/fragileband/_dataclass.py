@@ -17,7 +17,9 @@ field hash for frozen classes with ``eq``, and ``__hash__ = None`` for
 other classes with ``eq``; FrozenInstanceError on assignment or deletion.
 ``inspect.signature(cls)`` lists the fields, and a class without a
 docstring gets the standard one, ``Name(field: type, ...)``.  Fields are
-plain: a type and an optional default, no ``field()`` options.
+plain: a type and an optional default, no ``field()`` options and no
+``InitVar``; and a decorated class inherits no fields, as it has no
+dataclass base.  The decorator refuses a class outside these bounds.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ import reprlib
 from dataclasses import MISSING, FrozenInstanceError
 
 _METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+_object_setattr = object.__setattr__
 
 
 class _Plan:
     """What the shared methods read of one class: its fields, in order."""
 
-    __slots__ = ("cls", "names", "positional", "defaults", "arity", "post_init")
+    __slots__ = ("cls", "names", "positional", "defaults", "arity", "post_init", "set_field")
 
-    def __init__(self, cls: type) -> None:
+    def __init__(self, cls: type, frozen: bool) -> None:
         fields = dataclasses.fields(cls)
         self.cls = cls
         self.names = tuple(f.name for f in fields)
@@ -43,6 +46,17 @@ class _Plan:
         # The common call passes every field by position; -1 when some are keyword-only.
         self.arity = len(self.names) if self.positional == self.names else -1
         self.post_init = hasattr(cls, "__post_init__")
+        # As generated code does: a frozen class's __init__ goes round its
+        # __setattr__, a mutable one's assigns (the builtin costs a third of
+        # object.__setattr__'s slot call).
+        self.set_field = _object_setattr if frozen else setattr
+        initvars = [
+            name
+            for name, f in cls.__dataclass_fields__.items()
+            if f._field_type is dataclasses._FIELD_INITVAR
+        ]
+        if initvars:
+            raise TypeError(f"{cls.__qualname__}.{initvars[0]}: InitVar fields are not supported")
         for f in fields:
             options = (f.init, f.repr, f.compare, f.hash, f.default_factory)
             if options != (True, True, True, None, MISSING):
@@ -75,9 +89,6 @@ class _Plan:
         return tuple([getattr(obj, name) for name in self.names])
 
 
-_object_setattr = object.__setattr__
-
-
 def _init(self, /, *args, **kwargs):
     plan = self._dataclass_plan
     if kwargs and not args and tuple(kwargs) == plan.names:  # every field by keyword, in order
@@ -86,8 +97,9 @@ def _init(self, /, *args, **kwargs):
         args = plan.bind(args, kwargs)
     # One attribute at a time, as generated code does: an instance whose
     # __dict__ was touched here would lose CPython's faster attribute reads.
+    set_field = plan.set_field
     for name, value in zip(plan.names, args):
-        _object_setattr(self, name, value)
+        set_field(self, name, value)
     if plan.post_init:
         self.__post_init__()
 
@@ -154,13 +166,16 @@ def dataclass(*, frozen: bool = False, eq: bool = True, kw_only: bool = False):
         clash = [name for name in _METHODS if name in cls.__dict__]
         if clash:
             raise TypeError(f"{cls.__qualname__} defines {clash[0]}, which the decorator supplies")
+        bases = [base for base in cls.__mro__[1:] if dataclasses.is_dataclass(base)]
+        if bases:
+            raise TypeError(f"{cls.__qualname__} has the dataclass base {bases[0].__qualname__}")
         # Before the standard decorator, which reads it to write a missing docstring.
         cls.__signature__ = _SIGNATURE
         dataclasses.dataclass(cls, init=False, repr=False, eq=False, kw_only=kw_only)
         params = cls.__dataclass_params__
         params.init = params.repr = True
         params.eq, params.frozen = eq, frozen
-        cls._dataclass_plan = _Plan(cls)
+        cls._dataclass_plan = _Plan(cls, frozen)
         cls.__init__, cls.__repr__ = _init, _repr
         if eq:
             cls.__eq__ = _eq

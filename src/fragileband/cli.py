@@ -136,8 +136,9 @@ def run(argv=None) -> int:
 
 def main() -> None:
     # OpenBLAS reads its thread count when numpy loads.  The one BLAS call,
-    # Transition.expect's stack of small chain products, is too small to
-    # split, so a CLI process starts no thread pool unless the user sized one.
+    # Transition.expect's stack of chain products, is split only from about
+    # 700 states on, so a CLI process starts no thread pool unless the user
+    # sized one.
     if not any(name in os.environ for name in BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     raise SystemExit(run())

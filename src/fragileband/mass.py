@@ -243,7 +243,7 @@ def find_fixed_point(params: MassParams, forecast: float, reference: float, star
     (a non-finite one raises ``ValueError``); the loop then runs on floats.
     """
     x = float(start)
-    MassState(x=x, forecast=forecast, reference=reference)  # the one finiteness check
+    MassState(x, forecast, reference)  # the one finiteness check
     update = _update_fn(params, forecast, reference)
     rho = params.rho
     for _ in range(FIXED_POINT_MAX_ITERATIONS):
@@ -322,7 +322,7 @@ def simulate_mass(
     gain = local_gain(params, fp - forecast, fp - reference)
     j = jacobian(gain, params.rho)
 
-    xs = [MassState(x=fp + perturbation, forecast=forecast, reference=reference).x]
+    xs = [MassState(fp + perturbation, forecast, reference).x]
     guard = 1e9 * max(abs(perturbation), 1e-12)
     update = _update_fn(params, forecast, reference)
     for _ in range(steps):
@@ -330,11 +330,7 @@ def simulate_mass(
         xs.append(nxt)
         if not math.isfinite(nxt) or abs(nxt - fp) > guard:
             break
+    # Positional: the shared dataclass __init__ binds keywords at some cost.
     return MassSimResult(
-        fixed_point=fp,
-        gain=gain,
-        jacobian=j,
-        analytic_label=classify_stability(j),
-        empirical_label=_empirical_label([x - fp for x in xs]),
-        trajectory=xs,
+        fp, gain, j, classify_stability(j), _empirical_label([x - fp for x in xs]), xs
     )

@@ -14,7 +14,6 @@ import pytest
 
 from fragileband.cli import BLAS_THREAD_VARS, run
 from fragileband.scenario import ResultTable, cmd_regime_map, preset_path, scenario_from_dict
-from _bench_inputs import inputs
 
 SNS = str(preset_path("sns"))
 METAGAME = str(preset_path("metagame"))
@@ -202,17 +201,45 @@ def test_main_runs_blas_on_one_thread_unless_a_count_is_set(given, seen):
     assert done.stdout == f"{seen}\n"
 
 
-@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "two"])
-def test_chain_regime_map_bytes_do_not_depend_on_blas_threads(tmp_path, given):
-    # A Markov chain's expectation is the program's one BLAS call (np.matmul).
-    doc = inputs.regime_sweep(801, inputs.FULL).documents["markov_grid-g80-cap4x"]
-    path, out = tmp_path / "s.json", tmp_path / "map.csv"
+@pytest.fixture(scope="module")
+def wide_chain(tmp_path_factory) -> tuple[Path, str]:
+    """A 768-state random walk's scenario and the sha256 of its regime map in process.
+
+    A Markov chain's expectation, np.matmul, is the program's one BLAS call.
+    OpenBLAS splits those matrix-vector products between threads only from
+    about 700 states on; smaller chains run one thread whatever the setting.
+    """
+    n = 768
+    transition = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j, p in ((i - 1, 0.25), (i, 0.5), (i + 1, 0.25)):
+            transition[i][min(max(j, 0), n - 1)] += p
+    doc = json.loads(Path(SNS).read_text())
+    doc["dp"]["process"] = {
+        "kind": "markov_grid",
+        "r_grid": [3.0 + 2.0 * i / n for i in range(n)],
+        "transition": transition,
+        "defection_payoff": 2.0,
+        "initial_r": 4.5,
+    }
+    doc["dp"]["sweep"] = {
+        "delta": {"start": 0.5, "stop": 0.9, "steps": 2},
+        "collapse_cost": {"start": 0.0, "stop": 2.0, "steps": 2},
+    }
+    path = tmp_path_factory.mktemp("chain") / "s.json"
     path.write_text(json.dumps(doc))
+    expected = cmd_regime_map(scenario_from_dict(doc)).to_csv().encode("utf-8")
+    return path, hashlib.sha256(expected).hexdigest()
+
+
+@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "two"])
+def test_chain_regime_map_bytes_do_not_depend_on_blas_threads(tmp_path, wide_chain, given):
+    path, expected = wide_chain
+    out = tmp_path / "map.csv"
     args = ["-m", "fragileband.cli", "regime-map", "--scenario", str(path), "--out", str(out)]
     done = _python(args, _without_blas_thread_vars(**given))
     assert done.returncode == 0, done.stderr
-    expected = cmd_regime_map(scenario_from_dict(doc)).to_csv().encode("utf-8")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == hashlib.sha256(expected).hexdigest()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 _RUN_AND_REPORT_NUMPY = """

@@ -200,12 +200,22 @@ class _OwnRepr:
         return "mine"
 
 
+class _InitVar:
+    x: dataclasses.InitVar[int]
+
+
+class _Subclass(mass.MassState):
+    y: int
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
         (_DefaultFirst, "non-default argument 'y' follows default argument"),
         (_FieldOptions, r"_FieldOptions.x: field\(\) options are not supported"),
         (_OwnRepr, "_OwnRepr defines __repr__, which the decorator supplies"),
+        (_InitVar, "_InitVar.x: InitVar fields are not supported"),
+        (_Subclass, "_Subclass has the dataclass base MassState"),
     ],
 )
 def test_the_decorator_refuses_what_it_does_not_supply(body, message):
