@@ -468,10 +468,11 @@ def _solve_values(setup: ShiftCheckSetup, references: Sequence[float]) -> np.nda
             settled = np.array_equal(improved, stops)
         # Until the policies settle, a value of -inf (never stopping overflows) is
         # no failure: the finite stop payoff beats it, so the next policy stops.
-        overflowed = np.flatnonzero(~(np.isfinite(values) if settled else values < np.inf).all(1))
-        if overflowed.size:
+        finite = np.isfinite(values) if settled else values < np.inf
+        if not finite.all():
+            first = np.flatnonzero(~finite.all(1))[0]
             raise HypothesisViolation(
-                f"the shift-check values under reference {references[overflowed[0]]!r} are not finite"
+                f"the shift-check values under reference {references[first]!r} are not finite"
             )
         if settled:
             return values
