@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -98,13 +99,18 @@ def test_exit_1_on_missing_section(tmp_path, capsys):
     assert run(["mass-sim", "--scenario", str(path)]) == 1
 
 
-def test_exit_2_on_non_convergence(tmp_path, capsys):
+def _non_converging(tmp_path):
     doc = json.loads(Path(SNS).read_text())
     doc["dp"]["config"]["max_iterations"] = 2
     doc["dp"]["config"]["tolerance"] = 1e-15
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
-    assert run(["regime-map", "--scenario", str(path)]) == 2
+    return ["regime-map", "--scenario", str(path)], 2
+
+
+def test_exit_2_on_non_convergence(tmp_path, capsys):
+    args, code = _non_converging(tmp_path)
+    assert run(args) == code
 
 
 def test_exit_2_on_shift_check_non_convergence(monkeypatch, tmp_path, capsys):
@@ -155,12 +161,16 @@ def test_exit_1_on_memory_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
-def _python(args: list[str], environ=os.environ) -> subprocess.CompletedProcess:
-    """Run the interpreter on this checkout's sources, as a user would."""
+def _python(args: list[str], environ=os.environ, **popen) -> subprocess.CompletedProcess:
+    """Run the interpreter on this checkout's sources, as a user would.
+
+    stdout and stderr are captured unless ``popen`` gives other streams.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**environ, "PYTHONPATH": os.pathsep.join([src, environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, text=True, timeout=60,
+        **(popen or {"capture_output": True}),
     )
 
 
@@ -961,12 +971,122 @@ def test_exit_1_without_traceback_on_unreadable_files(tmp_path, case):
     ids=["bad-seed", "missing-scenario-flag", "unknown-command", "help", "command-help",
          "version"],
 )
-def test_usage_exit_codes(args, code):
+def test_usage_exit_codes(monkeypatch, capsys, args, code):
     # Exit code 2 is reserved for numerical non-convergence.
-    done = _python(["-m", "fragileband.cli", *args])
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text at the terminal's width
+    done = _python(["-m", "fragileband.cli", *args], _buffering(unbuffered=False))
     assert done.returncode == code
     assert "Traceback" not in done.stderr
     assert ("usage:" in done.stderr) == (code == 1)
+    # The whole text, which the process flushes before its hard exit.
+    with pytest.raises(SystemExit) as raised:
+        run(args)
+    assert raised.value.code == code
+    assert (done.stdout, done.stderr) == capsys.readouterr()
+
+
+def _buffering(unbuffered: bool) -> dict:
+    """The environment with stdout block-buffered (Python's default for a
+    pipe or a file) or unbuffered, and no bytecode cache read or written."""
+    kept = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    kept["PYTHONDONTWRITEBYTECODE"] = "1"
+    return {**kept, "PYTHONUNBUFFERED": "1"} if unbuffered else kept
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["band", "regime-map"])
+def test_piped_table_is_the_in_process_table(tmp_path, capsys, command, fmt, unbuffered):
+    # main ends the process with os._exit; a table left in stdout's buffer would be lost.
+    # An empty cache prefix: every module is compiled from source, as in a fresh checkout.
+    environ = {**_buffering(unbuffered), "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    args = [command, "--scenario", SNS, "--format", fmt]
+    done = _python(["-m", "fragileband.cli", *args], environ)
+    assert done.returncode == 0, done.stderr
+    assert run(args) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
+DEV_FULL = "/dev/full"  # every write fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full")
+
+
+def _full():
+    return {"stdout": open(DEV_FULL, "wb")}, errno.ENOSPC
+
+
+def _closed_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return {"stdout": open(write, "wb")}, errno.EPIPE
+
+
+def _closed_descriptor():
+    return {"preexec_fn": lambda: os.close(1)}, errno.EBADF
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "sink", [_full, _closed_pipe, _closed_descriptor],
+    ids=["dev-full", "closed-pipe", "closed-descriptor"],
+)
+@pytest.mark.parametrize("command", ["band", "regime-map"])
+def test_stdout_failure_exits_1_with_one_line(command, sink, unbuffered):
+    popen, code = sink()
+    try:
+        done = _python(["-m", "fragileband.cli", command, "--scenario", SNS],
+                       _buffering(unbuffered), stderr=subprocess.PIPE, **popen)
+    finally:
+        if "stdout" in popen:
+            popen["stdout"].close()
+    assert done.returncode == 1
+    assert done.stderr == f"error: <stdout>: {os.strerror(code)}\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", [["--version"], ["band", "--help"]], ids=["version", "help"])
+def test_usage_text_stdout_does_not_take_exits_1(args):
+    # Block-buffered, the text fails at main's flush.  (Unbuffered, argparse
+    # itself drops a write that fails, and the exit stays 0.)
+    with open(DEV_FULL, "wb") as full:
+        done = _python(["-m", "fragileband.cli", *args], _buffering(unbuffered=False),
+                       stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 1
+    assert done.stderr == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_out_file_that_cannot_be_written_is_named(unbuffered):
+    done = _python(["-m", "fragileband.cli", "band", "--scenario", SNS, "--out", DEV_FULL],
+                   _buffering(unbuffered))
+    assert done.returncode == 1
+    assert done.stderr == f"error: {DEV_FULL}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda tmp_path: (["band", "--scenario", SNS], 0),
+        lambda tmp_path: (["band", "--scenario", str(tmp_path / "missing.json")], 1),
+        _non_converging,
+    ],
+    ids=["wrote", "missing-scenario", "non-convergence"],
+)
+def test_a_diagnostic_stderr_does_not_take_keeps_the_exit_code(tmp_path, case, unbuffered):
+    args, code = case(tmp_path)
+    out = tmp_path / "table.csv"
+    with open(DEV_FULL, "wb") as full:
+        done = _python(["-m", "fragileband.cli", *args, "--out", str(out)],
+                       _buffering(unbuffered), stdout=subprocess.PIPE, stderr=full)
+    assert done.returncode == code
+    assert done.stdout == ""
+    if code == 0:
+        assert run([*args, "--out", str(tmp_path / "in-process.csv"), "--quiet"]) == 0
+        assert out.read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
 
 def test_exit_2_on_fixed_point_failure(tmp_path, capsys):
